@@ -156,12 +156,12 @@ def _read_params_csv(path: str) -> SurvivalModel:
     among the rest the highest log-likelihood wins.
     """
     text = _read_text(path)
-    rows = [
-        line
-        for line in text.splitlines()
+    numbered = [
+        (line_no, line)
+        for line_no, line in enumerate(text.splitlines(), start=1)
         if line.strip() and not line.startswith("#")
     ]
-    reader = csv.DictReader(rows)
+    reader = csv.DictReader(line for _, line in numbered)
     best: tuple[float, SurvivalModel] | None = None
     for row in reader:
         model_name = (row.get("model") or "").strip()
@@ -169,13 +169,19 @@ def _read_params_csv(path: str) -> SurvivalModel:
         r_raw = (row.get("r") or "").strip()
         if not mu_raw or not r_raw:
             continue
-        mu, r = float(mu_raw), float(r_raw)
         pi_raw = (row.get("pi") or "").strip()
-        if model_name == "zinb" or (pi_raw and float(pi_raw) > 0):
-            model: SurvivalModel = Zinb(float(pi_raw or 0.0), mu, r)
-        else:
-            model = NegBinomial(mu, r)
-        loglik = float((row.get("loglik") or "nan").strip() or "nan")
+        try:
+            mu, r, pi = float(mu_raw), float(r_raw), float(pi_raw or 0.0)
+            if model_name == "zinb" or pi > 0:
+                model: SurvivalModel = Zinb(pi, mu, r)
+            else:
+                model = NegBinomial(mu, r)
+            loglik = float((row.get("loglik") or "nan").strip() or "nan")
+        except ValueError as exc:
+            line_no = numbered[reader.line_num - 1][0]
+            raise ParseError(
+                f"{path}: bad delay model parameters at line {line_no} ({exc})"
+            ) from exc
         if best is None or loglik > best[0]:
             best = (loglik, model)
     if best is None:

@@ -47,10 +47,14 @@ __all__ = [
 
 
 class DelaySchedule:
-    """Delay distribution per confirmation day.
+    """Delay distribution per confirmation day, with its CDF tabulated.
 
     Built either from a single model shared by every day, or from one model
     per day (index = confirmation day) when the delay shifts over time.
+    Estimators read F from one (models x lags) table of raw ``cdf`` values at
+    lags 0..K, one row for a constant schedule. The table grows when a lag
+    beyond K is requested, with one ``cdf`` call per model, and is never
+    rebuilt.
     """
 
     def __init__(self, models: SurvivalModel | Sequence[SurvivalModel]):
@@ -65,6 +69,8 @@ class DelaySchedule:
             for model in self._models:
                 if not isinstance(model, SurvivalModel):
                     raise TypeError("schedule entries must be SurvivalModel instances")
+        self._floor = np.array([model.floor for model in self._models])
+        self._table = np.empty((len(self._models), 0))
 
     @property
     def is_constant(self) -> bool:
@@ -79,6 +85,43 @@ class DelaySchedule:
         if d >= len(self._models):
             raise ValueError(f"schedule covers days 0..{len(self._models) - 1}, got {d}")
         return self._models[d]
+
+    def tabulate(self, k_max: int) -> None:
+        """Extend the table to cover lags 0..k_max.
+
+        The extent at least doubles, so lags requested in ascending order
+        cost a logarithmic number of ``cdf`` calls.
+        """
+        have = self._table.shape[1]
+        if k_max < have:
+            return
+        lags = np.arange(have, max(k_max + 1, 2 * have))
+        new = np.array([np.asarray(model.cdf(lags), dtype=float) for model in self._models])
+        self._table = np.concatenate([self._table, new], axis=1)
+
+    def _rows(self, days: np.ndarray) -> int | np.ndarray:
+        if days.size and int(days.min()) < 0:
+            raise ValueError("day must be non-negative")
+        if self._constant:
+            return 0
+        if days.size and int(days.max()) >= len(self._models):
+            raise ValueError(
+                f"schedule covers days 0..{len(self._models) - 1}, got {int(days.max())}"
+            )
+        return days
+
+    def cdf(self, days, lags) -> np.ndarray:
+        """Raw F_d(k) for paired non-negative confirmation days d and lags k."""
+        days, lags = np.asarray(days), np.asarray(lags)
+        if lags.size:
+            if int(lags.min()) < 0:
+                raise ValueError("lags must be non-negative")
+            self.tabulate(int(lags.max()))
+        return self._table[self._rows(days), lags]
+
+    def floor(self, days) -> np.ndarray:
+        """Clamp floor of the model of each confirmation day."""
+        return self._floor[self._rows(np.asarray(days))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,30 +246,20 @@ def _require_cases(table: EpidemicTable, t: int) -> int:
     return r_t
 
 
-def _f_values(schedule: DelaySchedule, t: int, upto: int) -> np.ndarray:
-    """F_d(t - d) for d = 0..upto, with each model's clamp floor applied."""
+def _f_values(schedule: DelaySchedule, t: int, upto: int) -> tuple[np.ndarray, np.ndarray]:
+    """F_d(t - d) for d = 0..upto from the schedule's table: raw, and with
+    each day's clamp floor applied."""
     days = np.arange(upto + 1)
-    if schedule.is_constant:
-        model = schedule.model_for(0)
-        f = np.asarray(model.cdf(t - days), dtype=float)
-        return np.maximum(f, model.floor)
-    f = np.empty(upto + 1)
-    for d in range(upto + 1):
-        model = schedule.model_for(d)
-        f[d] = max(float(model.cdf(t - d)), model.floor)
-    return f
+    raw = schedule.cdf(days, t - days)
+    return raw, np.maximum(raw, schedule.floor(days))
 
 
-def _death_weights(
-    table: EpidemicTable, schedule: DelaySchedule, t: int, upto: int
-) -> np.ndarray:
+def _death_weights(deaths: np.ndarray, f: np.ndarray, t: int) -> np.ndarray:
     """Per-day predicted eventual deaths: deaths_by(d, t) / F_d(t - d).
 
     Days without observed deaths contribute exactly 0 whatever F is; a day
     with deaths but zero CDF mass is an A1 violation.
     """
-    deaths = table.observed_deaths(t)
-    f = _f_values(schedule, t, upto)
     bad = (deaths > 0) & (f <= 0.0)
     if np.any(bad):
         d_bad = int(np.nonzero(bad)[0][0])
@@ -286,8 +319,8 @@ def cfr_proposed(table: EpidemicTable, schedule: DelaySchedule, t: int) -> float
     1 in small samples; values are reported unclipped.
     """
     r_t = _require_cases(table, t)
-    upto = _upto(table, t)
-    return float(_death_weights(table, schedule, t, upto).sum() / r_t)
+    _, f = _f_values(schedule, t, _upto(table, t))
+    return float(_death_weights(table.observed_deaths(t), f, t).sum() / r_t)
 
 
 def cfr_garske(table: EpidemicTable, model: SurvivalModel, t: int) -> float:
@@ -296,15 +329,9 @@ def cfr_garske(table: EpidemicTable, model: SurvivalModel, t: int) -> float:
     Discounts the denominator instead of inflating the numerator; unbiased
     only while the daily fatality probability is constant, and overestimates
     after the high-rate cohorts of a falling-rate epidemic have resolved.
+    This is ``cfr_garske_mod`` on a constant schedule.
     """
-    _require_cases(table, t)
-    upto = _upto(table, t)
-    cases = table.cases[: upto + 1]
-    f = np.asarray(model.cdf(t - np.arange(upto + 1)), dtype=float)
-    denom = float(cases @ f)
-    if denom <= 0.0:
-        raise EstimationError(f"zero delay-weighted case total at day {t}")
-    return float(table.observed_deaths(t).sum() / denom)
+    return cfr_garske_mod(table, DelaySchedule(model), t)
 
 
 def cfr_garske_mod(table: EpidemicTable, schedule: DelaySchedule, t: int) -> float:
@@ -316,22 +343,25 @@ def cfr_garske_mod(table: EpidemicTable, schedule: DelaySchedule, t: int) -> flo
     """
     _require_cases(table, t)
     upto = _upto(table, t)
-    cases = table.cases[: upto + 1]
-    days = np.arange(upto + 1)
-    if schedule.is_constant:
-        f = np.asarray(schedule.model_for(0).cdf(t - days), dtype=float)
-    else:
-        f = np.array(
-            [float(schedule.model_for(d).cdf(t - d)) for d in range(upto + 1)]
-        )
+    raw, _ = _f_values(schedule, t, upto)
+    return _garske(table.observed_deaths(t).sum(), table.cases[: upto + 1], raw, t)
+
+
+def _garske(dead, cases: np.ndarray, f: np.ndarray, t: int) -> float:
+    """``dead`` observed deaths over cases discounted by raw F_d(t - d)."""
     denom = float(cases @ f)
     if denom <= 0.0:
         raise EstimationError(f"zero delay-weighted case total at day {t}")
-    return float(table.observed_deaths(t).sum() / denom)
+    return float(dead / denom)
 
 
 # ---------------------------------------------------------------------------
 # Daily rates, variance, intervals
+
+
+def _check_rate_day(t: int) -> None:
+    if t < 6:
+        raise ValueError("daily rate estimation needs t >= 6")
 
 
 def p_hat_daily(table: EpidemicTable, schedule: DelaySchedule, t: int) -> DailyRates:
@@ -344,12 +374,17 @@ def p_hat_daily(table: EpidemicTable, schedule: DelaySchedule, t: int) -> DailyR
     cases borrows the nearest computable window, earlier side on ties, and
     the day is listed in ``fallback_days``. Estimates are clipped to [0, 1].
     """
-    if t < 6:
-        raise ValueError("daily rate estimation needs t >= 6")
+    _check_rate_day(t)
     _require_cases(table, t)
     upto = _upto(table, t)
-    w = _death_weights(table, schedule, t, upto)
-    cases = table.cases[: upto + 1]
+    _, f = _f_values(schedule, t, upto)
+    w = _death_weights(table.observed_deaths(t), f, t)
+    return _window_rates(table.cases[: upto + 1], w, t)
+
+
+def _window_rates(cases: np.ndarray, w: np.ndarray, t: int) -> DailyRates:
+    """``p_hat_daily`` from cases and death weights of days 0..upto."""
+    upto = cases.size - 1
     w_prefix = np.concatenate([[0.0], np.cumsum(w)])
     c_prefix = np.concatenate([[0], np.cumsum(cases)])
     d_star = np.arange(3, t - 2)
@@ -395,8 +430,12 @@ def variance_cfr(
     r_t = _require_cases(table, t)
     upto = _upto(table, t)
     p = _rates_upto(rates, upto)
-    cases = table.cases[: upto + 1]
-    f = _f_values(schedule, t, upto)
+    _, f = _f_values(schedule, t, upto)
+    return _variance(table.cases[: upto + 1], p, f, t, r_t)
+
+
+def _variance(cases: np.ndarray, p: np.ndarray, f: np.ndarray, t: int, r_t: int) -> float:
+    """``variance_cfr`` from cases, rates and floored F of days 0..upto."""
     active = (cases * p) > 0
     if np.any(active & (f <= 0.0)):
         d_bad = int(np.nonzero(active & (f <= 0.0))[0][0])
@@ -416,11 +455,20 @@ def confidence_interval(cfr: float, variance: float, alpha: float) -> tuple[floa
     estimate, so an estimate outside [0, 1] yields a degenerate endpoint at
     the estimate itself rather than an inverted interval.
     """
-    if variance < 0.0:
-        raise ValueError("variance must be non-negative")
+    _check_alpha(alpha)
+    return _interval(cfr, variance, normal_quantile(1.0 - alpha / 2.0))
+
+
+def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    half = normal_quantile(1.0 - alpha / 2.0) * math.sqrt(variance)
+
+
+def _interval(cfr: float, variance: float, z: float) -> tuple[float, float]:
+    """``confidence_interval`` with the normal quantile z already computed."""
+    if variance < 0.0:
+        raise ValueError("variance must be non-negative")
+    half = z * math.sqrt(variance)
     low = min(max(0.0, cfr - half), cfr)
     high = max(cfr, min(1.0, cfr + half))
     return low, high
@@ -455,18 +503,11 @@ def validate_assumptions(
     if t < 0:
         raise ValueError("t must be non-negative")
     p = _rates_upto(rates, t)
-    if schedule.is_constant:
-        models = [schedule.model_for(0)]
-    else:
-        models = [schedule.model_for(d) for d in range(t + 1)]
-    min_f0 = math.inf
-    clamped = False
-    for model in models:
-        raw = float(model.cdf(0))
-        floor = model.floor
-        if raw < floor:
-            clamped = True
-        min_f0 = min(min_f0, max(raw, floor))
+    days = np.arange(t + 1)
+    raw = schedule.cdf(days, np.zeros_like(days))
+    floor = schedule.floor(days)
+    min_f0 = float(np.maximum(raw, floor).min())
+    clamped = bool(np.any(raw < floor))
     min_p = float(p.min())
     max_p = float(p.max())
     return AssumptionReport(
@@ -524,14 +565,21 @@ def estimate_series(
     With ``schedule``/``rates`` given they are treated as known and reused
     at every day. Otherwise the delay CDF is refit empirically at each day
     (``lookback`` rule) and daily rates come from the 7-day window
-    estimator, which is the real-data configuration. ``cfr_garske`` uses the
-    shared delay model when the schedule is constant and falls back to the
-    per-day variant otherwise. Emits one AssumptionWarning if A1-A3 fail on
-    any evaluated day.
+    estimator, which is the real-data configuration. F and the death weights
+    are computed once per day and shared by every estimator; the
+    ``cfr_garske`` and ``cfr_garske_mod`` columns hold the same values, the
+    shared delay model's on a constant schedule and the per-day variant's
+    otherwise. Emits one AssumptionWarning if A1-A3 fail on any evaluated
+    day.
     """
     day_grid = np.unique(np.asarray(days, dtype=np.int64))
     if day_grid.size and day_grid[0] < 0:
         raise ValueError("days must be non-negative")
+    _check_alpha(alpha)
+    z = normal_quantile(1.0 - alpha / 2.0)
+    if schedule is not None and day_grid.size:
+        # The largest lag any day reads is t - 0 at the last day.
+        schedule.tabulate(int(day_grid[-1]))
     rows: list[tuple] = []
     assumption_failed = False
     for t in day_grid.tolist():
@@ -541,21 +589,25 @@ def estimate_series(
         sched_t = schedule if schedule is not None else DelaySchedule(
             fit_empirical(table, t, lookback)
         )
-        rates_t = rates if rates is not None else p_hat_daily(table, sched_t, t)
-        naive = cfr_naive(table, t)
-        adjusted = cfr_proposed(table, sched_t, t)
-        if sched_t.is_constant:
-            garske = cfr_garske(table, sched_t.model_for(0), t)
-        else:
-            garske = cfr_garske_mod(table, sched_t, t)
-        garske_mod = cfr_garske_mod(table, sched_t, t)
+        if rates is None:
+            _check_rate_day(t)
+        upto = _upto(table, t)
+        cases = table.cases[: upto + 1]
+        deaths = table.observed_deaths(t)
+        raw, f = _f_values(sched_t, t, upto)
+        w = _death_weights(deaths, f, t)
+        rates_t = rates if rates is not None else _window_rates(cases, w, t)
+        dead = deaths.sum()
+        naive = float(dead / r_t)
+        adjusted = float(w.sum() / r_t)
+        garske = _garske(dead, cases, raw, t)
         if not validate_assumptions(rates_t, sched_t, t).all_ok:
             assumption_failed = True
-        v = variance_cfr(table, rates_t, sched_t, t)
-        low, high = confidence_interval(adjusted, v, alpha)
+        v = _variance(cases, _rates_upto(rates_t, upto), f, t, r_t)
+        low, high = _interval(adjusted, v, z)
         final = cfr_final(table, t) if include_final else math.nan
         truth = cfr_true(table, true_rates, t) if true_rates is not None else math.nan
-        rows.append((t, r_t, naive, adjusted, low, high, garske, garske_mod, final, truth))
+        rows.append((t, r_t, naive, adjusted, low, high, garske, garske, final, truth))
 
     if assumption_failed:
         warnings.warn(

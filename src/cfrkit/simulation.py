@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import CfrError
 from .estimators import DailyRates, DelaySchedule, EstimateSeries, estimate_series
 from .linelist import EpidemicTable
 from .survival import SurvivalModel
@@ -149,15 +150,13 @@ def simulate_replicate(scenario: Scenario, replicate_index: int) -> EpidemicTabl
     schedule = scenario.schedule
     if schedule.is_constant:
         lags = schedule.model_for(0).sample(int(n_die.sum()), rng)
-        day_of = np.repeat(np.arange(curve.size), n_die)
     else:
         parts = [schedule.model_for(d).sample(int(n_die[d]), rng) for d in range(curve.size)]
         lags = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-        day_of = np.repeat(np.arange(curve.size), n_die)
+    day_of = np.repeat(np.arange(curve.size), n_die)
     width = int(lags.max()) + 1 if lags.size else 1
-    deaths = np.zeros((curve.size, width), dtype=np.int64)
-    np.add.at(deaths, (day_of, lags), 1)
-    return EpidemicTable(curve, deaths)
+    deaths = np.bincount(day_of * width + lags, minlength=curve.size * width)
+    return EpidemicTable(curve, deaths.reshape(curve.size, width))
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,10 +204,6 @@ class StudyResult(object):
     replicates: tuple[ReplicateResult, ...] = ()
 
 
-_KNOWN_MODES = {"known", "known_f_known_p"}
-_ESTIMATED_MODES = {"estimated", "estimated_f_estimated_p"}
-
-
 def run_study(
     scenario: Scenario,
     mode: str,
@@ -229,9 +224,9 @@ def run_study(
     ascending index order, making results independent of scheduling.
     """
     key = mode.lower()
-    if key in _KNOWN_MODES:
+    if key == "known":
         known = True
-    elif key in _ESTIMATED_MODES:
+    elif key == "estimated":
         known = False
     else:
         raise ValueError(f"mode must be known or estimated, got {mode!r}")
@@ -265,19 +260,24 @@ def run_study(
 
     n_reps = scenario.replicates
     for index in range(n_reps):
-        table = simulate_replicate(scenario, index)
-        series = estimate_series(
-            table,
-            days,
-            alpha=alpha,
-            schedule=schedule_arg,
-            rates=rates_arg,
-            lookback=lookback,
-            include_final=True,
-            true_rates=rates_true,
-        )
+        # simulate_replicate(scenario, index) reproduces a failing replicate alone.
+        where = f"replicate {index} of scenario seed {scenario.seed}"
+        try:
+            table = simulate_replicate(scenario, index)
+            series = estimate_series(
+                table,
+                days,
+                alpha=alpha,
+                schedule=schedule_arg,
+                rates=rates_arg,
+                lookback=lookback,
+                include_final=True,
+                true_rates=rates_true,
+            )
+        except (CfrError, ValueError) as exc:
+            raise type(exc)(f"{where}: {exc}") from exc
         if len(series) != n_days:
-            raise RuntimeError("a replicate skipped evaluation days unexpectedly")
+            raise RuntimeError(f"{where} skipped evaluation days unexpectedly")
         for k in estimator_keys:
             values = getattr(series, k)
             sums[k] += values

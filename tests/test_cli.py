@@ -293,6 +293,29 @@ def test_fit_survival_file_roundtrip(tmp_path, linelist_file):
     assert float(rows[0]["cfr"]) > 0
 
 
+@pytest.mark.parametrize("column", ["mu", "r", "pi", "loglik"])
+def test_survival_file_non_numeric_parameter(tmp_path, linelist_file, capsys, column):
+    values = {"mu": "10.8", "r": "0.9", "pi": "0.1", "loglik": "-80.5"}
+    values[column] = "abc"
+    params = tmp_path / "fit.csv"
+    params.write_text(
+        "# cfrkit fit-survival\n"
+        "model,mu,r,pi,loglik,n\n"
+        "empirical,,,,-75.0,25\n"
+        "\n"
+        f"zinb,{values['mu']},{values['r']},{values['pi']},{values['loglik']},25\n"
+    )
+    out = tmp_path / "est.csv"
+    code = main(
+        ["estimate", str(linelist_file), "-o", str(out), "--epoch", "2020-03-03",
+         "--survival", "file", "--survival-file", str(params)]
+    )
+    assert code == 4
+    err = capsys.readouterr().err
+    assert str(params) in err and "line 5" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate / coverage
 

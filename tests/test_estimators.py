@@ -19,6 +19,7 @@ from cfrkit import (
     EpidemicTable,
     EstimationError,
     NegBinomial,
+    Zinb,
     cfr_final,
     cfr_garske,
     cfr_garske_mod,
@@ -27,6 +28,7 @@ from cfrkit import (
     cfr_true,
     confidence_interval,
     estimate_series,
+    fit_empirical,
     normal_quantile,
     p_hat_daily,
     point_mass,
@@ -67,6 +69,75 @@ def test_normal_quantile_domain():
     for bad in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValueError):
             normal_quantile(bad)
+
+
+# ---------------------------------------------------------------------------
+# DelaySchedule CDF table
+
+
+def fitted_clamped_empirical() -> Empirical:
+    """Fitted table with no lag-0 deaths, so its clamp floor is positive."""
+    table = EpidemicTable.from_sparse([10] * 10, {d: {2: 1, 5: 1} for d in range(5)})
+    model = fit_empirical(table, 9, lookback=3)
+    assert model.cdf(0) == 0.0 and model.floor > 0.0
+    return model
+
+
+def assert_table_matches_scalar_cdf(schedule, n_days, models_for_day):
+    # Ascending t grows the table past its first extent, past n_days - 1 too.
+    for t in range(n_days + 40):
+        days = np.arange(min(t, n_days - 1) + 1)
+        expected = [models_for_day(int(d)).cdf(int(t - d)) for d in days]
+        assert schedule.cdf(days, t - days).tolist() == expected
+    floors = [models_for_day(int(d)).floor for d in range(n_days)]
+    assert np.broadcast_to(schedule.floor(np.arange(n_days)), n_days).tolist() == floors
+
+
+@pytest.mark.parametrize(
+    "make_model",
+    [
+        lambda: NegBinomial(10.79, 0.88),
+        lambda: Zinb(0.2, 4.0, 1.5),
+        lambda: point_mass(3),
+        fitted_clamped_empirical,
+    ],
+    ids=["nb", "zinb", "point_mass", "fitted_empirical"],
+)
+def test_constant_schedule_table_is_scalar_cdf(make_model):
+    model = make_model()
+    assert_table_matches_scalar_cdf(DelaySchedule(model), 12, lambda d: model)
+
+
+def test_per_day_schedule_table_is_scalar_cdf():
+    models = [
+        NegBinomial(3.0, 2.0),
+        Zinb(0.1, 6.0, 0.9),
+        point_mass(2),
+        fitted_clamped_empirical(),
+        two_point(0.4, 7),
+    ]
+    schedule = DelaySchedule(models)
+    assert_table_matches_scalar_cdf(schedule, len(models), lambda d: models[d])
+    with pytest.raises(ValueError, match="schedule covers days 0..4"):
+        schedule.cdf([5], [0])
+
+
+def test_series_tabulates_cdf_once(monkeypatch):
+    calls = []
+    original = NegBinomial.cdf
+
+    def counting_cdf(self, k):
+        calls.append(k)
+        return original(self, k)
+
+    monkeypatch.setattr(NegBinomial, "cdf", counting_cdf)
+    table = random_table(np.random.default_rng(5), n_days=200, max_cases=30)
+    schedule = DelaySchedule(NegBinomial(4.0, 1.5))
+    series = estimate_series(
+        table, range(200), schedule=schedule, rates=DailyRates(np.full(200, 0.1))
+    )
+    assert len(series) == 200
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +584,18 @@ def test_validate_assumptions_per_day_min():
 
 
 def test_series_matches_single_day_ops():
+    check_series_matches_single_day_ops(DelaySchedule(two_point(0.4, 3)))
+
+
+def test_series_matches_single_day_ops_per_day_schedule():
+    check_series_matches_single_day_ops(
+        DelaySchedule([two_point(0.2 + 0.05 * d, 3) for d in range(12)])
+    )
+
+
+def check_series_matches_single_day_ops(schedule):
     rng = np.random.default_rng(13)
     table = random_table(rng, n_days=12, max_cases=25)
-    schedule = DelaySchedule(two_point(0.4, 3))
     rates = DailyRates(np.full(12, 0.2))
     days = [0, 3, 7, 11]
     series = estimate_series(
@@ -527,7 +607,10 @@ def test_series_matches_single_day_ops():
         assert series.r_t[i] == table.cumulative_cases(t)
         assert series.cfr_naive[i] == cfr_naive(table, t)
         assert series.cfr[i] == cfr_proposed(table, schedule, t)
-        assert series.cfr_garske[i] == cfr_garske(table, schedule.model_for(0), t)
+        if schedule.is_constant:
+            assert series.cfr_garske[i] == cfr_garske(table, schedule.model_for(0), t)
+        else:
+            assert series.cfr_garske[i] == cfr_garske_mod(table, schedule, t)
         assert series.cfr_garske_mod[i] == cfr_garske_mod(table, schedule, t)
         v = variance_cfr(table, rates, schedule, t)
         low, high = confidence_interval(series.cfr[i], v, 0.05)

@@ -11,11 +11,13 @@ import pytest
 from cfrkit import (
     DailyRates,
     DelaySchedule,
+    EstimationError,
     NegBinomial,
     Scenario,
     StepRates,
     build_curve,
     cfr_proposed,
+    estimate_series,
     illustrative_daily_rates,
     load_example_arm,
     point_mass,
@@ -207,11 +209,35 @@ def test_run_study_aggregates_match_kept_series():
 
 def test_run_study_known_matches_direct_estimates():
     sc = small_scenario(replicates=3)
-    result = run_study(sc, "known_F_known_p", eval_days=[8, 15], keep_series=True)
+    result = run_study(sc, "Known", eval_days=[8, 15], keep_series=True)
     table = simulate_replicate(sc, 0)
     assert result.replicates[0].series.cfr[0] == cfr_proposed(
         table, sc.schedule, 8
     )
+
+
+@pytest.mark.filterwarnings("ignore::cfrkit.AssumptionWarning")
+def test_run_study_names_failing_replicate():
+    # Replicate 2 of seed 4 draws no deaths, so its empirical fit has no data.
+    sc = Scenario(
+        rising_arm=np.array([3]),
+        symmetric=False,
+        p_spec=StepRates(0.3, 0.3, 0),
+        delay=point_mass(0),
+        horizon=10,
+        seed=4,
+        replicates=4,
+    )
+    no_deaths = [simulate_replicate(sc, i).total_deaths == 0 for i in range(4)]
+    assert no_deaths == [False, False, True, False]
+    with pytest.raises(
+        EstimationError,
+        match="replicate 2 of scenario seed 4: insufficient resolved deaths",
+    ):
+        run_study(sc, "estimated", eval_days=[8], lookback=2)
+    # The message is enough to reproduce the failure alone.
+    with pytest.raises(EstimationError, match="insufficient resolved deaths"):
+        estimate_series(simulate_replicate(sc, 2), [8], lookback=2)
 
 
 def test_run_study_true_rate_column():
@@ -254,7 +280,7 @@ def test_run_study_estimated_mode_smoke():
     assert np.all(result.coverage.coverage <= 1.0)
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore")
-        default_grid = run_study(sc, "estimated_F_estimated_p", lookback=20)
+        default_grid = run_study(sc, "Estimated", lookback=20)
     assert default_grid.days[0] == 40
 
 
