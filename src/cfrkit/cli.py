@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .errors import CfrError, EstimationError, ParseError
 from .estimators import DelaySchedule, EstimateSeries, estimate_series
-from .linelist import aggregate, parse_csv
+from .linelist import LineList, aggregate, parse_csv
 from .simulation import (
     Scenario,
     StepRates,
@@ -226,9 +226,14 @@ def _input_path(args: argparse.Namespace) -> str:
     return path
 
 
+def _read_linelist(args: argparse.Namespace) -> LineList:
+    """Parse the input line list as it streams from the file."""
+    with open(_input_path(args), "r", encoding="utf-8") as handle:
+        return parse_csv(handle, epoch=_parse_epoch(args.epoch))
+
+
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    text = _read_text(_input_path(args))
-    linelist = parse_csv(text, epoch=_parse_epoch(args.epoch))
+    linelist = _read_linelist(args)
     table = aggregate(linelist)
 
     schedule = None
@@ -265,8 +270,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit_survival(args: argparse.Namespace) -> int:
-    text = _read_text(_input_path(args))
-    linelist = parse_csv(text, epoch=_parse_epoch(args.epoch))
+    linelist = _read_linelist(args)
     table = aggregate(linelist)
     sample = DelaySample.from_linelist(linelist)
 

@@ -305,8 +305,7 @@ def cfr_final(table: EpidemicTable, t: int) -> float:
     (or in simulations); real-time data cannot provide it.
     """
     r_t = _require_cases(table, t)
-    upto = _upto(table, t)
-    return float(table.final_deaths()[: upto + 1].sum() / r_t)
+    return float(table.cumulative_final_deaths(_upto(table, t)) / r_t)
 
 
 def cfr_proposed(table: EpidemicTable, schedule: DelaySchedule, t: int) -> float:

@@ -13,7 +13,14 @@ import numpy as np
 
 from .errors import ParseError
 
-__all__ = ["CaseRecord", "LineList", "EpidemicTable", "parse_csv", "aggregate"]
+__all__ = [
+    "CaseRecord",
+    "LineList",
+    "EpidemicTable",
+    "MAX_DAY",
+    "parse_csv",
+    "aggregate",
+]
 
 
 @dataclass(frozen=True)
@@ -43,18 +50,63 @@ class CaseRecord:
         return self.death_day - self.confirm_day
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LineList:
-    """All case records of one epidemic; day 0 maps to ``epoch`` when known."""
+    """The cases of one epidemic as two day columns; day 0 maps to ``epoch``
+    when known.
 
-    records: tuple[CaseRecord, ...]
+    ``confirm[i]`` is the confirmation day of row i and ``death[i]`` its death
+    day, or -1 while the outcome is unresolved. The arrays are int64, copied
+    on construction and frozen; iteration yields ``CaseRecord``s in row order.
+    """
+
+    confirm: np.ndarray
+    death: np.ndarray
     epoch: date | None = None
 
+    def __post_init__(self) -> None:
+        confirm = np.array(self.confirm, dtype=np.int64)
+        death = np.array(self.death, dtype=np.int64)
+        if confirm.ndim != 1 or death.shape != confirm.shape:
+            raise ValueError("confirm and death must be one-dimensional and equally long")
+        if np.any(confirm < 0):
+            raise ValueError("confirmation days must be non-negative")
+        if np.any((death != -1) & (death < confirm)):
+            raise ValueError("death days must be -1 or on or after the confirmation day")
+        confirm.setflags(write=False)
+        death.setflags(write=False)
+        object.__setattr__(self, "confirm", confirm)
+        object.__setattr__(self, "death", death)
+
+    @classmethod
+    def from_records(
+        cls, records: Iterable[CaseRecord], epoch: date | None = None
+    ) -> "LineList":
+        """Build a line list from case records, keeping their order."""
+        records = tuple(records)
+        return cls(
+            [rec.confirm_day for rec in records],
+            [-1 if rec.death_day is None else rec.death_day for rec in records],
+            epoch,
+        )
+
     def __len__(self) -> int:
-        return len(self.records)
+        return int(self.confirm.size)
 
     def __iter__(self) -> Iterator[CaseRecord]:
-        return iter(self.records)
+        for confirm, death in zip(self.confirm.tolist(), self.death.tolist()):
+            yield CaseRecord(confirm, None if death < 0 else death)
+
+    @property
+    def lags(self) -> np.ndarray:
+        """Confirmation-to-death lag of every row with a death, in row order."""
+        died = self.death >= 0
+        return self.death[died] - self.confirm[died]
+
+
+MAX_DAY = 3652
+"""Last day index `parse_csv` accepts: ten years after day 0. A typo'd year
+(2202 for 2020) would otherwise size the dense day-by-lag table in tens of GB."""
 
 
 def _parse_day(raw: str, epoch: date | None, line: int, column: str) -> int:
@@ -75,28 +127,36 @@ def _parse_day(raw: str, epoch: date | None, line: int, column: str) -> int:
         day = (parsed - epoch).days
     if day < 0:
         raise ParseError(f"line {line}: {column} {raw!r} falls before day 0")
+    if day > MAX_DAY:
+        raise ParseError(
+            f"line {line}: {column} {raw!r} is day {day}, past the last day {MAX_DAY}"
+        )
     return day
 
 
 def parse_csv(text: str | Iterable[str], epoch: date | None = None) -> LineList:
-    """Parse a line-list CSV into case records with day indices.
+    """Parse a line-list CSV into confirmation and death day columns.
 
     The header must name ``confirm_date`` and ``death_date`` columns. Values
     are ISO-8601 dates (converted against ``epoch`` as day 0) or bare
-    non-negative day indices. An empty ``death_date`` means the case has no
-    recorded death. Blank lines and lines starting with ``#`` are skipped.
+    non-negative day indices up to ``MAX_DAY``. An empty ``death_date`` means
+    the case has no recorded death. Blank lines and lines starting with ``#``
+    are skipped.
+
+    Each distinct raw cell is parsed once; later rows with the same cell reuse
+    its day, so a large file costs one dict lookup per cell.
 
     Args:
         text: CSV content as a string or an iterable of lines.
         epoch: calendar date of day 0; required when any field is a date.
 
     Returns:
-        LineList with one record per data row, in file order.
+        LineList with one row per data row, in file order.
 
     Raises:
-        ParseError: missing header columns, an unparseable or negative day,
-            or a death date before the confirmation date; messages name the
-            offending line.
+        ParseError: missing header columns, an unparseable, negative or
+            out-of-range day, or a death date before the confirmation date;
+            messages name the offending line.
     """
     stream = io.StringIO(text) if isinstance(text, str) else iter(text)
     reader = csv.reader(stream)
@@ -113,25 +173,51 @@ def parse_csv(text: str | Iterable[str], epoch: date | None = None) -> LineList:
             "line 1: header must contain confirm_date and death_date columns"
         ) from None
 
-    records: list[CaseRecord] = []
-    for row in reader:
-        line = reader.line_num
+    # Raw cell -> day, shared by both columns; blank cells map to -1 (no death).
+    days: dict[str, int] = {}
+
+    def day_of(raw: str, line: int, column: str) -> int:
+        day = days.get(raw)
+        if day is None:
+            day = _parse_day(raw, epoch, line, column) if raw.strip() else -1
+            days[raw] = day
+        return day
+
+    def parse_row(row: list[str], line: int) -> tuple[int, int] | None:
+        """Check and parse one row in full; None for a blank or comment row."""
         if not row or all(not cell.strip() for cell in row):
-            continue
+            return None
         if row[0].lstrip().startswith("#"):
-            continue
+            return None
         confirm_raw = row[confirm_col] if confirm_col < len(row) else ""
         if not confirm_raw.strip():
             raise ParseError(f"line {line}: empty confirm_date")
-        confirm = _parse_day(confirm_raw, epoch, line, "confirm_date")
-        death_raw = row[death_col] if death_col < len(row) else ""
-        death = None
-        if death_raw.strip():
-            death = _parse_day(death_raw, epoch, line, "death_date")
-            if death < confirm:
-                raise ParseError(f"death precedes confirmation at line {line}")
-        records.append(CaseRecord(confirm, death))
-    return LineList(tuple(records), epoch)
+        confirm = day_of(confirm_raw, line, "confirm_date")
+        death = day_of(row[death_col] if death_col < len(row) else "", line, "death_date")
+        if 0 <= death < confirm:
+            raise ParseError(f"death precedes confirmation at line {line}")
+        return confirm, death
+
+    confirms: list[int] = []
+    deaths: list[int] = []
+    for row in reader:
+        # Fast path: both cells seen before and the row is no comment. A cached
+        # confirm day >= 0 comes from a non-blank cell, so the row is not blank.
+        try:
+            confirm = days[row[confirm_col]]
+            death = days[row[death_col]]
+        except (KeyError, IndexError):
+            confirm = -1
+        if confirm < 0 or ("#" in row[0] and row[0].lstrip().startswith("#")):
+            parsed = parse_row(row, reader.line_num)
+            if parsed is None:
+                continue
+            confirm, death = parsed
+        elif confirm > death >= 0:
+            raise ParseError(f"death precedes confirmation at line {reader.line_num}")
+        confirms.append(confirm)
+        deaths.append(death)
+    return LineList(confirms, deaths, epoch)
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,26 +317,32 @@ class EpidemicTable:
         d = np.arange(upto + 1)
         return self._cum_lag[d, np.minimum(t - d, self.max_lag)]
 
+    @cached_property
+    def _cum_final(self) -> np.ndarray:
+        return np.cumsum(self._cum_lag[:, -1])
+
     def final_deaths(self) -> np.ndarray:
         """Per-day counts of cases with a recorded death at any lag."""
-        return self.deaths.sum(axis=1)
+        return self._cum_lag[:, -1].copy()
+
+    def cumulative_final_deaths(self, t: int) -> int:
+        """Cases confirmed on days 0..t with a recorded death at any lag."""
+        if not 0 <= t < self.n_days:
+            raise ValueError(f"day {t} outside table (0..{self.n_days - 1})")
+        return int(self._cum_final[t])
 
 
 def aggregate(linelist: LineList) -> EpidemicTable:
     """Count confirmations per day and deaths per (confirmation day, lag) cell.
 
     The table spans days 0..max confirmation day, so the total over ``cases``
-    equals the number of records.
+    equals the number of rows.
     """
-    if not linelist.records:
-        return EpidemicTable(np.zeros(0, dtype=np.int64), np.zeros((0, 1), dtype=np.int64))
-    n = max(rec.confirm_day for rec in linelist.records) + 1
-    lags = [rec.lag for rec in linelist.records if rec.lag is not None]
-    width = max(lags, default=0) + 1
-    cases = np.zeros(n, dtype=np.int64)
-    deaths = np.zeros((n, width), dtype=np.int64)
-    for rec in linelist.records:
-        cases[rec.confirm_day] += 1
-        if rec.death_day is not None:
-            deaths[rec.confirm_day, rec.death_day - rec.confirm_day] += 1
-    return EpidemicTable(cases, deaths)
+    confirm, death = linelist.confirm, linelist.death
+    n = int(confirm.max()) + 1 if confirm.size else 0
+    died = death >= 0
+    lags = death[died] - confirm[died]
+    width = int(lags.max()) + 1 if lags.size else 1
+    cases = np.bincount(confirm, minlength=n)
+    deaths = np.bincount(confirm[died] * width + lags, minlength=n * width)
+    return EpidemicTable(cases, deaths.reshape(n, width))

@@ -209,12 +209,8 @@ class DelaySample(object):
 
     @classmethod
     def from_linelist(cls, linelist: LineList) -> "DelaySample":
-        """Collect the lag of every record with a recorded death."""
-        return cls(
-            np.array(
-                [rec.lag for rec in linelist if rec.lag is not None], dtype=np.int64
-            )
-        )
+        """Collect the lag of every row with a recorded death, in row order."""
+        return cls(linelist.lags)
 
 
 def _as_lags(sample) -> np.ndarray:

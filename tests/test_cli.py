@@ -19,6 +19,7 @@ from cfrkit import (
     fit_nb_mle,
     parse_csv,
 )
+import cfrkit.linelist as linelist_module
 from cfrkit.cli import main
 from cfrkit.survival import DelaySample
 
@@ -215,6 +216,19 @@ def test_exit_malformed_input(tmp_path, capsys):
     assert code == 4
     assert "death precedes confirmation at line 2" in capsys.readouterr().err
     assert not (tmp_path / "o.csv").exists()
+
+
+def test_exit_day_past_max_day(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(linelist_module, "MAX_DAY", 30)
+    bad = tmp_path / "typo.csv"
+    bad.write_text("confirm_date,death_date\n2020-03-03,\n2020-03-04,2020-04-03\n")
+    for command in ("estimate", "fit-survival"):
+        out = tmp_path / f"{command}.csv"
+        code = main([command, str(bad), "--epoch", "2020-03-03", "-o", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "line 3: death_date '2020-04-03' is day 31, past the last day 30" in err
+        assert not out.exists()
 
 
 def test_exit_estimation_failure(tmp_path, capsys):

@@ -202,7 +202,7 @@ def test_point_mass():
 
 
 def test_delay_sample_from_linelist():
-    ll = LineList((CaseRecord(0, 3), CaseRecord(1), CaseRecord(2, 2)))
+    ll = LineList.from_records((CaseRecord(0, 3), CaseRecord(1), CaseRecord(2, 2)))
     sample = DelaySample.from_linelist(ll)
     assert sorted(sample.lags.tolist()) == [0, 3]
     assert len(sample) == 2
