@@ -18,6 +18,7 @@ import csv
 import os
 import sys
 import tempfile
+from dataclasses import fields
 from datetime import date
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -29,10 +30,11 @@ from .errors import CfrError, EstimationError, ParseError
 from .estimators import DelaySchedule, EstimateSeries, estimate_series
 from .linelist import LineList, aggregate, parse_csv
 from .simulation import (
+    ESTIMATORS,
     Scenario,
     StepRates,
-    StudyResult,
     load_example_arm,
+    read_arm_csv,
     run_study,
 )
 from .survival import (
@@ -100,13 +102,41 @@ def _write_csv(
         raise
 
 
+def _write_table(path: str, meta: str, columns: Sequence[tuple[str, np.ndarray]]) -> None:
+    """Write ordered (name, column) pairs: integer columns print as
+    integers, the rest with ``_fmt``."""
+    cells = [
+        [str(v) if col.dtype.kind in "iu" else _fmt(v) for v in col.tolist()]
+        for _, col in columns
+    ]
+    _write_csv(path, meta, [name for name, _ in columns], zip(*cells))
+
+
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
 
 
-def _parse_epoch(value: str | None) -> date | None:
-    return date.fromisoformat(value) if value else None
+def _checked(convert, accept, expected: str):
+    """An argparse ``type`` that converts a flag's value and rejects values
+    ``accept`` refuses, so argparse exits 2 naming the flag."""
+
+    def parse(value: str):
+        try:
+            converted = convert(value)
+            if accept(converted):
+                return converted
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {value!r}")
+
+    return parse
+
+
+_ALPHA = _checked(float, lambda a: 0.0 < a < 1.0, "a number in (0, 1)")
+_AT_LEAST_ONE = _checked(int, lambda n: n >= 1, "an integer >= 1")
+_AT_LEAST_ZERO = _checked(int, lambda n: n >= 0, "an integer >= 0")
+_ISO_DATE = _checked(date.fromisoformat, lambda d: True, "an ISO date such as 2020-03-03")
 
 
 def _parse_delay_spec(spec: str) -> SurvivalModel:
@@ -126,27 +156,6 @@ def _parse_delay_spec(spec: str) -> SurvivalModel:
     raise argparse.ArgumentTypeError(
         f"unknown delay family {kind!r} (expected nb, zinb, or point)"
     )
-
-
-def _read_arm_csv(path: str) -> np.ndarray:
-    text = _read_text(path)
-    reader = csv.reader(
-        line for line in text.splitlines() if line.strip() and not line.startswith("#")
-    )
-    header = next(reader, None)
-    if header is None:
-        raise ParseError(f"{path}: empty case-curve file")
-    names = [h.strip() for h in header]
-    if "cases" not in names:
-        raise ParseError(f"{path}: case-curve file needs a 'cases' column")
-    col = names.index("cases")
-    try:
-        arm = np.array([int(row[col]) for row in reader if row], dtype=np.int64)
-    except (ValueError, IndexError) as exc:
-        raise ParseError(f"{path}: bad case count ({exc})") from exc
-    if arm.size == 0:
-        raise ParseError(f"{path}: no case counts found")
-    return arm
 
 
 def _read_params_csv(path: str) -> SurvivalModel:
@@ -193,30 +202,10 @@ def _read_params_csv(path: str) -> SurvivalModel:
 # Subcommands
 
 
-def _series_rows(series: EstimateSeries, with_final: bool, with_true: bool):
-    header = ["t", "r_t", "cfr_naive", "cfr", "ci_low", "ci_high", "cfr_garske", "cfr_garske_mod"]
-    if with_final:
-        header.append("cfr_final")
-    if with_true:
-        header.append("cfr_true")
-    rows = []
-    for i in range(len(series)):
-        row = [
-            str(int(series.t[i])),
-            str(int(series.r_t[i])),
-            _fmt(series.cfr_naive[i]),
-            _fmt(series.cfr[i]),
-            _fmt(series.ci_low[i]),
-            _fmt(series.ci_high[i]),
-            _fmt(series.cfr_garske[i]),
-            _fmt(series.cfr_garske_mod[i]),
-        ]
-        if with_final:
-            row.append(_fmt(series.cfr_final[i]))
-        if with_true:
-            row.append(_fmt(series.cfr_true[i]))
-        rows.append(row)
-    return header, rows
+def _series_columns(series: EstimateSeries) -> list[tuple[str, np.ndarray]]:
+    """Every EstimateSeries column that was computed, in field order."""
+    columns = [(f.name, getattr(series, f.name)) for f in fields(series)]
+    return [(name, col) for name, col in columns if col is not None]
 
 
 def _input_path(args: argparse.Namespace) -> str:
@@ -229,7 +218,7 @@ def _input_path(args: argparse.Namespace) -> str:
 def _read_linelist(args: argparse.Namespace) -> LineList:
     """Parse the input line list as it streams from the file."""
     with open(_input_path(args), "r", encoding="utf-8") as handle:
-        return parse_csv(handle, epoch=_parse_epoch(args.epoch))
+        return parse_csv(handle, epoch=args.epoch)
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
@@ -264,8 +253,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         lookback=args.lookback,
         include_final=args.with_final,
     )
-    header, rows = _series_rows(series, with_final=args.with_final, with_true=False)
-    _write_csv(args.output, _meta_line(args), header, rows)
+    _write_table(args.output, _meta_line(args), _series_columns(series))
     return EXIT_OK
 
 
@@ -312,15 +300,13 @@ def _cmd_fit_survival(args: argparse.Namespace) -> int:
     if cdf_path is None:
         out = Path(args.output)
         cdf_path = str(out.with_name(out.stem + "_cdf" + out.suffix))
-    cdf_rows = [
-        [str(k), _fmt(v)] for k, v in enumerate(empirical.cdf_table.tolist())
-    ]
-    _write_csv(cdf_path, _meta_line(args), ["k", "cdf"], cdf_rows)
+    cdf = empirical.cdf_table
+    _write_table(cdf_path, _meta_line(args), [("k", np.arange(cdf.size)), ("cdf", cdf)])
     return EXIT_OK
 
 
 def _build_scenario(args: argparse.Namespace) -> Scenario:
-    arm = _read_arm_csv(args.arm_file) if args.arm_file else load_example_arm()
+    arm = read_arm_csv(Path(args.arm_file)) if args.arm_file else load_example_arm()
     if args.arm_days is not None:
         if not 0 < args.arm_days <= arm.size:
             raise argparse.ArgumentTypeError(
@@ -361,60 +347,26 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         lookback=args.lookback,
         keep_series=args.per_replicate_dir is not None,
     )
-    header = [
-        "t",
-        "r_t",
-        "cfr_true",
-        "mean_cfr_naive",
-        "se_cfr_naive",
-        "mean_cfr",
-        "se_cfr",
-        "mean_cfr_garske",
-        "se_cfr_garske",
-        "mean_cfr_garske_mod",
-        "se_cfr_garske_mod",
-        "mean_cfr_final",
-        "se_cfr_final",
-        "coverage",
-        "coverage_se",
-        "mean_ci_length",
+    columns = [("t", result.days), ("r_t", result.r_t), ("cfr_true", result.cfr_true)]
+    for name in ESTIMATORS:
+        columns.append((f"mean_{name}", getattr(result, f"mean_{name}")))
+        columns.append((f"se_{name}", getattr(result, f"se_{name}")))
+    summary = result.coverage
+    columns += [
+        ("coverage", summary.coverage),
+        ("coverage_se", summary.coverage_se),
+        ("mean_ci_length", summary.mean_ci_length),
     ]
-    rows = []
-    for i in range(result.days.size):
-        rows.append(
-            [str(int(result.days[i])), str(int(result.r_t[i]))]
-            + [
-                _fmt(arr[i])
-                for arr in (
-                    result.cfr_true,
-                    result.mean_cfr_naive,
-                    result.se_cfr_naive,
-                    result.mean_cfr,
-                    result.se_cfr,
-                    result.mean_cfr_garske,
-                    result.se_cfr_garske,
-                    result.mean_cfr_garske_mod,
-                    result.se_cfr_garske_mod,
-                    result.mean_cfr_final,
-                    result.se_cfr_final,
-                    result.coverage.coverage,
-                    result.coverage.coverage_se,
-                    result.coverage.mean_ci_length,
-                )
-            ]
-        )
-    _write_csv(args.output, _meta_line(args), header, rows)
+    _write_table(args.output, _meta_line(args), columns)
 
     if args.per_replicate_dir is not None:
         directory = Path(args.per_replicate_dir)
         directory.mkdir(parents=True, exist_ok=True)
         for index, rep in enumerate(result.replicates):
-            header_r, rows_r = _series_rows(rep.series, with_final=True, with_true=True)
-            _write_csv(
+            _write_table(
                 str(directory / f"replicate_{index:04d}.csv"),
                 _meta_line(args) + f" replicate={index}",
-                header_r,
-                rows_r,
+                _series_columns(rep.series),
             )
     return EXIT_OK
 
@@ -429,21 +381,16 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
         lookback=args.lookback,
     )
     summary = result.coverage
-    rows = [
-        [
-            str(int(summary.days[i])),
-            str(int(summary.r_t[i])),
-            _fmt(summary.coverage[i]),
-            _fmt(summary.coverage_se[i]),
-            _fmt(summary.mean_ci_length[i]),
-        ]
-        for i in range(summary.days.size)
-    ]
-    _write_csv(
+    _write_table(
         args.output,
         _meta_line(args),
-        ["t", "r_t", "mean_coverage", "coverage_se", "mean_ci_length"],
-        rows,
+        [
+            ("t", summary.days),
+            ("r_t", summary.r_t),
+            ("mean_coverage", summary.coverage),
+            ("coverage_se", summary.coverage_se),
+            ("mean_ci_length", summary.mean_ci_length),
+        ],
     )
     return EXIT_OK
 
@@ -468,12 +415,13 @@ def _add_io_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("-o", "--output", required=True, help="output CSV path")
     sub.add_argument(
         "--epoch",
+        type=_ISO_DATE,
         default=None,
         help="calendar date of day 0, e.g. 2020-03-03; required for date-valued inputs",
     )
     sub.add_argument(
         "--lookback",
-        type=int,
+        type=_AT_LEAST_ZERO,
         default=45,
         help="days a cohort must age before entering the empirical delay fit (default 45)",
     )
@@ -504,7 +452,7 @@ def _add_scenario_options(sub: argparse.ArgumentParser, default_mode: str) -> No
     )
     sub.add_argument("--seed", type=int, default=0, help="study seed (default 0)")
     sub.add_argument(
-        "--replicates", type=int, default=200, help="number of replicates (default 200)"
+        "--replicates", type=_AT_LEAST_ONE, default=200, help="number of replicates (default 200)"
     )
     sub.add_argument(
         "--horizon",
@@ -524,16 +472,16 @@ def _add_scenario_options(sub: argparse.ArgumentParser, default_mode: str) -> No
         default=default_mode,
         help=f"evaluation mode (default {default_mode})",
     )
-    sub.add_argument("--alpha", type=float, default=0.05, help="interval level (default 0.05)")
+    sub.add_argument("--alpha", type=_ALPHA, default=0.05, help="interval level (default 0.05)")
     sub.add_argument(
         "--lookback",
-        type=int,
+        type=_AT_LEAST_ZERO,
         default=45,
         help="empirical-fit lookback used in estimated mode (default 45)",
     )
     sub.add_argument("--from", dest="from_day", type=int, default=None, help="first evaluation day")
     sub.add_argument("--to", dest="to_day", type=int, default=None, help="last evaluation day")
-    sub.add_argument("--every", type=int, default=1, help="evaluation-day stride (default 1)")
+    sub.add_argument("--every", type=_AT_LEAST_ONE, default=1, help="evaluation-day stride (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -563,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="parameter CSV from fit-survival, used with --survival file",
     )
-    est.add_argument("--alpha", type=float, default=0.05, help="interval level (default 0.05)")
+    est.add_argument("--alpha", type=_ALPHA, default=0.05, help="interval level (default 0.05)")
     est.add_argument(
         "--from",
         dest="from_day",

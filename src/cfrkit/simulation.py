@@ -12,11 +12,12 @@ import csv
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import CfrError
+from .errors import CfrError, ParseError
 from .estimators import DailyRates, DelaySchedule, EstimateSeries, estimate_series
 from .linelist import EpidemicTable
 from .survival import SurvivalModel
@@ -31,8 +32,14 @@ __all__ = [
     "simulate_replicate",
     "run_study",
     "load_example_arm",
+    "read_arm_csv",
     "illustrative_daily_rates",
+    "ESTIMATORS",
 ]
+
+# The estimators a study averages, in output column order; StudyResult has a
+# mean_<name> and a se_<name> field for each.
+ESTIMATORS = ("cfr_naive", "cfr", "cfr_garske", "cfr_garske_mod", "cfr_final")
 
 
 @dataclass(frozen=True)
@@ -183,8 +190,9 @@ class CoverageSummary(object):
 class StudyResult(object):
     """Replicate-averaged estimator values on the evaluation grid.
 
-    ``mean_*``/``se_*`` pairs give Monte Carlo means and standard errors of
-    the mean; ``cfr_true`` is the target the intervals should cover.
+    ``mean_*``/``se_*`` pairs, one per name in ``ESTIMATORS``, give Monte
+    Carlo means and standard errors of the mean; ``cfr_true`` is the target
+    the intervals should cover.
     """
 
     days: np.ndarray
@@ -250,10 +258,9 @@ def run_study(
     schedule_arg = scenario.schedule if known else None
     rates_arg = rates_true if known else None
 
-    estimator_keys = ("cfr", "cfr_naive", "cfr_garske", "cfr_garske_mod", "cfr_final")
     n_days = days.size
-    sums = {k: np.zeros(n_days) for k in estimator_keys}
-    sumsq = {k: np.zeros(n_days) for k in estimator_keys}
+    sums = np.zeros((len(ESTIMATORS), n_days))
+    sumsq = np.zeros_like(sums)
     hit_sum = np.zeros(n_days)
     length_sum = np.zeros(n_days)
     kept: list[ReplicateResult] = []
@@ -278,10 +285,9 @@ def run_study(
             raise type(exc)(f"{where}: {exc}") from exc
         if len(series) != n_days:
             raise RuntimeError(f"{where} skipped evaluation days unexpectedly")
-        for k in estimator_keys:
-            values = getattr(series, k)
-            sums[k] += values
-            sumsq[k] += values * values
+        values = np.array([getattr(series, name) for name in ESTIMATORS])
+        sums += values
+        sumsq += values * values
         hit = (series.ci_low <= truth) & (truth <= series.ci_high)
         length = series.ci_high - series.ci_low
         hit_sum += hit
@@ -289,20 +295,17 @@ def run_study(
         if keep_series:
             kept.append(ReplicateResult(series, ci_hit=hit, ci_length=length))
 
-    def mean_se(k: str) -> tuple[np.ndarray, np.ndarray]:
-        mean = sums[k] / n_reps
-        if n_reps > 1:
-            var = np.maximum(sumsq[k] - n_reps * mean * mean, 0.0) / (n_reps - 1)
-            se = np.sqrt(var / n_reps)
-        else:
-            se = np.full(n_days, np.nan)
-        return mean, se
-
-    mean_cfr, se_cfr = mean_se("cfr")
-    mean_naive, se_naive = mean_se("cfr_naive")
-    mean_garske, se_garske = mean_se("cfr_garske")
-    mean_garske_mod, se_garske_mod = mean_se("cfr_garske_mod")
-    mean_final, se_final = mean_se("cfr_final")
+    mean = sums / n_reps
+    if n_reps > 1:
+        var = np.maximum(sumsq - n_reps * mean * mean, 0.0) / (n_reps - 1)
+        se = np.sqrt(var / n_reps)
+    else:
+        se = np.full_like(mean, np.nan)
+    moments = {
+        f"{stat}_{name}": row
+        for stat, rows in (("mean", mean), ("se", se))
+        for name, row in zip(ESTIMATORS, rows)
+    }
 
     coverage = hit_sum / n_reps
     coverage_se = np.sqrt(coverage * (1.0 - coverage) / n_reps)
@@ -317,29 +320,42 @@ def run_study(
         days=days,
         r_t=cum_cases[days],
         cfr_true=truth,
-        mean_cfr=mean_cfr,
-        se_cfr=se_cfr,
-        mean_cfr_naive=mean_naive,
-        se_cfr_naive=se_naive,
-        mean_cfr_garske=mean_garske,
-        se_cfr_garske=se_garske,
-        mean_cfr_garske_mod=mean_garske_mod,
-        se_cfr_garske_mod=se_garske_mod,
-        mean_cfr_final=mean_final,
-        se_cfr_final=se_final,
         coverage=summary,
         replicates=tuple(kept),
+        **moments,
     )
+
+
+def read_arm_csv(path: Path) -> np.ndarray:
+    """Daily case counts from the ``cases`` column of a CSV file.
+
+    ``path`` is a ``Path`` or a package resource. Blank lines and lines
+    starting with ``#`` are skipped. Raises ParseError, naming the file,
+    when the column is missing or a count is not an integer.
+    """
+    with path.open("r", encoding="utf-8") as handle:
+        reader = csv.reader(
+            line for line in handle if line.strip() and not line.startswith("#")
+        )
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{path}: empty case-curve file")
+        names = [h.strip() for h in header]
+        if "cases" not in names:
+            raise ParseError(f"{path}: case-curve file needs a 'cases' column")
+        col = names.index("cases")
+        try:
+            arm = np.array([int(row[col]) for row in reader if row], dtype=np.int64)
+        except (ValueError, IndexError) as exc:
+            raise ParseError(f"{path}: bad case count ({exc})") from exc
+    if arm.size == 0:
+        raise ParseError(f"{path}: no case counts found")
+    return arm
 
 
 def load_example_arm() -> np.ndarray:
     """Bundled 301-day rising arm of an illustrative large epidemic curve."""
-    path = resources.files("cfrkit.data").joinpath("example_daily_cases.csv")
-    with path.open("r", encoding="utf-8") as handle:
-        reader = csv.reader(line for line in handle if not line.startswith("#"))
-        header = next(reader)
-        col = header.index("cases")
-        return np.array([int(row[col]) for row in reader if row], dtype=np.int64)
+    return read_arm_csv(resources.files("cfrkit.data").joinpath("example_daily_cases.csv"))
 
 
 def illustrative_daily_rates(n_days: int) -> DailyRates:

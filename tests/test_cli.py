@@ -20,6 +20,7 @@ from cfrkit import (
     parse_csv,
 )
 import cfrkit.linelist as linelist_module
+from cfrkit import load_example_arm
 from cfrkit.cli import main
 from cfrkit.survival import DelaySample
 
@@ -255,6 +256,24 @@ def test_exit_bad_delay_spec(tmp_path, capsys):
     assert "delay" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("simulate", "--every", "0"),
+        ("simulate", "--alpha", "0"),
+        ("simulate", "--replicates", "0"),
+        ("estimate", "--lookback", "-1"),
+        ("estimate", "--epoch", "2020-13-01"),
+    ],
+)
+def test_exit_bad_flag_value(tmp_path, linelist_file, capsys, command, flag, value):
+    out = tmp_path / "o.csv"
+    inputs = [str(linelist_file)] if command == "estimate" else []
+    assert main([command, *inputs, "-o", str(out), flag, value]) == 2
+    assert f"argument {flag}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # fit-survival
 
@@ -361,6 +380,24 @@ def test_simulate_aggregated_output(tmp_path):
     assert code == 0
     meta, rows = read_output(out)
     assert "seed=11" in meta
+    assert list(rows[0].keys()) == [
+        "t",
+        "r_t",
+        "cfr_true",
+        "mean_cfr_naive",
+        "se_cfr_naive",
+        "mean_cfr",
+        "se_cfr",
+        "mean_cfr_garske",
+        "se_cfr_garske",
+        "mean_cfr_garske_mod",
+        "se_cfr_garske_mod",
+        "mean_cfr_final",
+        "se_cfr_final",
+        "coverage",
+        "coverage_se",
+        "mean_ci_length",
+    ]
     assert [r["t"] for r in rows] == ["20", "40", "60"]
     for row in rows:
         assert 0.0 <= float(row["coverage"]) <= 1.0
@@ -399,7 +436,42 @@ def test_simulate_per_replicate_files(tmp_path):
     files = sorted(p.name for p in rep_dir.iterdir())
     assert files == ["replicate_0000.csv", "replicate_0001.csv", "replicate_0002.csv"]
     _, rows = read_output(rep_dir / "replicate_0000.csv")
-    assert "cfr_true" in rows[0] and "cfr_final" in rows[0]
+    assert list(rows[0].keys()) == [
+        "t",
+        "r_t",
+        "cfr_naive",
+        "cfr",
+        "ci_low",
+        "ci_high",
+        "cfr_garske",
+        "cfr_garske_mod",
+        "cfr_final",
+        "cfr_true",
+    ]
+
+
+def test_simulate_arm_file_matches_bundled_arm(tmp_path):
+    arm_file = tmp_path / "arm.csv"
+    lines = ["# first 40 days of the bundled arm", "", "day,cases"]
+    lines += [f"{day},{count}" for day, count in enumerate(load_example_arm()[:40])]
+    arm_file.write_text("\n".join(lines) + "\n")
+    args = ["simulate", "--symmetric", "--dstar", "30", "--replicates", "2", "--to", "60"]
+    from_file, bundled = tmp_path / "file.csv", tmp_path / "bundled.csv"
+    assert main(args + ["--arm-file", str(arm_file), "-o", str(from_file)]) == 0
+    assert main(args + ["--arm-days", "40", "-o", str(bundled)]) == 0
+    # The metadata line records the differing flags; everything after it matches.
+    _, file_body = from_file.read_bytes().split(b"\n", 1)
+    _, bundled_body = bundled.read_bytes().split(b"\n", 1)
+    assert file_body == bundled_body
+
+
+def test_simulate_arm_file_bad_count(tmp_path, capsys):
+    arm_file = tmp_path / "arm.csv"
+    arm_file.write_text("cases\n5\n7.5\n")
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--arm-file", str(arm_file), "-o", str(out)]) == 4
+    assert f"{arm_file}: bad case count" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_deterministic(tmp_path):
