@@ -22,7 +22,7 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from cfrkit.estimators import DailyRates  # noqa: E402
+from cfrkit.simulation import illustrative_daily_rates  # noqa: E402
 from cfrkit.survival import NegBinomial  # noqa: E402
 
 DATA_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "cfrkit" / "data"
@@ -48,7 +48,7 @@ def make_linelist(arm: np.ndarray) -> list[tuple[str, str]]:
     window = arm[:120].astype(float)
     weights = window / window.sum()
     confirm_days = np.sort(rng.choice(120, size=N_RECORDS, p=weights))
-    rates = DailyRates(0.022 + 0.028 * np.exp(-np.arange(120.0) / 110.0))
+    rates = illustrative_daily_rates(120)
     delay = NegBinomial(mu=10.79, r=0.88)
     dies = rng.random(N_RECORDS) < rates.p[confirm_days]
     lags = delay.sample(N_RECORDS, rng)

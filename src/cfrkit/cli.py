@@ -133,7 +133,7 @@ def _checked(convert, accept, expected: str):
     return parse
 
 
-_ALPHA = _checked(float, lambda a: 0.0 < a < 1.0, "a number in (0, 1)")
+_OPEN_UNIT = _checked(float, lambda a: 0.0 < a < 1.0, "a number in (0, 1)")
 _AT_LEAST_ONE = _checked(int, lambda n: n >= 1, "an integer >= 1")
 _AT_LEAST_ZERO = _checked(int, lambda n: n >= 0, "an integer >= 0")
 _ISO_DATE = _checked(date.fromisoformat, lambda d: True, "an ISO date such as 2020-03-03")
@@ -435,16 +435,20 @@ def _add_scenario_options(sub: argparse.ArgumentParser, default_mode: str) -> No
         help="CSV with a 'cases' column giving the rising arm (default: bundled curve)",
     )
     sub.add_argument(
-        "--arm-days", type=int, default=None, help="truncate the arm to its first N days"
+        "--arm-days", type=_AT_LEAST_ONE, default=None, help="truncate the arm to its first N days"
     )
     sub.add_argument(
         "--symmetric",
         action="store_true",
         help="mirror the arm around its peak",
     )
-    sub.add_argument("--c1", type=float, default=0.1, help="daily rate before the step (default 0.1)")
-    sub.add_argument("--c2", type=float, default=0.05, help="daily rate from the step on (default 0.05)")
-    sub.add_argument("--dstar", type=int, default=120, help="step day (default 120)")
+    sub.add_argument(
+        "--c1", type=_OPEN_UNIT, default=0.1, help="daily rate before the step (default 0.1)"
+    )
+    sub.add_argument(
+        "--c2", type=_OPEN_UNIT, default=0.05, help="daily rate from the step on (default 0.05)"
+    )
+    sub.add_argument("--dstar", type=_AT_LEAST_ZERO, default=120, help="step day (default 120)")
     sub.add_argument(
         "--delay",
         default="nb:10.79,0.88",
@@ -456,13 +460,13 @@ def _add_scenario_options(sub: argparse.ArgumentParser, default_mode: str) -> No
     )
     sub.add_argument(
         "--horizon",
-        type=int,
+        type=_AT_LEAST_ZERO,
         default=None,
         help="last simulated day (default: curve end + tail days)",
     )
     sub.add_argument(
         "--tail-days",
-        type=int,
+        type=_AT_LEAST_ZERO,
         default=150,
         help="zero-case days appended after the curve when --horizon is absent (default 150)",
     )
@@ -472,15 +476,19 @@ def _add_scenario_options(sub: argparse.ArgumentParser, default_mode: str) -> No
         default=default_mode,
         help=f"evaluation mode (default {default_mode})",
     )
-    sub.add_argument("--alpha", type=_ALPHA, default=0.05, help="interval level (default 0.05)")
+    sub.add_argument("--alpha", type=_OPEN_UNIT, default=0.05, help="interval level (default 0.05)")
     sub.add_argument(
         "--lookback",
         type=_AT_LEAST_ZERO,
         default=45,
         help="empirical-fit lookback used in estimated mode (default 45)",
     )
-    sub.add_argument("--from", dest="from_day", type=int, default=None, help="first evaluation day")
-    sub.add_argument("--to", dest="to_day", type=int, default=None, help="last evaluation day")
+    sub.add_argument(
+        "--from", dest="from_day", type=_AT_LEAST_ZERO, default=None, help="first evaluation day"
+    )
+    sub.add_argument(
+        "--to", dest="to_day", type=_AT_LEAST_ZERO, default=None, help="last evaluation day"
+    )
     sub.add_argument("--every", type=_AT_LEAST_ONE, default=1, help="evaluation-day stride (default 1)")
 
 
@@ -511,16 +519,20 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="parameter CSV from fit-survival, used with --survival file",
     )
-    est.add_argument("--alpha", type=_ALPHA, default=0.05, help="interval level (default 0.05)")
+    est.add_argument("--alpha", type=_OPEN_UNIT, default=0.05, help="interval level (default 0.05)")
     est.add_argument(
         "--from",
         dest="from_day",
-        type=int,
+        type=_AT_LEAST_ZERO,
         default=None,
         help="first evaluation day (default 2 * lookback)",
     )
     est.add_argument(
-        "--to", dest="to_day", type=int, default=None, help="last evaluation day (default: last data day)"
+        "--to",
+        dest="to_day",
+        type=_AT_LEAST_ZERO,
+        default=None,
+        help="last evaluation day (default: last data day)",
     )
     est.add_argument(
         "--with-final",
@@ -575,10 +587,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ParseError as exc:
         print(f"cfrkit: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    except (EstimationError, ValueError) as exc:
-        print(f"cfrkit: {exc}", file=sys.stderr)
-        return EXIT_ESTIMATION
-    except CfrError as exc:
+    except (CfrError, ValueError) as exc:
         print(f"cfrkit: {exc}", file=sys.stderr)
         return EXIT_ESTIMATION
     except Exception as exc:  # pragma: no cover - safety net

@@ -198,12 +198,7 @@ def normal_quantile(q: float) -> float:
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile argument must lie in (0, 1), got {q}")
     a, b, c, d = _NQ_A, _NQ_B, _NQ_C, _NQ_D
-    if q < _NQ_SPLIT:
-        u = math.sqrt(-2.0 * math.log(q))
-        x = (((((c[0] * u + c[1]) * u + c[2]) * u + c[3]) * u + c[4]) * u + c[5]) / (
-            (((d[0] * u + d[1]) * u + d[2]) * u + d[3]) * u + 1.0
-        )
-    elif q <= 1.0 - _NQ_SPLIT:
+    if _NQ_SPLIT <= q <= 1.0 - _NQ_SPLIT:
         u = q - 0.5
         v = u * u
         x = (
@@ -212,10 +207,13 @@ def normal_quantile(q: float) -> float:
             / (((((b[0] * v + b[1]) * v + b[2]) * v + b[3]) * v + b[4]) * v + 1.0)
         )
     else:
-        u = math.sqrt(-2.0 * math.log(1.0 - q))
-        x = -(((((c[0] * u + c[1]) * u + c[2]) * u + c[3]) * u + c[4]) * u + c[5]) / (
+        # Tail expansion at the nearer tail mass; the upper tail mirrors the lower.
+        u = math.sqrt(-2.0 * math.log(min(q, 1.0 - q)))
+        x = (((((c[0] * u + c[1]) * u + c[2]) * u + c[3]) * u + c[4]) * u + c[5]) / (
             (((d[0] * u + d[1]) * u + d[2]) * u + d[3]) * u + 1.0
         )
+        if q > 0.5:
+            x = -x
     # Halley refinement: e is the CDF error at x.
     e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - q
     u = e * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)

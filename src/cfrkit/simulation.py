@@ -331,26 +331,36 @@ def read_arm_csv(path: Path) -> np.ndarray:
 
     ``path`` is a ``Path`` or a package resource. Blank lines and lines
     starting with ``#`` are skipped. Raises ParseError, naming the file,
-    when the column is missing or a count is not an integer.
+    when the column is missing, and the line too when a count is not a
+    non-negative integer.
     """
     with path.open("r", encoding="utf-8") as handle:
-        reader = csv.reader(
-            line for line in handle if line.strip() and not line.startswith("#")
-        )
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path}: empty case-curve file")
-        names = [h.strip() for h in header]
-        if "cases" not in names:
-            raise ParseError(f"{path}: case-curve file needs a 'cases' column")
-        col = names.index("cases")
+        numbered = [
+            (line_no, line)
+            for line_no, line in enumerate(handle, start=1)
+            if line.strip() and not line.startswith("#")
+        ]
+    reader = csv.reader(line for _, line in numbered)
+    header = next(reader, None)
+    if header is None:
+        raise ParseError(f"{path}: empty case-curve file")
+    names = [h.strip() for h in header]
+    if "cases" not in names:
+        raise ParseError(f"{path}: case-curve file needs a 'cases' column")
+    col = names.index("cases")
+    counts = []
+    for row in reader:
         try:
-            arm = np.array([int(row[col]) for row in reader if row], dtype=np.int64)
+            count = int(row[col])
+            if count < 0:
+                raise ValueError(f"negative count {count}")
         except (ValueError, IndexError) as exc:
-            raise ParseError(f"{path}: bad case count ({exc})") from exc
-    if arm.size == 0:
+            line_no = numbered[reader.line_num - 1][0]
+            raise ParseError(f"{path}: bad case count at line {line_no} ({exc})") from exc
+        counts.append(count)
+    if not counts:
         raise ParseError(f"{path}: no case counts found")
-    return arm
+    return np.array(counts, dtype=np.int64)
 
 
 def load_example_arm() -> np.ndarray:

@@ -159,17 +159,11 @@ class Zinb(SurvivalModel):
         return NegBinomial(self.mu, self.r)
 
     def cdf(self, k):
-        arr = _lag_array(k)
-        out = self.pi + (1.0 - self.pi) * stats.nbinom.cdf(
-            arr, self.r, self._nb._success_prob
-        )
-        return float(out) if arr.ndim == 0 else out
+        return self.pi + (1.0 - self.pi) * self._nb.cdf(k)
 
     def pmf(self, k):
         arr = _lag_array(k)
-        out = np.where(arr == 0, self.pi, 0.0) + (1.0 - self.pi) * stats.nbinom.pmf(
-            arr, self.r, self._nb._success_prob
-        )
+        out = np.where(arr == 0, self.pi, 0.0) + (1.0 - self.pi) * self._nb.pmf(arr)
         return float(out) if arr.ndim == 0 else out
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -236,18 +230,33 @@ def nb_loglik(sample, mu: float, r: float) -> float:
     return float(counts @ _nb_logpmf(vals, mu, r))
 
 
-def zinb_loglik(sample, pi: float, mu: float, r: float) -> float:
-    """Log-likelihood under Zinb(pi, mu, r).
-
-    Zero lags mix the inflation mass with the negative binomial zero class:
-    log(pi + (1 - pi) pmf(0)), evaluated as a stable logaddexp.
-    """
-    vals, counts = np.unique(_as_lags(sample), return_counts=True)
-    log_nb = _nb_logpmf(vals, mu, r)
+def _zinb_logpmf(vals: np.ndarray, pi: float, mu: float, r: float) -> np.ndarray:
+    """ZINB log-pmf at each lag. Zero lags mix the inflation mass with the
+    negative binomial zero class: log(pi + (1 - pi) pmf(0)), evaluated as a
+    stable logaddexp."""
+    terms = np.log1p(-pi) + _nb_logpmf(vals, mu, r)
     log_pi = np.log(pi) if pi > 0.0 else -np.inf
-    terms = np.log1p(-pi) + log_nb
-    terms = np.where(vals == 0, np.logaddexp(log_pi, terms), terms)
-    return float(counts @ terms)
+    return np.where(vals == 0, np.logaddexp(log_pi, terms), terms)
+
+
+def zinb_loglik(sample, pi: float, mu: float, r: float) -> float:
+    """Log-likelihood of the lags under Zinb(pi, mu, r)."""
+    vals, counts = np.unique(_as_lags(sample), return_counts=True)
+    return float(counts @ _zinb_logpmf(vals, pi, mu, r))
+
+
+def _fit_mle(logpmf, lags: np.ndarray, x0: np.ndarray, bounds) -> list[float]:
+    """Parameters maximizing sum(logpmf(lags, *x)): a bounded Nelder-Mead
+    search from x0."""
+    vals, counts = np.unique(lags, return_counts=True)
+    res = optimize.minimize(
+        lambda x: -float(counts @ logpmf(vals, *x)),
+        x0,
+        method="Nelder-Mead",
+        bounds=bounds,
+        options=_NM_OPTIONS,
+    )
+    return [float(v) for v in res.x]
 
 
 def fit_nb_mle(sample) -> NegBinomial:
@@ -270,19 +279,7 @@ def fit_nb_mle(sample) -> NegBinomial:
         raise DegenerateSampleError("dispersion unidentifiable: all lags equal")
     r0 = m * m / (v - m) if v > m else 100.0
     x0 = np.array([np.clip(m, *_MU_BOUNDS), np.clip(r0, *_R_BOUNDS)])
-    vals, counts = np.unique(lags, return_counts=True)
-
-    def nll(x: np.ndarray) -> float:
-        return -float(counts @ _nb_logpmf(vals, x[0], x[1]))
-
-    res = optimize.minimize(
-        nll,
-        x0,
-        method="Nelder-Mead",
-        bounds=[_MU_BOUNDS, _R_BOUNDS],
-        options=_NM_OPTIONS,
-    )
-    return NegBinomial(float(res.x[0]), float(res.x[1]))
+    return NegBinomial(*_fit_mle(_nb_logpmf, lags, x0, [_MU_BOUNDS, _R_BOUNDS]))
 
 
 def fit_zinb_mle(sample) -> Zinb:
@@ -327,24 +324,7 @@ def fit_zinb_mle(sample) -> Zinb:
             np.clip(r0, *_R_BOUNDS),
         ]
     )
-    vals, counts = np.unique(lags, return_counts=True)
-
-    def nll(x: np.ndarray) -> float:
-        pi, mu, r = x
-        log_nb = _nb_logpmf(vals, mu, r)
-        log_pi = np.log(pi) if pi > 0.0 else -np.inf
-        terms = np.log1p(-pi) + log_nb
-        terms = np.where(vals == 0, np.logaddexp(log_pi, terms), terms)
-        return -float(counts @ terms)
-
-    res = optimize.minimize(
-        nll,
-        x0,
-        method="Nelder-Mead",
-        bounds=[_PI_BOUNDS, _MU_BOUNDS, _R_BOUNDS],
-        options=_NM_OPTIONS,
-    )
-    return Zinb(float(res.x[0]), float(res.x[1]), float(res.x[2]))
+    return Zinb(*_fit_mle(_zinb_logpmf, lags, x0, [_PI_BOUNDS, _MU_BOUNDS, _R_BOUNDS]))
 
 
 def fit_empirical(table: EpidemicTable, t: int, lookback: int = 45) -> Empirical:

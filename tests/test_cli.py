@@ -264,6 +264,16 @@ def test_exit_bad_delay_spec(tmp_path, capsys):
         ("simulate", "--replicates", "0"),
         ("estimate", "--lookback", "-1"),
         ("estimate", "--epoch", "2020-13-01"),
+        ("estimate", "--from", "-5"),
+        ("estimate", "--to", "-1"),
+        ("simulate", "--c1", "0"),
+        ("simulate", "--c2", "1.5"),
+        ("simulate", "--dstar", "-1"),
+        ("simulate", "--horizon", "-1"),
+        ("simulate", "--tail-days", "-1"),
+        ("simulate", "--from", "-5"),
+        ("simulate", "--to", "-1"),
+        ("simulate", "--arm-days", "0"),
     ],
 )
 def test_exit_bad_flag_value(tmp_path, linelist_file, capsys, command, flag, value):
@@ -467,11 +477,12 @@ def test_simulate_arm_file_matches_bundled_arm(tmp_path):
 
 def test_simulate_arm_file_bad_count(tmp_path, capsys):
     arm_file = tmp_path / "arm.csv"
-    arm_file.write_text("cases\n5\n7.5\n")
     out = tmp_path / "o.csv"
-    assert main(["simulate", "--arm-file", str(arm_file), "-o", str(out)]) == 4
-    assert f"{arm_file}: bad case count" in capsys.readouterr().err
-    assert not out.exists()
+    for bad in ("7.5", "-3"):
+        arm_file.write_text(f"cases\n5\n# note\n\n{bad}\n")
+        assert main(["simulate", "--arm-file", str(arm_file), "-o", str(out)]) == 4
+        assert f"{arm_file}: bad case count at line 5" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_simulate_deterministic(tmp_path):

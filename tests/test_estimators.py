@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from cfrkit import estimators as est
 from cfrkit import (
     AssumptionWarning,
     DailyRates,
@@ -63,6 +64,60 @@ def test_normal_quantile_key_values():
     assert normal_quantile(0.975) == pytest.approx(1.959964, abs=1e-6)
     assert normal_quantile(0.5) == 0.0
     assert normal_quantile(0.025) == pytest.approx(-normal_quantile(0.975), abs=1e-12)
+
+
+def normal_quantile_reference(q: float) -> float:
+    """The three-branch form (lower tail, centre, upper tail) the shared-tail
+    implementation must reproduce bit for bit."""
+    a, b, c, d = est._NQ_A, est._NQ_B, est._NQ_C, est._NQ_D
+    if q < est._NQ_SPLIT:
+        u = math.sqrt(-2.0 * math.log(q))
+        x = (((((c[0] * u + c[1]) * u + c[2]) * u + c[3]) * u + c[4]) * u + c[5]) / (
+            (((d[0] * u + d[1]) * u + d[2]) * u + d[3]) * u + 1.0
+        )
+    elif q <= 1.0 - est._NQ_SPLIT:
+        u = q - 0.5
+        v = u * u
+        x = (
+            (((((a[0] * v + a[1]) * v + a[2]) * v + a[3]) * v + a[4]) * v + a[5])
+            * u
+            / (((((b[0] * v + b[1]) * v + b[2]) * v + b[3]) * v + b[4]) * v + 1.0)
+        )
+    else:
+        u = math.sqrt(-2.0 * math.log(1.0 - q))
+        x = -(((((c[0] * u + c[1]) * u + c[2]) * u + c[3]) * u + c[4]) * u + c[5]) / (
+            (((d[0] * u + d[1]) * u + d[2]) * u + d[3]) * u + 1.0
+        )
+    e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - q
+    u = e * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
+    return x - u / (1.0 + x * u / 2.0)
+
+
+def test_normal_quantile_matches_three_branch_reference():
+    rng = np.random.default_rng(20)
+    tails = 10.0 ** -rng.uniform(1.0, 300.0, 100_000)
+    near = []
+    for point in (est._NQ_SPLIT, 1.0 - est._NQ_SPLIT, 0.5):
+        for direction in (0.0, 1.0):
+            q = point
+            for _ in range(500):
+                near.append(q)
+                q = float(np.nextafter(q, direction))
+    alphas = np.array([0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.001, 1e-4, 1e-6])
+    grid = np.concatenate(
+        [
+            rng.random(400_000),
+            tails,
+            1.0 - tails[tails > 1e-16],
+            near,
+            alphas / 2.0,
+            1.0 - alphas / 2.0,
+        ]
+    )
+    grid = grid[(grid > 0.0) & (grid < 1.0)]
+    assert grid.size >= 500_000
+    for q in grid.tolist():
+        assert normal_quantile(q) == normal_quantile_reference(q), q
 
 
 def test_normal_quantile_domain():

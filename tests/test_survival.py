@@ -126,6 +126,16 @@ def test_zinb_cdf_is_mixture():
     assert model.pmf(2) == pytest.approx((1 - pi) * nb_pmf_reference(2, mu, r))
 
 
+def test_zinb_without_inflation_is_nb_exactly():
+    rng = np.random.default_rng(8)
+    k = np.arange(200)
+    for mu, r in zip(rng.uniform(0.1, 60.0, 200), rng.uniform(0.05, 20.0, 200)):
+        zinb, nb = Zinb(0.0, mu, r), NegBinomial(mu, r)
+        assert np.array_equal(zinb.cdf(k), nb.cdf(k))
+        for lag in (0, 1, 7, 150):
+            assert zinb.cdf(lag) == nb.cdf(lag)
+
+
 def test_zinb_validation():
     with pytest.raises(ValueError):
         Zinb(1.0, 5.0, 1.0)
@@ -234,6 +244,13 @@ def test_zinb_loglik_oracle(pi):
     pmf = pi * (lags == 0) + (1 - pi) * stats.nbinom.pmf(lags, r, r / (r + mu))
     expected = float(np.log(pmf).sum())
     assert zinb_loglik(lags, pi, mu, r) == pytest.approx(expected, rel=1e-12)
+
+
+def test_zinb_loglik_without_inflation_is_nb_exactly():
+    rng = np.random.default_rng(9)
+    for mu, r in zip(rng.uniform(0.1, 60.0, 200), rng.uniform(0.05, 20.0, 200)):
+        lags = rng.negative_binomial(r, r / (r + mu), size=300)
+        assert zinb_loglik(lags, 0.0, mu, r) == nb_loglik(lags, mu, r)
 
 
 # ---------------------------------------------------------------------------
