@@ -454,7 +454,7 @@ def _add_scenario_options(sub: argparse.ArgumentParser, default_mode: str) -> No
         default="nb:10.79,0.88",
         help="delay model: nb:MU,R | zinb:PI,MU,R | point:K (default nb:10.79,0.88)",
     )
-    sub.add_argument("--seed", type=int, default=0, help="study seed (default 0)")
+    sub.add_argument("--seed", type=_AT_LEAST_ZERO, default=0, help="study seed (default 0)")
     sub.add_argument(
         "--replicates", type=_AT_LEAST_ONE, default=200, help="number of replicates (default 200)"
     )

@@ -93,6 +93,8 @@ class Scenario:
                 f"horizon {self.horizon} shorter than the constructed curve "
                 f"({span} days)"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
         if isinstance(self.p_spec, StepRates):

@@ -37,6 +37,7 @@ __all__ = [
 _MU_BOUNDS = (1e-3, 1e3)
 _R_BOUNDS = (1e-3, 1e3)
 _PI_BOUNDS = (0.0, 1.0 - 1e-6)
+_NO_RESOLVED_DEATHS = "insufficient resolved deaths for empirical fit"
 _NM_OPTIONS = {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 20_000, "maxfev": 20_000}
 
 
@@ -327,6 +328,19 @@ def fit_zinb_mle(sample) -> Zinb:
     return Zinb(*_fit_mle(_zinb_logpmf, lags, x0, [_PI_BOUNDS, _MU_BOUNDS, _R_BOUNDS]))
 
 
+def _resolved_deaths(table: EpidemicTable, t: np.ndarray, lookback: int) -> np.ndarray:
+    """Deaths by lag (columns) among the cohorts eligible at each day of t (rows).
+
+    A cohort is eligible at day t when confirmed by min(t - lookback,
+    n_days - 1) and, to be dead by t at lag k, by t - k. The table needs at
+    least one day.
+    """
+    k = np.arange(table.max_lag + 1)
+    day_cap = np.minimum(t - lookback, table.n_days - 1)
+    day_lim = np.minimum(day_cap[:, None], t[:, None] - k)
+    return np.where(day_lim >= 0, table._cum_day[np.maximum(day_lim, 0), k], 0)
+
+
 def fit_empirical(table: EpidemicTable, t: int, lookback: int = 45) -> Empirical:
     """Empirical delay CDF at day t from cohorts old enough to have resolved.
 
@@ -344,17 +358,12 @@ def fit_empirical(table: EpidemicTable, t: int, lookback: int = 45) -> Empirical
         raise ValueError("t must be non-negative")
     if lookback < 0:
         raise ValueError("lookback must be non-negative")
-    day_cap = min(t - lookback, table.n_days - 1)
-    if day_cap < 0:
-        raise EstimationError("insufficient resolved deaths for empirical fit")
-    k = np.arange(table.max_lag + 1)
-    # Deaths at lag k among eligible cohorts: confirmed by day_cap and, to be
-    # dead by t, confirmed by t - k.
-    day_lim = np.minimum(day_cap, t - k)
-    counts = np.where(day_lim >= 0, table._cum_day[np.maximum(day_lim, 0), k], 0)
+    if min(t - lookback, table.n_days - 1) < 0:
+        raise EstimationError(_NO_RESOLVED_DEATHS)
+    counts = _resolved_deaths(table, np.array([t]), lookback)[0]
     total = int(counts.sum())
     if total == 0:
-        raise EstimationError("insufficient resolved deaths for empirical fit")
+        raise EstimationError(_NO_RESOLVED_DEATHS)
     k_max = int(np.nonzero(counts)[0][-1])
     cdf = np.cumsum(counts[: k_max + 1]) / total
     cdf[-1] = 1.0

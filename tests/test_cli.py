@@ -162,6 +162,24 @@ def test_estimate_deterministic_bytes(tmp_path, linelist_file):
     assert digests[0] == digests[1]
 
 
+# SHA-256 of `cfrkit estimate` on the bundled line list, recorded before the
+# all-days estimator kernel replaced the per-day loop; the kernel must keep
+# every output byte.
+@pytest.mark.parametrize(
+    "extra, digest",
+    [
+        ([], "997369415a73c6b0dc7e09fa8e116cf263cc02105240e34b73622890e5cf774d"),
+        (["--with-final"], "67ec2b3a1a4eeb3e3fecba1e40f5732c2f8a93ffddb6dbd4ec0b31321cc874d5"),
+    ],
+    ids=["default", "with_final"],
+)
+def test_estimate_golden_digest(tmp_path, linelist_file, monkeypatch, extra, digest):
+    monkeypatch.chdir(tmp_path)
+    args = ["estimate", linelist_file.name, "--epoch", "2020-03-03", "-o", "out.csv", *extra]
+    assert main(args) == 0
+    assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() == digest
+
+
 def test_estimate_does_not_touch_input(tmp_path, linelist_file):
     before = hashlib.sha256(linelist_file.read_bytes()).hexdigest()
     main(
@@ -274,6 +292,8 @@ def test_exit_bad_delay_spec(tmp_path, capsys):
         ("simulate", "--from", "-5"),
         ("simulate", "--to", "-1"),
         ("simulate", "--arm-days", "0"),
+        ("simulate", "--seed", "-1"),
+        ("coverage", "--seed", "-1"),
     ],
 )
 def test_exit_bad_flag_value(tmp_path, linelist_file, capsys, command, flag, value):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from cfrkit import (
     EpidemicTable,
     EstimationError,
     NegBinomial,
+    SurvivalModel,
     Zinb,
     cfr_final,
     cfr_garske,
@@ -462,7 +465,7 @@ def test_p_hat_brute_force_oracle():
             for _ in range(n_days)
         ]
         schedule = DelaySchedule(models)
-        for t in (6, n_days - 1, n_days + 3):
+        for t in (6, n_days - 1, n_days + 3, n_days + 9):
             if t < 6:
                 continue
             model_for = models + [models[-1]] * (t + 1 - n_days)
@@ -726,3 +729,383 @@ def test_series_negative_days_rejected():
     with pytest.raises(ValueError, match="non-negative"):
         estimate_series(table, [-1, 2], schedule=DelaySchedule(point_mass(0)),
                         rates=DailyRates([0.1]))
+
+
+# ---------------------------------------------------------------------------
+# estimate_series against the day-by-day loop it replaced
+#
+# ``reference_series`` is the per-day loop estimate_series ran before the
+# block kernel, with the helpers it called, kept as the oracle: every column
+# must agree under ==, and an error must be the same type and message.
+
+
+def _ref_upto(table, t):
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    return min(t, table.n_days - 1)
+
+
+def _ref_cases_through(table, t):
+    upto = _ref_upto(table, t)
+    if upto < 0:
+        return 0
+    return int(table._cum_cases[upto])
+
+
+def _ref_rates_upto(rates, upto):
+    if len(rates) < upto + 1:
+        raise ValueError(f"rates must cover days 0..{upto}, got {len(rates)} entries")
+    return rates.p[: upto + 1]
+
+
+def _ref_fit_empirical(table, t, lookback):
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    if lookback < 0:
+        raise ValueError("lookback must be non-negative")
+    day_cap = min(t - lookback, table.n_days - 1)
+    if day_cap < 0:
+        raise EstimationError("insufficient resolved deaths for empirical fit")
+    k = np.arange(table.max_lag + 1)
+    day_lim = np.minimum(day_cap, t - k)
+    counts = np.where(day_lim >= 0, table._cum_day[np.maximum(day_lim, 0), k], 0)
+    total = int(counts.sum())
+    if total == 0:
+        raise EstimationError("insufficient resolved deaths for empirical fit")
+    k_max = int(np.nonzero(counts)[0][-1])
+    cdf = np.cumsum(counts[: k_max + 1]) / total
+    cdf[-1] = 1.0
+    return Empirical(cdf, n_obs=total)
+
+
+def _ref_f_values(schedule, t, upto):
+    days = np.arange(upto + 1)
+    raw = schedule.cdf(days, t - days)
+    return raw, np.maximum(raw, schedule.floor(days))
+
+
+def _ref_death_weights(deaths, f, t):
+    bad = (deaths > 0) & (f <= 0.0)
+    if np.any(bad):
+        d_bad = int(np.nonzero(bad)[0][0])
+        raise EstimationError(
+            f"assumption A1 violated: no delay CDF mass by day {t} for deaths "
+            f"confirmed on day {d_bad}"
+        )
+    return np.where(deaths > 0, deaths / np.where(f > 0.0, f, 1.0), 0.0)
+
+
+def _ref_window_rates(cases, w, t):
+    upto = cases.size - 1
+    w_prefix = np.concatenate([[0.0], np.cumsum(w)])
+    c_prefix = np.concatenate([[0], np.cumsum(cases)])
+    d_star = np.arange(3, t - 2)
+    lo = np.clip(d_star - 3, 0, upto + 1)
+    hi = np.clip(d_star + 4, 0, upto + 1)
+    num = w_prefix[hi] - w_prefix[lo]
+    den = c_prefix[hi] - c_prefix[lo]
+    computable = den > 0
+    if not computable.any():
+        raise EstimationError(f"no cases in any daily-rate window by day {t}")
+    p_interior = np.zeros(d_star.size)
+    p_interior[computable] = np.clip(num[computable] / den[computable], 0.0, 1.0)
+    fallback = ()
+    if not computable.all():
+        comp_idx = np.nonzero(computable)[0]
+        missing = np.nonzero(~computable)[0]
+        pos = np.searchsorted(comp_idx, missing)
+        left = comp_idx[np.clip(pos - 1, 0, comp_idx.size - 1)]
+        right = comp_idx[np.clip(pos, 0, comp_idx.size - 1)]
+        use_left = np.abs(missing - left) <= np.abs(right - missing)
+        pick = np.where(use_left, left, right)
+        p_interior[missing] = p_interior[pick]
+        fallback = tuple(int(d) for d in d_star[missing])
+    p = np.empty(t + 1)
+    p[3 : t - 2] = p_interior
+    p[:3] = p_interior[0]
+    p[t - 2 :] = p_interior[-1]
+    return DailyRates(p, fallback_days=fallback)
+
+
+def _ref_variance(cases, p, f, t, r_t):
+    active = (cases * p) > 0
+    if np.any(active & (f <= 0.0)):
+        d_bad = int(np.nonzero(active & (f <= 0.0))[0][0])
+        raise EstimationError(
+            f"assumption A1 violated: no delay CDF mass by day {t} for cases "
+            f"confirmed on day {d_bad}"
+        )
+    f_safe = np.where(f > 0.0, f, 1.0)
+    terms = np.where(active, cases * p * (1.0 - p * f) / f_safe, 0.0)
+    return float(terms.sum() / r_t**2)
+
+
+def _ref_garske(dead, cases, f, t):
+    denom = float(cases @ f)
+    if denom <= 0.0:
+        raise EstimationError(f"zero delay-weighted case total at day {t}")
+    return float(dead / denom)
+
+
+def _ref_interval(cfr, variance, z):
+    if variance < 0.0:
+        raise ValueError("variance must be non-negative")
+    half = z * math.sqrt(variance)
+    return min(max(0.0, cfr - half), cfr), max(cfr, min(1.0, cfr + half))
+
+
+def _ref_all_ok(rates, schedule, t):
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    p = _ref_rates_upto(rates, t)
+    days = np.arange(t + 1)
+    raw = schedule.cdf(days, np.zeros_like(days))
+    min_f0 = float(np.maximum(raw, schedule.floor(days)).min())
+    return min_f0 > 0.0 and float(p.min()) > 0.0 and float(p.max()) < 1.0
+
+
+def reference_series(
+    table, days, *, alpha=0.05, schedule=None, rates=None, lookback=45,
+    include_final=False, true_rates=None,
+):
+    """The day-by-day estimate_series loop; returns (series, warned)."""
+    day_grid = np.unique(np.asarray(days, dtype=np.int64))
+    if day_grid.size and day_grid[0] < 0:
+        raise ValueError("days must be non-negative")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    z = normal_quantile(1.0 - alpha / 2.0)
+    if schedule is not None and day_grid.size:
+        schedule.tabulate(int(day_grid[-1]))
+    rows = []
+    assumption_failed = False
+    for t in day_grid.tolist():
+        r_t = _ref_cases_through(table, t)
+        if r_t == 0:
+            continue
+        sched_t = schedule if schedule is not None else DelaySchedule(
+            _ref_fit_empirical(table, t, lookback)
+        )
+        if rates is None and t < 6:
+            raise ValueError("daily rate estimation needs t >= 6")
+        upto = _ref_upto(table, t)
+        cases = table.cases[: upto + 1]
+        deaths = table.observed_deaths(t)
+        raw, f = _ref_f_values(sched_t, t, upto)
+        w = _ref_death_weights(deaths, f, t)
+        rates_t = rates if rates is not None else _ref_window_rates(cases, w, t)
+        dead = deaths.sum()
+        naive = float(dead / r_t)
+        adjusted = float(w.sum() / r_t)
+        garske = _ref_garske(dead, cases, raw, t)
+        if not _ref_all_ok(rates_t, sched_t, t):
+            assumption_failed = True
+        v = _ref_variance(cases, _ref_rates_upto(rates_t, upto), f, t, r_t)
+        low, high = _ref_interval(adjusted, v, z)
+        final = cfr_final(table, t) if include_final else math.nan
+        truth = cfr_true(table, true_rates, t) if true_rates is not None else math.nan
+        rows.append((t, r_t, naive, adjusted, low, high, garske, garske, final, truth))
+    cols = list(zip(*rows)) if rows else [[] for _ in range(10)]
+    series = est.EstimateSeries(
+        t=np.asarray(cols[0], dtype=np.int64),
+        r_t=np.asarray(cols[1], dtype=np.int64),
+        cfr_naive=np.asarray(cols[2], dtype=float),
+        cfr=np.asarray(cols[3], dtype=float),
+        ci_low=np.asarray(cols[4], dtype=float),
+        ci_high=np.asarray(cols[5], dtype=float),
+        cfr_garske=np.asarray(cols[6], dtype=float),
+        cfr_garske_mod=np.asarray(cols[7], dtype=float),
+        cfr_final=np.asarray(cols[8], dtype=float) if include_final else None,
+        cfr_true=np.asarray(cols[9], dtype=float) if true_rates is not None else None,
+    )
+    return series, assumption_failed
+
+
+def run_series(fn, *args, **kwargs):
+    """(result, warned, error) of one series call, warnings recorded."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn(*args, **kwargs)
+        except (ValueError, EstimationError) as exc:
+            return None, False, exc
+    warned = any(issubclass(w.category, AssumptionWarning) for w in caught)
+    return result, warned, None
+
+
+def assert_same_series(got, want):
+    for f in est.EstimateSeries.__dataclass_fields__:
+        a, b = getattr(got, f), getattr(want, f)
+        if b is None:
+            assert a is None, f
+        else:
+            assert a.dtype == b.dtype and a.shape == b.shape, f
+            assert np.all(a == b), f
+
+
+@st.composite
+def series_cases(draw):
+    """A table, a delay source, rates and a day grid for estimate_series."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_days = draw(st.integers(1, 40))
+    max_lag = draw(st.integers(0, 8))
+    zero_frac = draw(st.sampled_from([0.0, 0.3, 0.7]))
+    cases = np.where(
+        rng.random(n_days) < zero_frac, 0, rng.integers(1, 30, size=n_days)
+    )
+    first_lag = draw(st.integers(0, max_lag))  # > 0: empirical fits clamp at lag 0
+    deaths = np.zeros((n_days, max_lag + 1), dtype=np.int64)
+    for d in range(n_days):
+        total = int(rng.integers(0, cases[d] + 1)) if rng.random() < 0.8 else 0
+        np.add.at(deaths[d], rng.integers(first_lag, max_lag + 1, size=total), 1)
+    table = EpidemicTable(cases, deaths)
+
+    known_f = draw(st.booleans())
+    schedule = None
+    if known_f:
+        kind = draw(st.sampled_from(["two_point", "nb", "fitted", "per_day"]))
+        q = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+        if kind == "two_point":
+            schedule = DelaySchedule(two_point(q, draw(st.integers(1, 6))))
+        elif kind == "nb":
+            schedule = DelaySchedule(NegBinomial(draw(st.floats(0.5, 12.0)), 0.9))
+        elif kind == "fitted":
+            schedule = DelaySchedule(Empirical([0.0, 0.3, 1.0], n_obs=draw(st.integers(1, 9))))
+        else:
+            length = n_days + draw(st.sampled_from([11, 11, 0, -2]))
+            schedule = DelaySchedule([
+                two_point(float(rng.choice([0.0, 0.2, 0.7, 1.0], p=[0.1, 0.3, 0.3, 0.3])),
+                          int(rng.integers(1, 6)))
+                for _ in range(max(length, 1))
+            ])
+    rates = None
+    if draw(st.booleans()):
+        length = n_days + draw(st.sampled_from([11, 11, 0, -2]))
+        rates = DailyRates(rng.choice([0.0, 0.02, 0.3, 0.9, 1.0], size=max(length, 1)))
+    true_rates = None
+    if draw(st.booleans()):
+        true_rates = DailyRates(rng.random(max(n_days + draw(st.sampled_from([0, 0, -2])), 1)))
+    first = min(draw(st.sampled_from([0, 6, 6, 12])), n_days)
+    days = draw(st.lists(st.integers(first, n_days + 10), min_size=1, max_size=25))
+    kwargs = dict(
+        schedule=schedule,
+        rates=rates,
+        lookback=draw(st.sampled_from([0, 3, 6, 10])),
+        include_final=draw(st.booleans()),
+        true_rates=true_rates,
+        alpha=draw(st.sampled_from([0.05, 0.2])),
+    )
+    return table, days, kwargs
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=series_cases(), block=st.sampled_from([1, 3, est._BLOCK]))
+def test_series_kernel_matches_day_by_day_loop(case, block):
+    table, days, kwargs = case
+    want, want_warned, want_error = run_series(reference_series, table, days, **kwargs)
+    with mock.patch.object(est, "_BLOCK", block):
+        got, got_warned, got_error = run_series(estimate_series, table, days, **kwargs)
+    if want_error is not None:
+        assert type(got_error) is type(want_error)
+        assert str(got_error) == str(want_error)
+        return
+    assert got_error is None, got_error
+    want_series, failed = want
+    assert_same_series(got, want_series)
+    assert got_warned == failed
+
+
+class Overshoot(SurvivalModel):
+    """A malformed model whose CDF exceeds 1, so variance terms go negative."""
+
+    def cdf(self, k):
+        return np.full(np.shape(k), 2.0)
+
+
+def test_series_kernel_oracle_reaches_every_branch():
+    """The generated cases exercise successes in both modes, fallback
+    windows, clamped fits and each error the loop can raise."""
+    # Estimated mode with a clamped fit and an empty window centred on day
+    # 6, whose computable neighbours 5 and 7 tie and differ.
+    cases = np.array([5, 5, 5, 0, 0, 0, 0, 0, 0, 0, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5])
+    deaths = np.zeros((20, 4), dtype=np.int64)
+    deaths[cases > 0, 2] = 1
+    deaths[2, 2] = 2
+    table = EpidemicTable(cases, deaths)
+    rates = p_hat_daily(table, DelaySchedule(fit_empirical(table, 19, 3)), 19)
+    assert rates.fallback_days == (6,) and rates.p[6] == rates.p[5] != rates.p[7]
+    assert fit_empirical(table, 19, 3).cdf(0) == 0.0
+    want, _, error = run_series(reference_series, table, range(6, 25), lookback=3)
+    got, warned, _ = run_series(estimate_series, table, range(6, 25), lookback=3)
+    assert error is None and len(got) == 19
+    assert_same_series(got, want[0])
+    assert warned == want[1]
+    # Each error of the loop, matched by the kernel on its first day.
+    known = DailyRates(np.full(25, 0.1))
+    clamped = Empirical([0.0, 0.3, 1.0], n_obs=9)
+    for kwargs, days in [
+        (dict(lookback=0), [2, 9]),  # t < 6
+        (dict(lookback=30), [9]),  # no resolved deaths
+        (dict(schedule=DelaySchedule(two_point(0.0, 5))), [9, 12]),  # A1, deaths
+        (dict(schedule=DelaySchedule(clamped), rates=known), [0, 5]),  # Garske
+        (dict(schedule=DelaySchedule(two_point(0.0, 2)), rates=known), [10]),  # A1, cases
+        (dict(schedule=DelaySchedule([point_mass(0)] * 15)), [12, 16]),  # F coverage
+        (dict(schedule=DelaySchedule([point_mass(0)] * 20), rates=known), [21]),  # A1-A3 coverage
+        (dict(schedule=DelaySchedule(point_mass(0)), rates=DailyRates(np.full(12, 0.1))), [9, 13]),
+        (dict(schedule=DelaySchedule(point_mass(0)), rates=known,
+              true_rates=DailyRates(np.full(12, 0.1))), [9, 13]),
+        (dict(schedule=DelaySchedule(Overshoot()), rates=DailyRates(np.full(25, 0.9))), [9]),
+    ]:
+        want = run_series(reference_series, table, days, **kwargs)[2]
+        got = run_series(estimate_series, table, days, **kwargs)[2]
+        assert want is not None, kwargs
+        assert (type(got), str(got)) == (type(want), str(want))
+
+
+def long_table(n_days: int, seed: int) -> EpidemicTable:
+    """Daily cases with some empty days and deaths at lags 0..40."""
+    rng = np.random.default_rng(seed)
+    cases = np.where(rng.random(n_days) < 0.1, 0, rng.integers(20, 60, size=n_days))
+    deaths = np.zeros((n_days, 41), dtype=np.int64)
+    for d in range(n_days):
+        np.add.at(deaths[d], rng.integers(0, 41, size=min(int(cases[d]), 3)), 1)
+    return EpidemicTable(cases, deaths)
+
+
+@pytest.mark.filterwarnings("ignore::cfrkit.AssumptionWarning")
+@pytest.mark.parametrize("mode", ["known", "per_day", "estimated"])
+def test_series_identical_under_any_block_size(monkeypatch, mode):
+    table = long_table(300, seed=8)
+    rates = DailyRates(np.full(320, 0.05))
+    kwargs = dict(include_final=True, true_rates=rates)
+    if mode == "known":
+        kwargs.update(schedule=DelaySchedule(NegBinomial(10.0, 1.0)), rates=rates)
+    elif mode == "per_day":
+        models = [NegBinomial(6.0 + d / 50, 1.0) for d in range(320)]
+        kwargs.update(schedule=DelaySchedule(models), rates=rates)
+    days = range(90, 315)
+    series = []
+    for block in (1, 7, est._BLOCK):
+        monkeypatch.setattr(est, "_BLOCK", block)
+        series.append(estimate_series(table, days, **kwargs))
+    assert len(series[0]) == len(days)
+    for other in series[1:]:
+        assert_same_series(other, series[0])
+
+
+@pytest.mark.filterwarnings("ignore::cfrkit.AssumptionWarning")
+def test_series_memory_is_blockwise():
+    # Ten years of days: one dense float (days x days) matrix would be 107 MB.
+    # A day far past the table must cost no more than the table's last day.
+    n_days = 3653
+    table = long_table(n_days, seed=9)
+    # Fill the table's own cached cumulative arrays before measuring.
+    table._cum_lag, table._cum_day, table._cum_final
+    tracemalloc.start()
+    try:
+        series = estimate_series(table, [*range(90, n_days), 100_000])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(series) == n_days - 90 + 1
+    assert peak < 8 * n_days**2 / 2

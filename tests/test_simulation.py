@@ -82,6 +82,8 @@ def test_scenario_validation():
         small_scenario(p_spec=StepRates(0.1, 0.05, 30))
     with pytest.raises(ValueError, match="replicates"):
         small_scenario(replicates=0)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        small_scenario(seed=-1)
     with pytest.raises(ValueError, match="cover days"):
         small_scenario(p_spec=DailyRates([0.1] * 10))
 
