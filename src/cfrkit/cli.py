@@ -18,7 +18,7 @@ import csv
 import os
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import astuple, fields
 from datetime import date
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -33,6 +33,9 @@ from .simulation import (
     ESTIMATORS,
     Scenario,
     StepRates,
+    StudyResult,
+    _data_rows,
+    _first_eval_day,
     load_example_arm,
     read_arm_csv,
     run_study,
@@ -50,7 +53,7 @@ from .survival import (
     zinb_loglik,
 )
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -58,10 +61,6 @@ EXIT_USAGE = 2
 EXIT_UNREADABLE = 3
 EXIT_MALFORMED = 4
 EXIT_ESTIMATION = 5
-
-
-class RunConfig(argparse.Namespace):
-    """Parsed invocation; argparse fills the per-subcommand attributes."""
 
 
 def _fmt(value: float) -> str:
@@ -112,11 +111,6 @@ def _write_table(path: str, meta: str, columns: Sequence[tuple[str, np.ndarray]]
     _write_csv(path, meta, [name for name, _ in columns], zip(*cells))
 
 
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
-
-
 def _checked(convert, accept, expected: str):
     """An argparse ``type`` that converts a flag's value and rejects values
     ``accept`` refuses, so argparse exits 2 naming the flag."""
@@ -164,30 +158,23 @@ def _read_params_csv(path: str) -> SurvivalModel:
     Rows without distribution parameters (the empirical entry) are skipped;
     among the rest the highest log-likelihood wins.
     """
-    text = _read_text(path)
-    numbered = [
-        (line_no, line)
-        for line_no, line in enumerate(text.splitlines(), start=1)
-        if line.strip() and not line.startswith("#")
-    ]
-    reader = csv.DictReader(line for _, line in numbered)
+    with open(path, "r", encoding="utf-8") as handle:
+        rows = _data_rows(handle)
+    header = rows[0][1] if rows else []
     best: tuple[float, SurvivalModel] | None = None
-    for row in reader:
-        model_name = (row.get("model") or "").strip()
-        mu_raw = (row.get("mu") or "").strip()
-        r_raw = (row.get("r") or "").strip()
+    for line_no, cells in rows[1:]:
+        row = {name: cell.strip() for name, cell in zip(header, cells)}
+        mu_raw, r_raw = row.get("mu"), row.get("r")
         if not mu_raw or not r_raw:
             continue
-        pi_raw = (row.get("pi") or "").strip()
         try:
-            mu, r, pi = float(mu_raw), float(r_raw), float(pi_raw or 0.0)
-            if model_name == "zinb" or pi > 0:
+            mu, r, pi = float(mu_raw), float(r_raw), float(row.get("pi") or 0.0)
+            if row.get("model") == "zinb" or pi > 0:
                 model: SurvivalModel = Zinb(pi, mu, r)
             else:
                 model = NegBinomial(mu, r)
-            loglik = float((row.get("loglik") or "nan").strip() or "nan")
+            loglik = float(row.get("loglik") or "nan")
         except ValueError as exc:
-            line_no = numbered[reader.line_num - 1][0]
             raise ParseError(
                 f"{path}: bad delay model parameters at line {line_no} ({exc})"
             ) from exc
@@ -208,17 +195,25 @@ def _series_columns(series: EstimateSeries) -> list[tuple[str, np.ndarray]]:
     return [(name, col) for name, col in columns if col is not None]
 
 
-def _input_path(args: argparse.Namespace) -> str:
+def _read_linelist(args: argparse.Namespace) -> LineList:
+    """Parse the input line list as it streams from the file."""
     path = args.input_flag or args.input
     if not path:
         raise argparse.ArgumentTypeError("an input line-list CSV is required")
-    return path
+    with open(path, "r", encoding="utf-8") as handle:
+        linelist = parse_csv(handle, epoch=args.epoch)
+    if len(linelist) == 0:
+        raise EstimationError(f"{path}: the line list has no case rows")
+    return linelist
 
 
-def _read_linelist(args: argparse.Namespace) -> LineList:
-    """Parse the input line list as it streams from the file."""
-    with open(_input_path(args), "r", encoding="utf-8") as handle:
-        return parse_csv(handle, epoch=args.epoch)
+def _day_range(start: int, stop: int, last_day: int, every: int = 1) -> range:
+    """Evaluation days start..stop; an empty request is an EstimationError."""
+    if start > stop:
+        raise EstimationError(
+            f"no evaluation days: requested {start}..{stop} with data ending at {last_day}"
+        )
+    return range(start, stop + 1, every)
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
@@ -226,10 +221,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     table = aggregate(linelist)
 
     schedule = None
-    if args.survival == "nb":
-        schedule = DelaySchedule(fit_nb_mle(DelaySample.from_linelist(linelist)))
-    elif args.survival == "zinb":
-        schedule = DelaySchedule(fit_zinb_mle(DelaySample.from_linelist(linelist)))
+    if args.survival in ("nb", "zinb"):
+        fit = fit_nb_mle if args.survival == "nb" else fit_zinb_mle
+        schedule = DelaySchedule(fit(DelaySample.from_linelist(linelist)))
     elif args.survival == "file":
         if not args.survival_file:
             raise argparse.ArgumentTypeError("--survival file needs --survival-file")
@@ -237,17 +231,12 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     # args.survival == "empirical": leave None, estimate_series refits per day.
 
     last_day = table.n_days - 1
-    start = args.from_day if args.from_day is not None else 2 * args.lookback
-    stop = args.to_day if args.to_day is not None else last_day
-    if stop > last_day:
-        stop = last_day
-    if start > stop:
-        raise EstimationError(
-            f"no evaluation days: requested {start}..{stop} with data ending at {last_day}"
-        )
+    first = _first_eval_day(table.cases, known=False, lookback=args.lookback)
+    start = first if args.from_day is None else args.from_day
+    stop = last_day if args.to_day is None else min(args.to_day, last_day)
     series = estimate_series(
         table,
-        range(start, stop + 1),
+        _day_range(start, stop, last_day),
         alpha=args.alpha,
         schedule=schedule,
         lookback=args.lookback,
@@ -262,33 +251,23 @@ def _cmd_fit_survival(args: argparse.Namespace) -> int:
     table = aggregate(linelist)
     sample = DelaySample.from_linelist(linelist)
 
-    t_fit = table.n_days - 1
-    empirical = fit_empirical(table, t_fit, lookback=args.lookback)
+    empirical = fit_empirical(table, table.n_days - 1, lookback=args.lookback)
     lags = sample.lags
-    nb = fit_nb_mle(sample)
-    zinb = fit_zinb_mle(sample)
 
     # Empirical log-likelihood over its own eligible support.
     emp_pmf = np.diff(np.concatenate([[0.0], empirical.cdf_table]))
     emp_ll = 0.0
     eligible = lags[lags <= empirical.cdf_table.size - 1]
-    for k in np.unique(eligible):
+    for k, count in zip(*np.unique(eligible, return_counts=True)):
         mass = emp_pmf[int(k)]
         if mass > 0:
-            emp_ll += float(np.sum(eligible == k)) * float(np.log(mass))
+            emp_ll += float(count) * float(np.log(mass))
 
-    param_rows = [
-        ["empirical", "", "", "", _fmt(emp_ll), str(empirical.n_obs)],
-        ["nb", "", _fmt(nb.mu), _fmt(nb.r), _fmt(nb_loglik(sample, nb.mu, nb.r)), str(len(sample))],
-        [
-            "zinb",
-            _fmt(zinb.pi),
-            _fmt(zinb.mu),
-            _fmt(zinb.r),
-            _fmt(zinb_loglik(sample, zinb.pi, zinb.mu, zinb.r)),
-            str(len(sample)),
-        ],
-    ]
+    param_rows = [["empirical", "", "", "", _fmt(emp_ll), str(empirical.n_obs)]]
+    for name, fit, loglik in (("nb", fit_nb_mle, nb_loglik), ("zinb", fit_zinb_mle, zinb_loglik)):
+        params = astuple(fit(sample))  # (mu, r) or (pi, mu, r)
+        cells = [""] * (3 - len(params)) + [_fmt(v) for v in params]
+        param_rows.append([name, *cells, _fmt(loglik(sample, *params)), str(len(sample))])
     _write_csv(
         args.output,
         _meta_line(args),
@@ -305,7 +284,8 @@ def _cmd_fit_survival(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_scenario(args: argparse.Namespace) -> Scenario:
+def _run_study(args: argparse.Namespace, keep_series: bool = False) -> StudyResult:
+    """Run the replicate study of the scenario the flags describe."""
     arm = read_arm_csv(Path(args.arm_file)) if args.arm_file else load_example_arm()
     if args.arm_days is not None:
         if not 0 < args.arm_days <= arm.size:
@@ -315,7 +295,7 @@ def _build_scenario(args: argparse.Namespace) -> Scenario:
         arm = arm[: args.arm_days]
     span = arm.size * (2 if args.symmetric else 1)
     horizon = args.horizon if args.horizon is not None else span - 1 + args.tail_days
-    return Scenario(
+    scenario = Scenario(
         rising_arm=arm,
         symmetric=args.symmetric,
         p_spec=StepRates(args.c1, args.c2, args.dstar),
@@ -324,33 +304,27 @@ def _build_scenario(args: argparse.Namespace) -> Scenario:
         seed=args.seed,
         replicates=args.replicates,
     )
-
-
-def _eval_days(args: argparse.Namespace, scenario: Scenario, mode: str):
-    if args.from_day is None and args.to_day is None and args.every == 1:
-        return None  # run_study default grid
-    curve_cases = np.cumsum(scenario.curve)
-    first = int(np.nonzero(curve_cases > 0)[0][0])
-    default_start = first if mode == "known" else 2 * args.lookback
-    start = args.from_day if args.from_day is not None else default_start
-    stop = args.to_day if args.to_day is not None else scenario.horizon
-    return range(start, stop + 1, args.every)
+    eval_days = None  # run_study's default grid
+    if args.from_day is not None or args.to_day is not None or args.every != 1:
+        first = _first_eval_day(scenario.curve, args.mode == "known", args.lookback)
+        start = first if args.from_day is None else args.from_day
+        stop = horizon if args.to_day is None else args.to_day
+        eval_days = _day_range(start, stop, horizon, args.every)
+    return run_study(
+        scenario,
+        args.mode,
+        eval_days=eval_days,
+        alpha=args.alpha,
+        lookback=args.lookback,
+        keep_series=keep_series,
+    )
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = _build_scenario(args)
-    result = run_study(
-        scenario,
-        args.mode,
-        eval_days=_eval_days(args, scenario, args.mode),
-        alpha=args.alpha,
-        lookback=args.lookback,
-        keep_series=args.per_replicate_dir is not None,
-    )
+    result = _run_study(args, keep_series=args.per_replicate_dir is not None)
     columns = [("t", result.days), ("r_t", result.r_t), ("cfr_true", result.cfr_true)]
     for name in ESTIMATORS:
-        columns.append((f"mean_{name}", getattr(result, f"mean_{name}")))
-        columns.append((f"se_{name}", getattr(result, f"se_{name}")))
+        columns += [(f"{stat}_{name}", getattr(result, f"{stat}_{name}")) for stat in ("mean", "se")]
     summary = result.coverage
     columns += [
         ("coverage", summary.coverage),
@@ -372,15 +346,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_coverage(args: argparse.Namespace) -> int:
-    scenario = _build_scenario(args)
-    result = run_study(
-        scenario,
-        args.mode,
-        eval_days=_eval_days(args, scenario, args.mode),
-        alpha=args.alpha,
-        lookback=args.lookback,
-    )
-    summary = result.coverage
+    summary = _run_study(args).coverage
     _write_table(
         args.output,
         _meta_line(args),
@@ -399,6 +365,37 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
 # Parser
 
 
+def _add_common_options(sub: argparse.ArgumentParser) -> None:
+    """Flags every subcommand takes."""
+    sub.add_argument("-o", "--output", required=True, help="output CSV path")
+    sub.add_argument(
+        "--lookback",
+        type=_AT_LEAST_ZERO,
+        default=45,
+        help="days a cohort must age before entering the empirical delay fit (default 45)",
+    )
+
+
+def _add_day_options(sub: argparse.ArgumentParser) -> None:
+    """Interval level and evaluation days, for the subcommands that estimate."""
+    sub.add_argument("--alpha", type=_OPEN_UNIT, default=0.05, help="interval level (default 0.05)")
+    sub.add_argument(
+        "--from",
+        dest="from_day",
+        type=_AT_LEAST_ZERO,
+        default=None,
+        help="first evaluation day (default 2 * lookback, or the first day with cases "
+        "in a known-mode study)",
+    )
+    sub.add_argument(
+        "--to",
+        dest="to_day",
+        type=_AT_LEAST_ZERO,
+        default=None,
+        help="last evaluation day (default: the last day of the data or of the scenario)",
+    )
+
+
 def _add_io_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "input",
@@ -412,23 +409,17 @@ def _add_io_options(sub: argparse.ArgumentParser) -> None:
         default=None,
         help="line-list CSV; alternative to the positional argument",
     )
-    sub.add_argument("-o", "--output", required=True, help="output CSV path")
+    _add_common_options(sub)
     sub.add_argument(
         "--epoch",
         type=_ISO_DATE,
         default=None,
         help="calendar date of day 0, e.g. 2020-03-03; required for date-valued inputs",
     )
-    sub.add_argument(
-        "--lookback",
-        type=_AT_LEAST_ZERO,
-        default=45,
-        help="days a cohort must age before entering the empirical delay fit (default 45)",
-    )
 
 
 def _add_scenario_options(sub: argparse.ArgumentParser, default_mode: str) -> None:
-    sub.add_argument("-o", "--output", required=True, help="output CSV path")
+    _add_common_options(sub)
     sub.add_argument(
         "--arm-file",
         default=None,
@@ -476,19 +467,7 @@ def _add_scenario_options(sub: argparse.ArgumentParser, default_mode: str) -> No
         default=default_mode,
         help=f"evaluation mode (default {default_mode})",
     )
-    sub.add_argument("--alpha", type=_OPEN_UNIT, default=0.05, help="interval level (default 0.05)")
-    sub.add_argument(
-        "--lookback",
-        type=_AT_LEAST_ZERO,
-        default=45,
-        help="empirical-fit lookback used in estimated mode (default 45)",
-    )
-    sub.add_argument(
-        "--from", dest="from_day", type=_AT_LEAST_ZERO, default=None, help="first evaluation day"
-    )
-    sub.add_argument(
-        "--to", dest="to_day", type=_AT_LEAST_ZERO, default=None, help="last evaluation day"
-    )
+    _add_day_options(sub)
     sub.add_argument("--every", type=_AT_LEAST_ONE, default=1, help="evaluation-day stride (default 1)")
 
 
@@ -519,21 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="parameter CSV from fit-survival, used with --survival file",
     )
-    est.add_argument("--alpha", type=_OPEN_UNIT, default=0.05, help="interval level (default 0.05)")
-    est.add_argument(
-        "--from",
-        dest="from_day",
-        type=_AT_LEAST_ZERO,
-        default=None,
-        help="first evaluation day (default 2 * lookback)",
-    )
-    est.add_argument(
-        "--to",
-        dest="to_day",
-        type=_AT_LEAST_ZERO,
-        default=None,
-        help="last evaluation day (default: last data day)",
-    )
+    _add_day_options(est)
     est.add_argument(
         "--with-final",
         action="store_true",
@@ -573,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv, namespace=RunConfig())
+        args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors
         return int(exc.code or 0)
     try:

@@ -332,6 +332,13 @@ class EpidemicTable:
         return int(self._cum_final[t])
 
 
+def _death_table(day: np.ndarray, lags: np.ndarray, n_days: int) -> np.ndarray:
+    """Dense (n_days, max lag + 1) counts of deaths per (day, lag) cell, from
+    one day and one lag per death."""
+    width = int(lags.max()) + 1 if lags.size else 1
+    return np.bincount(day * width + lags, minlength=n_days * width).reshape(n_days, width)
+
+
 def aggregate(linelist: LineList) -> EpidemicTable:
     """Count confirmations per day and deaths per (confirmation day, lag) cell.
 
@@ -342,7 +349,5 @@ def aggregate(linelist: LineList) -> EpidemicTable:
     n = int(confirm.max()) + 1 if confirm.size else 0
     died = death >= 0
     lags = death[died] - confirm[died]
-    width = int(lags.max()) + 1 if lags.size else 1
     cases = np.bincount(confirm, minlength=n)
-    deaths = np.bincount(confirm[died] * width + lags, minlength=n * width)
-    return EpidemicTable(cases, deaths.reshape(n, width))
+    return EpidemicTable(cases, _death_table(confirm[died], lags, n))

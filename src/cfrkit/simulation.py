@@ -13,13 +13,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import CfrError, ParseError
 from .estimators import DailyRates, DelaySchedule, EstimateSeries, estimate_series
-from .linelist import EpidemicTable
+from .linelist import EpidemicTable, _death_table
 from .survival import SurvivalModel
 
 __all__ = [
@@ -163,9 +163,7 @@ def simulate_replicate(scenario: Scenario, replicate_index: int) -> EpidemicTabl
         parts = [schedule.model_for(d).sample(int(n_die[d]), rng) for d in range(curve.size)]
         lags = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
     day_of = np.repeat(np.arange(curve.size), n_die)
-    width = int(lags.max()) + 1 if lags.size else 1
-    deaths = np.bincount(day_of * width + lags, minlength=curve.size * width)
-    return EpidemicTable(curve, deaths.reshape(curve.size, width))
+    return EpidemicTable(curve, _death_table(day_of, lags, curve.size))
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,6 +212,12 @@ class StudyResult(object):
     replicates: tuple[ReplicateResult, ...] = ()
 
 
+def _first_eval_day(curve: np.ndarray, known: bool, lookback: int) -> int:
+    """First day of the default evaluation grid: the first day with cases in
+    known mode, else 2 * lookback, so that the empirical delay fit has matured."""
+    return int(np.flatnonzero(curve)[0]) if known else 2 * lookback
+
+
 def run_study(
     scenario: Scenario,
     mode: str,
@@ -244,7 +248,7 @@ def run_study(
     curve = scenario.curve
     cum_cases = np.cumsum(curve)
     if eval_days is None:
-        start = int(np.nonzero(cum_cases > 0)[0][0]) if known else 2 * lookback
+        start = _first_eval_day(curve, known, lookback)
         days = np.arange(start, scenario.horizon + 1, dtype=np.int64)
     else:
         days = np.unique(np.asarray(eval_days, dtype=np.int64))
@@ -328,6 +332,14 @@ def run_study(
     )
 
 
+def _data_rows(lines: Iterable[str]) -> list[tuple[int, list[str]]]:
+    """(line number, cells) of each CSV row, header included, skipping blank
+    lines and lines starting with ``#``."""
+    numbered = [(n, line) for n, line in enumerate(lines, 1) if line.strip() and line[0] != "#"]
+    reader = csv.reader(line for _, line in numbered)
+    return [(numbered[reader.line_num - 1][0], row) for row in reader]
+
+
 def read_arm_csv(path: Path) -> np.ndarray:
     """Daily case counts from the ``cases`` column of a CSV file.
 
@@ -337,27 +349,20 @@ def read_arm_csv(path: Path) -> np.ndarray:
     non-negative integer.
     """
     with path.open("r", encoding="utf-8") as handle:
-        numbered = [
-            (line_no, line)
-            for line_no, line in enumerate(handle, start=1)
-            if line.strip() and not line.startswith("#")
-        ]
-    reader = csv.reader(line for _, line in numbered)
-    header = next(reader, None)
-    if header is None:
+        rows = _data_rows(handle)
+    if not rows:
         raise ParseError(f"{path}: empty case-curve file")
-    names = [h.strip() for h in header]
+    names = [h.strip() for h in rows[0][1]]
     if "cases" not in names:
         raise ParseError(f"{path}: case-curve file needs a 'cases' column")
     col = names.index("cases")
     counts = []
-    for row in reader:
+    for line_no, row in rows[1:]:
         try:
             count = int(row[col])
             if count < 0:
                 raise ValueError(f"negative count {count}")
         except (ValueError, IndexError) as exc:
-            line_no = numbered[reader.line_num - 1][0]
             raise ParseError(f"{path}: bad case count at line {line_no} ({exc})") from exc
         counts.append(count)
     if not counts:

@@ -180,6 +180,46 @@ def test_estimate_golden_digest(tmp_path, linelist_file, monkeypatch, extra, dig
     assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() == digest
 
 
+# SHA-256 of the other subcommands' outputs, recorded before the flags and
+# the study runner were shared between subcommands. The point-mass delay
+# keeps scipy's CDF out of the simulated outputs, and the empirical CDF table
+# uses none, so these bytes do not depend on the scipy version.
+@pytest.mark.parametrize(
+    "argv, digests",
+    [
+        (
+            ["simulate", "--delay", "point:0", "--arm-days", "40", "--symmetric", "--dstar",
+             "30", "--replicates", "3", "--seed", "11", "--per-replicate-dir", "reps",
+             "-o", "simulate.csv"],
+            {
+                "simulate.csv": "04c1a3ca8f8f4dec57b995c974af4e987f5657626dddf3d9b22d359d8e304636",
+                "reps/replicate_0000.csv":
+                    "991038833a1c8af48bf6524c900a83b7c30cca512d2300525095258346d32b72",
+                "reps/replicate_0001.csv":
+                    "12976fd965339db9a40b50fa6f471bfd73dcc7454408124cfea4d6e21f4b5caf",
+                "reps/replicate_0002.csv":
+                    "42e3bba61413508177e14d7de47ac889835f0425b17aefcfb056528fbe909e53",
+            },
+        ),
+        (
+            ["coverage", "--delay", "point:0", "--arm-days", "60", "--symmetric", "--dstar",
+             "40", "--replicates", "3", "--seed", "7", "--every", "10", "-o", "coverage.csv"],
+            {"coverage.csv": "3d50b97648e9e37c75e201efff1a987670555ce949bfef2c26bfc44bc27182fb"},
+        ),
+        (
+            ["fit-survival", "linelist.csv", "--epoch", "2020-03-03", "-o", "fit.csv"],
+            {"fit_cdf.csv": "62ee56bafd2cef65d759e379e66a02d3dfb797ee9a00d481575624723a722bc9"},
+        ),
+    ],
+    ids=["simulate", "coverage", "fit_survival_cdf"],
+)
+def test_subcommand_golden_digest(tmp_path, linelist_file, monkeypatch, argv, digests):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    found = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests}
+    assert found == digests
+
+
 def test_estimate_does_not_touch_input(tmp_path, linelist_file):
     before = hashlib.sha256(linelist_file.read_bytes()).hexdigest()
     main(
@@ -256,6 +296,26 @@ def test_exit_estimation_failure(tmp_path, capsys):
     code = main(["estimate", str(short), "-o", str(tmp_path / "o.csv")])
     assert code == 5
     assert "no evaluation days" in capsys.readouterr().err
+
+
+def test_exit_empty_linelist(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("confirm_date,death_date\n# no cases yet\n\n")
+    for command in ("estimate", "fit-survival"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, str(empty), "-o", str(out)]) == 5
+        assert f"{empty}: the line list has no case rows" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_exit_empty_study_grid(tmp_path, capsys):
+    for command in ("simulate", "coverage"):
+        out = tmp_path / f"{command}.csv"
+        args = ["--arm-days", "40", "--symmetric", "--dstar", "30", "--from", "5", "--to", "3"]
+        assert main([command, *args, "-o", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert "no evaluation days: requested 5..3 with data ending at 229" in err
+        assert not out.exists()
 
 
 def test_exit_usage_errors(tmp_path, capsys):

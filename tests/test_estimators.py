@@ -478,12 +478,13 @@ def test_p_hat_brute_force_oracle():
 def test_p_hat_fallback_on_empty_window():
     # Days 10..16 have no cases, so windows centered there are empty.
     cases = [10] * 10 + [0] * 7 + [10] * 3
-    lag_counts = {d: {0: 1} for d in list(range(10)) + [17, 18, 19]}
+    lag_counts = {d: {0: 1} for d in range(10)} | {d: {0: 3} for d in (17, 18, 19)}
     table = EpidemicTable.from_sparse(cases, lag_counts)
     rates = p_hat_daily(table, DelaySchedule(point_mass(0)), 19)
     assert rates.fallback_days == (13,)
-    # Tie between computable windows 12 and 14 resolves to the earlier day.
-    assert rates.p[13] == rates.p[12]
+    # Tie between computable windows 12 and 14, whose rates differ, resolves
+    # to the earlier day.
+    assert rates.p[13] == rates.p[12] != rates.p[14]
 
 
 def test_p_hat_clipped_to_unit_interval():
