@@ -18,6 +18,7 @@ import csv
 import os
 import sys
 import tempfile
+import warnings
 from dataclasses import astuple, fields
 from datetime import date
 from pathlib import Path
@@ -26,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from .errors import CfrError, EstimationError, ParseError
+from .errors import AssumptionWarning, CfrError, EstimationError, ParseError
 from .estimators import DelaySchedule, EstimateSeries, estimate_series
 from .linelist import LineList, aggregate, parse_csv
 from .simulation import (
@@ -304,16 +305,13 @@ def _run_study(args: argparse.Namespace, keep_series: bool = False) -> StudyResu
         seed=args.seed,
         replicates=args.replicates,
     )
-    eval_days = None  # run_study's default grid
-    if args.from_day is not None or args.to_day is not None or args.every != 1:
-        first = _first_eval_day(scenario.curve, args.mode == "known", args.lookback)
-        start = first if args.from_day is None else args.from_day
-        stop = horizon if args.to_day is None else args.to_day
-        eval_days = _day_range(start, stop, horizon, args.every)
+    first = _first_eval_day(scenario.curve, args.mode == "known", args.lookback)
+    start = first if args.from_day is None else args.from_day
+    stop = horizon if args.to_day is None else min(args.to_day, horizon)
     return run_study(
         scenario,
         args.mode,
-        eval_days=eval_days,
+        eval_days=_day_range(start, stop, horizon, args.every),
         alpha=args.alpha,
         lookback=args.lookback,
         keep_series=keep_series,
@@ -535,6 +533,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args: argparse.Namespace) -> int:
+    """Run the subcommand, printing each distinct AssumptionWarning once as a
+    ``cfrkit: warning:`` line; any other warning shows as Python shows it."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", AssumptionWarning)
+        try:
+            return args.func(args)
+        finally:
+            shown = set()
+            for w in caught:
+                if not issubclass(w.category, AssumptionWarning):
+                    warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+                elif str(w.message) not in shown:
+                    shown.add(str(w.message))
+                    print(f"cfrkit: warning: {w.message}", file=sys.stderr)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -542,7 +557,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return _run(args)
     except argparse.ArgumentTypeError as exc:
         print(f"cfrkit: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -249,6 +249,11 @@ def run_study(
     cum_cases = np.cumsum(curve)
     if eval_days is None:
         start = _first_eval_day(curve, known, lookback)
+        if start > scenario.horizon:
+            raise ValueError(
+                f"no evaluation days: the default grid starts at day {start}, "
+                f"past the horizon {scenario.horizon}"
+            )
         days = np.arange(start, scenario.horizon + 1, dtype=np.int64)
     else:
         days = np.unique(np.asarray(eval_days, dtype=np.int64))

@@ -12,8 +12,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import optimize, stats
-from scipy.special import gammaln
+
+# scipy is imported inside the functions that use it (the negative binomial
+# CDF and pmf, its log-pmf and the MLE search), so that `import cfrkit` and
+# the empirical-only paths never pay its load time.
 
 from .errors import DegenerateSampleError, EstimationError
 from .linelist import EpidemicTable, LineList
@@ -129,11 +131,15 @@ class NegBinomial(SurvivalModel):
         return self.r / (self.r + self.mu)
 
     def cdf(self, k):
+        from scipy import stats
+
         arr = _lag_array(k)
         out = stats.nbinom.cdf(arr, self.r, self._success_prob)
         return float(out) if arr.ndim == 0 else out
 
     def pmf(self, k):
+        from scipy import stats
+
         arr = _lag_array(k)
         out = stats.nbinom.pmf(arr, self.r, self._success_prob)
         return float(out) if arr.ndim == 0 else out
@@ -215,6 +221,8 @@ def _as_lags(sample) -> np.ndarray:
 
 
 def _nb_logpmf(vals: np.ndarray, mu: float, r: float) -> np.ndarray:
+    from scipy.special import gammaln
+
     vals = vals.astype(float)
     return (
         gammaln(vals + r)
@@ -249,6 +257,8 @@ def zinb_loglik(sample, pi: float, mu: float, r: float) -> float:
 def _fit_mle(logpmf, lags: np.ndarray, x0: np.ndarray, bounds) -> list[float]:
     """Parameters maximizing sum(logpmf(lags, *x)): a bounded Nelder-Mead
     search from x0."""
+    from scipy import optimize
+
     vals, counts = np.unique(lags, return_counts=True)
     res = optimize.minimize(
         lambda x: -float(counts @ logpmf(vals, *x)),

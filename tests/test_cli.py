@@ -5,8 +5,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import os
+import subprocess
+import sys
 from datetime import date
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,10 +18,13 @@ import pytest
 from cfrkit import (
     DelaySchedule,
     NegBinomial,
+    Scenario,
+    StepRates,
     aggregate,
     estimate_series,
     fit_nb_mle,
     parse_csv,
+    run_study,
 )
 import cfrkit.linelist as linelist_module
 from cfrkit import load_example_arm
@@ -316,6 +323,42 @@ def test_exit_empty_study_grid(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "no evaluation days: requested 5..3 with data ending at 229" in err
         assert not out.exists()
+    # The default estimated-mode grid starts at 2 * lookback = 90, past horizon 14.
+    out = tmp_path / "default.csv"
+    args = ["coverage", "--arm-days", "10", "--tail-days", "5", "--dstar", "5"]
+    assert main([*args, "-o", str(out)]) == 5
+    assert "no evaluation days: requested 90..14 with data ending at 14" in capsys.readouterr().err
+    assert not out.exists()
+    scenario = Scenario(
+        rising_arm=load_example_arm()[:10],
+        symmetric=False,
+        p_spec=StepRates(0.1, 0.05, 5),
+        delay=NegBinomial(10.79, 0.88),
+        horizon=14,
+        seed=0,
+        replicates=1,
+    )
+    with pytest.raises(ValueError, match="default grid starts at day 90, past the horizon 14"):
+        run_study(scenario, "estimated")
+
+
+def test_study_to_day_clips_to_horizon(tmp_path):
+    args = ["simulate", "--arm-days", "40", "--symmetric", "--dstar", "30", "--replicates", "3"]
+    clipped, full = tmp_path / "clipped.csv", tmp_path / "full.csv"
+    assert main([*args, "--to", "500", "-o", str(clipped)]) == 0
+    assert main([*args, "-o", str(full)]) == 0
+    # The metadata line records the differing flags; everything after it matches.
+    assert clipped.read_bytes().split(b"\n", 1)[1] == full.read_bytes().split(b"\n", 1)[1]
+
+
+def test_assumption_warning_is_one_cli_line(tmp_path, linelist_file, capsys):
+    out = tmp_path / "est.csv"
+    assert main(["estimate", str(linelist_file), "--epoch", "2020-03-03", "-o", str(out)]) == 0
+    err = capsys.readouterr().err
+    line = "cfrkit: warning: assumptions A1-A3 failed on some evaluated days"
+    assert err.count(line) == 1
+    assert "cli.py" not in err
+    assert "estimate_series(" not in err
 
 
 def test_exit_usage_errors(tmp_path, capsys):
@@ -632,3 +675,46 @@ def test_coverage_schema(tmp_path):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "cfrkit" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# scipy is imported on first use
+
+
+_SCIPY_MODULES = ("scipy.stats", "scipy.optimize", "scipy.special")
+
+
+def _fresh_cli_runs(*argvs):
+    """Run ``cli.main`` on each argv in a fresh interpreter that imports cfrkit
+    from this checkout; return the exit codes and the scipy modules loaded."""
+    script = (
+        "import sys\n"
+        "import cfrkit, cfrkit.cli\n"
+        f"print(*[cfrkit.cli.main(argv) for argv in {list(argvs)!r}])\n"
+        f"print(*[name for name in {_SCIPY_MODULES!r} if name in sys.modules])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    codes, modules = done.stdout.split("\n")[:2]
+    return [int(code) for code in codes.split()], modules.split()
+
+
+def test_import_loads_no_scipy():
+    assert _fresh_cli_runs() == ([], [])
+
+
+def test_empirical_paths_load_no_scipy(tmp_path, linelist_file):
+    estimate = ["estimate", str(linelist_file), "--epoch", "2020-03-03", "-o", str(tmp_path / "e.csv")]
+    coverage = ["coverage", "--mode", "estimated", "--replicates", "2", "--arm-days", "60",
+                "--symmetric", "--dstar", "40", "-o", str(tmp_path / "c.csv")]
+    assert _fresh_cli_runs(estimate, coverage) == ([0, 0], [])
+
+
+def test_nb_estimate_loads_scipy(tmp_path, linelist_file):
+    estimate = ["estimate", str(linelist_file), "--epoch", "2020-03-03", "--survival", "nb",
+                "-o", str(tmp_path / "e.csv")]
+    codes, modules = _fresh_cli_runs(estimate)
+    assert codes == [0]
+    assert "scipy.stats" in modules
