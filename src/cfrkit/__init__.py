@@ -7,107 +7,20 @@ estimators day by day (`estimate_series`) or study them on synthetic
 epidemics (`run_study`).
 """
 
-from .errors import (
-    AssumptionWarning,
-    CfrError,
-    DegenerateSampleError,
-    EstimationError,
-    ParseError,
-)
-from .estimators import (
-    AssumptionReport,
-    DailyRates,
-    DelaySchedule,
-    EstimateSeries,
-    cfr_final,
-    cfr_garske,
-    cfr_garske_mod,
-    cfr_naive,
-    cfr_proposed,
-    cfr_true,
-    confidence_interval,
-    estimate_series,
-    normal_quantile,
-    p_hat_daily,
-    validate_assumptions,
-    variance_cfr,
-)
-from .linelist import CaseRecord, EpidemicTable, LineList, aggregate, parse_csv
-from .simulation import (
-    CoverageSummary,
-    ReplicateResult,
-    Scenario,
-    StepRates,
-    StudyResult,
-    build_curve,
-    illustrative_daily_rates,
-    load_example_arm,
-    run_study,
-    simulate_replicate,
-)
-from .survival import (
-    DelaySample,
-    Empirical,
-    NegBinomial,
-    SurvivalModel,
-    Zinb,
-    fit_empirical,
-    fit_nb_mle,
-    fit_zinb_mle,
-    nb_loglik,
-    point_mass,
-    zinb_loglik,
-)
+from . import errors, estimators, linelist, simulation, survival
+from .errors import *
+from .estimators import *
+from .linelist import *
+from .simulation import *
+from .survival import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssumptionReport",
-    "AssumptionWarning",
-    "CaseRecord",
-    "CfrError",
-    "CoverageSummary",
-    "DailyRates",
-    "DegenerateSampleError",
-    "DelaySample",
-    "DelaySchedule",
-    "Empirical",
-    "EpidemicTable",
-    "EstimateSeries",
-    "EstimationError",
-    "LineList",
-    "NegBinomial",
-    "ParseError",
-    "ReplicateResult",
-    "Scenario",
-    "StepRates",
-    "StudyResult",
-    "SurvivalModel",
-    "Zinb",
-    "aggregate",
-    "build_curve",
-    "cfr_final",
-    "cfr_garske",
-    "cfr_garske_mod",
-    "cfr_naive",
-    "cfr_proposed",
-    "cfr_true",
-    "confidence_interval",
-    "estimate_series",
-    "fit_empirical",
-    "fit_nb_mle",
-    "fit_zinb_mle",
-    "illustrative_daily_rates",
-    "load_example_arm",
-    "nb_loglik",
-    "normal_quantile",
-    "p_hat_daily",
-    "parse_csv",
-    "point_mass",
-    "run_study",
-    "simulate_replicate",
-    "validate_assumptions",
-    "variance_cfr",
-    "zinb_loglik",
-    "__version__",
-]
+__all__ = (
+    errors.__all__
+    + estimators.__all__
+    + linelist.__all__
+    + simulation.__all__
+    + survival.__all__
+    + ["__version__"]
+)

@@ -218,6 +218,10 @@ def _day_range(start: int, stop: int, last_day: int, every: int = 1) -> range:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    if args.survival == "file" and not args.survival_file:
+        raise argparse.ArgumentTypeError("--survival file needs --survival-file")
+    if args.survival_file is not None and args.survival != "file":
+        raise argparse.ArgumentTypeError("--survival-file needs --survival file")
     linelist = _read_linelist(args)
     table = aggregate(linelist)
 
@@ -226,8 +230,6 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         fit = fit_nb_mle if args.survival == "nb" else fit_zinb_mle
         schedule = DelaySchedule(fit(DelaySample.from_linelist(linelist)))
     elif args.survival == "file":
-        if not args.survival_file:
-            raise argparse.ArgumentTypeError("--survival file needs --survival-file")
         schedule = DelaySchedule(_read_params_csv(args.survival_file))
     # args.survival == "empirical": leave None, estimate_series refits per day.
 

@@ -1,5 +1,13 @@
 """Exception and warning types shared across the toolkit."""
 
+__all__ = [
+    "CfrError",
+    "ParseError",
+    "EstimationError",
+    "DegenerateSampleError",
+    "AssumptionWarning",
+]
+
 
 class CfrError(Exception):
     """Base class for all toolkit errors."""

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import AssumptionWarning, EstimationError
 from .linelist import EpidemicTable
-from .survival import _NO_RESOLVED_DEATHS, SurvivalModel, _resolved_deaths
+from .survival import _NO_RESOLVED_DEATHS, SurvivalModel, _empirical_cdfs
 
 __all__ = [
     "DelaySchedule",
@@ -54,16 +54,17 @@ class DelaySchedule:
     Estimators read F from one (models x lags) table of raw ``cdf`` values at
     lags 0..K, one row for a constant schedule. The table grows when a lag
     beyond K is requested, with one ``cdf`` call per model, and is never
-    rebuilt.
+    rebuilt. A per-day schedule covers days 0..len(models) - 1; a constant
+    one covers every day.
     """
 
     def __init__(self, models: SurvivalModel | Sequence[SurvivalModel]):
         if isinstance(models, SurvivalModel):
             self._models: tuple[SurvivalModel, ...] = (models,)
-            self._constant = True
+            self._days: float = math.inf
         else:
             self._models = tuple(models)
-            self._constant = False
+            self._days = len(self._models)
             if not self._models:
                 raise ValueError("per-day schedule needs at least one model")
             for model in self._models:
@@ -74,20 +75,14 @@ class DelaySchedule:
 
     @property
     def is_constant(self) -> bool:
-        return self._constant
+        return self._days == math.inf
 
     def model_for(self, d: int) -> SurvivalModel:
         """Delay model of cases confirmed on day d."""
-        if d < 0:
-            raise ValueError("day must be non-negative")
-        if self._constant:
-            return self._models[0]
-        if d >= len(self._models):
-            raise self._coverage_error(d)
-        return self._models[d]
+        return self._models[self._rows(np.asarray(d))]
 
     def _coverage_error(self, day: int) -> ValueError:
-        return ValueError(f"schedule covers days 0..{len(self._models) - 1}, got {day}")
+        return ValueError(f"schedule covers days 0..{self._days - 1}, got {day}")
 
     def tabulate(self, k_max: int) -> None:
         """Extend the table to cover lags 0..k_max.
@@ -102,14 +97,13 @@ class DelaySchedule:
         new = np.array([np.asarray(model.cdf(lags), dtype=float) for model in self._models])
         self._table = np.concatenate([self._table, new], axis=1)
 
-    def _rows(self, days: np.ndarray) -> int | np.ndarray:
+    def _rows(self, days: np.ndarray) -> np.ndarray:
+        """Table row of each confirmation day."""
         if days.size and int(days.min()) < 0:
             raise ValueError("day must be non-negative")
-        if self._constant:
-            return 0
-        if days.size and int(days.max()) >= len(self._models):
+        if days.size and int(days.max()) >= self._days:
             raise self._coverage_error(int(days.max()))
-        return days
+        return np.minimum(days, len(self._models) - 1)
 
     def cdf(self, days, lags) -> np.ndarray:
         """Raw F_d(k) for paired non-negative confirmation days d and lags k."""
@@ -326,10 +320,8 @@ def _schedule_f(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw F_d(t - d) from the schedule's table, and each cohort's floor."""
     schedule.tabulate(int(c.t[-1]))
-    n_models = len(schedule._models)
-    if not schedule.is_constant:
-        checks.add(c.n > n_models, lambda i: schedule._coverage_error(int(c.n[i]) - 1))
-    rows = np.minimum(np.arange(c.lag.shape[1]), n_models - 1)
+    checks.add(c.n > schedule._days, lambda i: schedule._coverage_error(int(c.n[i]) - 1))
+    rows = np.minimum(np.arange(c.lag.shape[1]), len(schedule._models) - 1)
     return schedule._table[rows, c.lag], schedule._floor[rows]
 
 
@@ -339,13 +331,11 @@ def _empirical_f(
     """F of each day's own ``fit_empirical`` table, all days at once.
 
     Returns raw F, the clamp floor and the floored F_t(0). A row's CDF is
-    total / total = 1.0 exactly from its largest eligible lag on, which is
-    the fitted table's last entry and the value it reads past its end.
+    1.0 from its largest eligible lag on, which is the fitted table's last
+    entry and the value it reads past its end.
     """
-    counts = _resolved_deaths(table, c.t, lookback)
-    n_obs = counts.sum(axis=1)
+    cdf, n_obs = _empirical_cdfs(table, c.t, lookback)
     checks.add(n_obs == 0, lambda i: EstimationError(_NO_RESOLVED_DEATHS))
-    cdf = np.cumsum(counts, axis=1) / np.maximum(n_obs, 1)[:, None]
     floor = 1.0 / (n_obs + 1)
     raw = np.take_along_axis(cdf, np.minimum(c.lag, table.max_lag), axis=1)
     return raw, floor[:, None], np.maximum(cdf[:, 0], floor)
@@ -659,7 +649,7 @@ def validate_assumptions(
     if t < 0:
         raise ValueError("t must be non-negative")
     _rates_upto(rates, t)
-    if not schedule.is_constant and t >= len(schedule._models):
+    if t >= schedule._days:
         raise schedule._coverage_error(t)
     day = np.array([t])
     (min_f0,), (clamped,) = _f0_bounds(schedule, day)
@@ -812,10 +802,7 @@ def _series_block(
         p = rates.p[np.minimum(np.arange(width), len(rates) - 1)]
         min_p, max_p = _p_bounds(rates.p, t)
     if schedule is not None:
-        if not schedule.is_constant:
-            checks.add(
-                t >= len(schedule._models), lambda i: schedule._coverage_error(int(t[i]))
-            )
+        checks.add(t >= schedule._days, lambda i: schedule._coverage_error(int(t[i])))
         min_f0, _ = _f0_bounds(schedule, t)
     r_t = table._cum_cases[c.n - 1]
     terms = _variance_terms(table.cases[:width], p, f, c, checks)

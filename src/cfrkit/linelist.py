@@ -141,7 +141,8 @@ def parse_csv(text: str | Iterable[str], epoch: date | None = None) -> LineList:
     are ISO-8601 dates (converted against ``epoch`` as day 0) or bare
     non-negative day indices up to ``MAX_DAY``. An empty ``death_date`` means
     the case has no recorded death. Blank lines and lines starting with ``#``
-    are skipped.
+    are skipped; a ``#`` line whose quote runs past its end is a ParseError,
+    since the quoted field would swallow the lines after it.
 
     Each distinct raw cell is parsed once; later rows with the same cell reuse
     its day, so a large file costs one dict lookup per cell.
@@ -155,8 +156,9 @@ def parse_csv(text: str | Iterable[str], epoch: date | None = None) -> LineList:
 
     Raises:
         ParseError: missing header columns, an unparseable, negative or
-            out-of-range day, or a death date before the confirmation date;
-            messages name the offending line.
+            out-of-range day, a death date before the confirmation date, or
+            a comment with a quoted line break; messages name the offending
+            line.
     """
     stream = io.StringIO(text) if isinstance(text, str) else iter(text)
     reader = csv.reader(stream)
@@ -188,6 +190,16 @@ def parse_csv(text: str | Iterable[str], epoch: date | None = None) -> LineList:
         if not row or all(not cell.strip() for cell in row):
             return None
         if row[0].lstrip().startswith("#"):
+            breaks = sum(cell.count("\n") for cell in row)
+            if breaks:
+                # A quote left open at the end of the input keeps the last
+                # line break in its cell.
+                if row[-1].endswith("\n") and next(reader, None) is None:
+                    breaks -= 1
+                raise ParseError(
+                    f"line {line - breaks}: comment row holds a quoted line break, "
+                    "which would swallow the lines after it"
+                )
             return None
         confirm_raw = row[confirm_col] if confirm_col < len(row) else ""
         if not confirm_raw.strip():

@@ -338,17 +338,25 @@ def fit_zinb_mle(sample) -> Zinb:
     return Zinb(*_fit_mle(_zinb_logpmf, lags, x0, [_PI_BOUNDS, _MU_BOUNDS, _R_BOUNDS]))
 
 
-def _resolved_deaths(table: EpidemicTable, t: np.ndarray, lookback: int) -> np.ndarray:
-    """Deaths by lag (columns) among the cohorts eligible at each day of t (rows).
+def _empirical_cdfs(
+    table: EpidemicTable, t: np.ndarray, lookback: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical delay CDF at each day of t (rows) over lags 0..max_lag
+    (columns), and the resolved deaths n_obs behind each row.
 
-    A cohort is eligible at day t when confirmed by min(t - lookback,
-    n_days - 1) and, to be dead by t at lag k, by t - k. The table needs at
-    least one day.
+    Deaths count when their cohort is eligible at day t: confirmed by
+    min(t - lookback, n_days - 1) and, to be dead by t at lag k, by t - k.
+    Each row is its integer cumulative counts over its integer total, so it
+    reaches exactly 1.0 at its largest eligible lag; a row with n_obs == 0
+    is all 0. The table needs at least one day.
     """
     k = np.arange(table.max_lag + 1)
     day_cap = np.minimum(t - lookback, table.n_days - 1)
     day_lim = np.minimum(day_cap[:, None], t[:, None] - k)
-    return np.where(day_lim >= 0, table._cum_day[np.maximum(day_lim, 0), k], 0)
+    counts = np.where(day_lim >= 0, table._cum_day[np.maximum(day_lim, 0), k], 0)
+    cum = np.cumsum(counts, axis=1)
+    n_obs = cum[:, -1]
+    return cum / np.maximum(n_obs, 1)[:, None], n_obs
 
 
 def fit_empirical(table: EpidemicTable, t: int, lookback: int = 45) -> Empirical:
@@ -370,11 +378,7 @@ def fit_empirical(table: EpidemicTable, t: int, lookback: int = 45) -> Empirical
         raise ValueError("lookback must be non-negative")
     if min(t - lookback, table.n_days - 1) < 0:
         raise EstimationError(_NO_RESOLVED_DEATHS)
-    counts = _resolved_deaths(table, np.array([t]), lookback)[0]
-    total = int(counts.sum())
+    (cdf,), (total,) = _empirical_cdfs(table, np.array([t]), lookback)
     if total == 0:
         raise EstimationError(_NO_RESOLVED_DEATHS)
-    k_max = int(np.nonzero(counts)[0][-1])
-    cdf = np.cumsum(counts[: k_max + 1]) / total
-    cdf[-1] = 1.0
-    return Empirical(cdf, n_obs=total)
+    return Empirical(cdf[: np.searchsorted(cdf, 1.0) + 1], n_obs=int(total))

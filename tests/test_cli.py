@@ -407,6 +407,21 @@ def test_exit_bad_flag_value(tmp_path, linelist_file, capsys, command, flag, val
     assert not out.exists()
 
 
+def test_exit_survival_file_without_file_mode(tmp_path, linelist_file, capsys):
+    out = tmp_path / "o.csv"
+    argv = ["estimate", str(linelist_file), "-o", str(out), "--epoch", "2020-03-03"]
+    no_file = ["--survival-file", str(tmp_path / "nofile.csv")]
+    for extra in ([], ["--survival", "nb"]):
+        assert main([*argv, *no_file, *extra]) == 2
+        assert "cfrkit: --survival-file needs --survival file" in capsys.readouterr().err
+    # Both flag checks come before the line list is read.
+    argv[1] = str(tmp_path / "missing.csv")
+    assert main([*argv, *no_file]) == 2
+    assert main([*argv, "--survival", "file"]) == 2
+    assert "cfrkit: --survival file needs --survival-file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # fit-survival
 

@@ -176,8 +176,20 @@ def test_per_day_schedule_table_is_scalar_cdf():
     ]
     schedule = DelaySchedule(models)
     assert_table_matches_scalar_cdf(schedule, len(models), lambda d: models[d])
-    with pytest.raises(ValueError, match="schedule covers days 0..4"):
-        schedule.cdf([5], [0])
+    assert [schedule.model_for(d) for d in range(5)] == models
+    rates = DailyRates(np.full(6, 0.1))
+    for past_end in (
+        lambda: schedule.cdf([5], [0]),
+        lambda: schedule.model_for(5),
+        lambda: schedule.floor([5]),
+        lambda: validate_assumptions(rates, schedule, 5),
+    ):
+        with pytest.raises(ValueError, match=r"schedule covers days 0\.\.4, got 5"):
+            past_end()
+    constant = DelaySchedule(models[0])
+    assert constant.model_for(10**6) is models[0]
+    assert constant.cdf([10**6], [3]).tolist() == [models[0].cdf(3)]
+    assert constant.floor([10**6]).tolist() == [models[0].floor]
 
 
 def test_series_tabulates_cdf_once(monkeypatch):

@@ -97,7 +97,8 @@ def test_parse_extra_columns_and_any_order():
 
 
 def test_parse_skips_blank_and_comment_lines():
-    text = "confirm_date,death_date\n\n# note\n1,\n"
+    # A quote inside a comment's field is plain text and opens nothing.
+    text = 'confirm_date,death_date\n\n# note\n# batch "B" from lab, "x\n1,\n'
     assert len(parse_csv(text)) == 1
 
 
@@ -171,6 +172,21 @@ def test_parse_skips_comment_rows_whose_cells_were_seen():
     text = "note,confirm_date,death_date\na,1,2\n# b,1,2\n  #c,1,2\n,,\na#d,1,\n"
     ll = parse_csv(text)
     assert [(r.confirm_day, r.death_day) for r in ll] == [(1, 2), (1, None)]
+
+
+@pytest.mark.parametrize(
+    "rows, line",
+    [
+        # The open quote would swallow the rows after it.
+        ('0,3\n1,\n#,"batch from lab B\n2,5\n3,\n4,\n', 4),
+        ('#,"batch from lab B\n0,3\n1,\n2,5\n3,\n4,\n', 2),
+        # A quote that closes on a later line spans lines too.
+        ('0,3\n#,"batch\nfrom lab B"\n1,\n', 3),
+    ],
+)
+def test_parse_rejects_comment_with_quoted_line_break(rows, line):
+    with pytest.raises(ParseError, match=f"line {line}: comment row holds a quoted line break"):
+        parse_csv("confirm_date,death_date\n" + rows)
 
 
 def test_parse_rejects_day_past_max_day(monkeypatch):
