@@ -264,13 +264,14 @@ def _negative_variance() -> ValueError:
 # Row i holds the cohorts d = 0..n_i - 1 of day t_i, n_i = min(t_i, n_days -
 # 1) + 1; the columns from n_i on are padding that no result reads.
 # Elementwise operations, row-wise cumsums and integer sums give the bits of
-# the per-day vectors. Each float sum stays one reduction per day over that
-# day's contiguous slice: numpy's pairwise sum groups terms by length, so a
-# sum over zero-padded rows would round differently.
+# the per-day vectors. Each float sum stays one pairwise sum per day over
+# that day's own slice (``_row_sums``): numpy's pairwise sum groups terms by
+# length, so a sum over zero-padded rows would round differently.
 
 # Days per block; memory is O(_BLOCK x n_days), never n_days**2. On the
-# 466-day benchmark grid 64 ran as fast as 128 with half the block memory;
-# 256 and more ran slower.
+# 466-day benchmark grid (study-estimated, 4 runs each, 2-core host) 64 ran
+# at a median 49.5 replicates/s and 45.5 MB peak RSS, 32 at 45.4 and 44.0,
+# 128 at 44.9 and 49.0; 256 and more ran slower.
 _BLOCK = 64
 
 
@@ -341,7 +342,13 @@ def _empirical_f(
     return raw, floor[:, None], np.maximum(cdf[:, 0], floor)
 
 
-def _weights(c: _Cohorts, f: np.ndarray, checks: _Checks) -> np.ndarray:
+def _divisor(f: np.ndarray) -> np.ndarray:
+    """F where it is positive, 1.0 elsewhere: what the weights and the
+    variance terms divide by, their zero-mass cells being masked out."""
+    return np.where(f > 0.0, f, 1.0)
+
+
+def _weights(c: _Cohorts, f: np.ndarray, divisor: np.ndarray, checks: _Checks) -> np.ndarray:
     """Predicted eventual deaths per cohort: deaths_by(d, t) / F_d(t - d).
 
     Cohorts without observed deaths contribute exactly 0 whatever F is; one
@@ -355,13 +362,17 @@ def _weights(c: _Cohorts, f: np.ndarray, checks: _Checks) -> np.ndarray:
             f"confirmed on day {np.argmax(bad[i])}"
         ),
     )
-    return np.where(c.deaths > 0, c.deaths / np.where(f > 0.0, f, 1.0), 0.0)
+    return np.where(c.deaths > 0, c.deaths / divisor, 0.0)
 
 
 def _garske_denominators(
     cases: np.ndarray, raw: np.ndarray, c: _Cohorts, checks: _Checks
 ) -> np.ndarray:
-    """Cases discounted by raw F_d(t - d), one dot product per day."""
+    """Cases discounted by raw F_d(t - d), one dot product per day.
+
+    The dot product is BLAS ``ddot``, whose summation order is not numpy's
+    pairwise one, so ``_row_sums`` cannot stand in for it.
+    """
     cases = cases[: raw.shape[1]].astype(float)  # what int64 @ float64 casts to
     denom = np.array([cases[:k] @ row[:k] for row, k in zip(raw, c.n.tolist())])
     checks.add(
@@ -371,8 +382,41 @@ def _garske_denominators(
     return denom
 
 
+def _window_count(t: int, n: int) -> int:
+    """Window columns of a block whose last day is t with n cohorts: the
+    windows centred on d* = 3..t - 3, cut at the table's end, at least one."""
+    return max(min(t - 5, n), 1)
+
+
+@dataclass(frozen=True)
+class _Windows:
+    """The day-independent half of the window rates, for the windows of
+    every day up to some last day. Window j is centred on d* = j + 3 and
+    spans cohorts j..j + 6, cut at the table's end."""
+
+    den: np.ndarray  # cases in window j
+    left: np.ndarray  # last window <= j with cases, -1 if none
+    right: np.ndarray  # first window >= j with cases, len(den) if none
+
+
+def _windows(table: EpidemicTable, t: int) -> _Windows:
+    """``_Windows`` of the days up to t, of a table with at least one day."""
+    n_days = table.n_days
+    size = _window_count(t, min(t, n_days - 1) + 1)
+    # Cases before each cohort, held at the total for 7 columns past the end.
+    c_prefix = np.zeros(n_days + 8, dtype=np.int64)
+    c_prefix[1 : n_days + 1] = table._cum_cases
+    c_prefix[n_days + 1 :] = c_prefix[n_days]
+    den = c_prefix[7 : 7 + size] - c_prefix[:size]
+    j = np.arange(size)
+    has = den > 0
+    left = np.maximum.accumulate(np.where(has, j, -1))
+    right = np.minimum.accumulate(np.where(has, j, size)[::-1])[::-1]
+    return _Windows(den, left, right)
+
+
 def _window_rates(
-    table: EpidemicTable, c: _Cohorts, w: np.ndarray, checks: _Checks
+    windows: _Windows, c: _Cohorts, w: np.ndarray, checks: _Checks
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``p_hat_daily`` window estimates of every day of a block.
 
@@ -381,23 +425,25 @@ def _window_rates(
     last computable one, so the columns stop at the block's largest n and
     the last column stands for every later window of its row. Returns the
     estimates, clipped to [0, 1] and with the fallback windows filled, the
-    inside mask and the fallback mask.
+    inside mask and the fallback mask. ``windows`` must cover the block's
+    last day.
     """
-    j = np.arange(max(min(int(c.t[-1]) - 5, int(c.n[-1])), 1))
-    inside = j < (c.t - 5)[:, None]
-    lo = np.minimum(j, c.n[:, None])
-    hi = np.minimum(j + 7, c.n[:, None])
-    w_prefix = np.zeros((w.shape[0], w.shape[1] + 1))
-    np.cumsum(w, axis=1, out=w_prefix[:, 1:])
-    num = np.take_along_axis(w_prefix, hi, axis=1)
-    num -= np.take_along_axis(w_prefix, lo, axis=1)
-    c_prefix = np.concatenate([[0], table._cum_cases])
-    den = c_prefix[hi]
-    den -= c_prefix[lo]
+    size = _window_count(int(c.t[-1]), int(c.n[-1]))
+    cut = np.minimum(c.t - 5, size)  # windows of row i: j < cut_i
+    inside = np.arange(size) < cut[:, None]
+    # Padding weights are exactly 0, so each row's prefix holds its total
+    # from column n_i on, which is the value a window cut at n_i reads.
+    rows, width = w.shape
+    w_prefix = np.empty((rows, width + 8))
+    w_prefix[:, 0] = 0.0
+    np.cumsum(w, axis=1, out=w_prefix[:, 1 : width + 1])
+    w_prefix[:, width + 1 :] = w_prefix[:, width : width + 1]
+    num = w_prefix[:, 7 : 7 + size] - w_prefix[:, :size]
+    den = windows.den[:size]
 
     computable = inside & (den > 0)
     checks.add(
-        ~computable.any(axis=1),
+        windows.right[0] >= cut,
         lambda i: EstimationError(f"no cases in any daily-rate window by day {c.t[i]}"),
     )
     p = np.divide(num, den, out=np.zeros(num.shape), where=computable)
@@ -405,12 +451,13 @@ def _window_rates(
     fallback = inside & ~computable
     if fallback.any():
         # Nearest computable window of the same day, the earlier one on ties.
-        left = np.maximum.accumulate(np.where(computable, j, -1), axis=1)
-        right = np.minimum.accumulate(np.where(computable, j, j.size)[:, ::-1], axis=1)[:, ::-1]
-        use_left = (left >= 0) & ((right == j.size) | (j - left <= right - j))
-        pick = np.minimum(np.where(use_left, left, right), j.size - 1)
-        rows, cols = np.nonzero(fallback)
-        p[rows, cols] = p[rows, pick[rows, cols]]
+        # A day without one raises; its pick -1 reads a value left unused.
+        day, j = np.nonzero(fallback)
+        left = windows.left[j]
+        right = windows.right[j]
+        right = np.where(right < cut[day], right, -1)
+        use_left = (left >= 0) & ((right < 0) | (j - left <= right - j))
+        p[day, j] = p[day, np.where(use_left, left, right)]
     return p, inside, fallback
 
 
@@ -418,12 +465,24 @@ def _daily_p(p: np.ndarray, t: np.ndarray, width: int) -> np.ndarray:
     """Rates of days 0..width - 1 from the window estimates: days before
     the first window centre take its value, days after the last take the
     last."""
-    last = np.minimum(np.maximum(t - 6, 0), p.shape[1] - 1)
-    return np.take_along_axis(p, np.clip(np.arange(width) - 3, 0, last[:, None]), axis=1)
+    rows, size = p.shape
+    last = np.minimum(np.maximum(t - 6, 0), size - 1)
+    daily = np.empty((rows, width))
+    daily[:, :3] = p[:, :1]
+    body = daily[:, 3 : 3 + size]
+    body[...] = p[:, : body.shape[1]]
+    tail = np.arange(width) > (last + 3)[:, None]
+    np.copyto(daily, p[np.arange(rows), last][:, None], where=tail)
+    return daily
 
 
 def _variance_terms(
-    cases: np.ndarray, p: np.ndarray, f: np.ndarray, c: _Cohorts, checks: _Checks
+    cases: np.ndarray,
+    p: np.ndarray,
+    f: np.ndarray,
+    divisor: np.ndarray,
+    c: _Cohorts,
+    checks: _Checks,
 ) -> np.ndarray:
     """Terms c_d p_d (1 - p_d F_d(t - d)) / F_d(t - d) of ``variance_cfr``.
 
@@ -439,13 +498,29 @@ def _variance_terms(
             f"confirmed on day {np.argmax(bad[i])}"
         ),
     )
-    return np.where(active, cp * (1.0 - p * f) / np.where(f > 0.0, f, 1.0), 0.0)
+    return np.where(active, cp * (1.0 - p * f) / divisor, 0.0)
 
 
 def _row_sums(x: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """x[i, :n[i]].sum() for every row, each day's own pairwise sum."""
-    add = np.add.reduce  # ndarray.sum without its Python wrapper
-    return np.array([add(row[:k]) for row, k in zip(x, n.tolist())])
+    """x[i, :n[i]].sum() for every day i, each day's own pairwise sum; a
+    1-D x is one row shared by every day.
+
+    One ``np.add.reduceat`` over the rows laid out as 0.0, x[i], 0.0, with
+    the segments [0.0, x[i, :n_i]] at the even indices. ``np.add.reduce``
+    starts a sum from its identity 0.0 and adds the pairwise sum of all n_i
+    terms; ``reduceat`` starts a segment from a copy of its first element
+    and adds the pairwise sum of the rest with the same inner loop. The
+    leading 0.0 makes the two agree bit for bit; without it a segment would
+    start from x[i, 0] and pair the other terms differently. The trailing
+    0.0 keeps the end index of a full row inside the buffer.
+    """
+    rows, width = n.size, x.shape[-1]
+    buf = np.zeros((rows, width + 2))
+    buf[:, 1:-1] = x
+    bounds = np.empty((rows, 2), dtype=np.intp)
+    bounds[:, 0] = np.arange(0, rows * (width + 2), width + 2)
+    bounds[:, 1] = bounds[:, 0] + n + 1
+    return np.add.reduceat(buf.ravel(), bounds.ravel())[::2]
 
 
 def _f0_bounds(schedule: DelaySchedule, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -520,7 +595,7 @@ def cfr_proposed(table: EpidemicTable, schedule: DelaySchedule, t: int) -> float
     """
     r_t = _require_cases(table, t)
     c, _, f, checks = _known_day(table, schedule, t)
-    w = _weights(c, f, checks)
+    w = _weights(c, f, _divisor(f), checks)
     checks.raise_first()
     return float(w[0].sum() / r_t)
 
@@ -568,7 +643,8 @@ def p_hat_daily(table: EpidemicTable, schedule: DelaySchedule, t: int) -> DailyR
         raise _rate_day_error()
     _require_cases(table, t)
     c, _, f, checks = _known_day(table, schedule, t)
-    p, _, fallback = _window_rates(table, c, _weights(c, f, checks), checks)
+    w = _weights(c, f, _divisor(f), checks)
+    p, _, fallback = _window_rates(_windows(table, t), c, w, checks)
     checks.raise_first()
     # Window centres past the last column are fallbacks too.
     centres = np.concatenate([np.nonzero(fallback[0])[0] + 3, np.arange(p.shape[1] + 3, t - 2)])
@@ -587,7 +663,7 @@ def variance_cfr(
     upto = _upto(table, t)
     p = _rates_upto(rates, upto)
     c, _, f, checks = _known_day(table, schedule, t)
-    terms = _variance_terms(table.cases[: upto + 1], p, f, c, checks)
+    terms = _variance_terms(table.cases[: upto + 1], p, f, _divisor(f), c, checks)
     checks.raise_first()
     return float(terms[0].sum() / r_t**2)
 
@@ -736,12 +812,17 @@ def estimate_series(
         day_grid = day_grid[:0]
     if schedule is None and day_grid.size and lookback < 0:
         raise ValueError("lookback must be non-negative")
+    windows = _windows(table, int(day_grid[-1])) if rates is None and day_grid.size else None
     blocks = [
-        _series_block(table, day_grid[i : i + _BLOCK], z, schedule, rates, lookback, true_rates)
+        _series_block(
+            table, day_grid[i : i + _BLOCK], z, schedule, rates, windows, lookback, true_rates
+        )
         for i in range(0, day_grid.size, _BLOCK)
     ]
 
     def column(name: str, dtype: type = float) -> np.ndarray:
+        if len(blocks) == 1:
+            return blocks[0][name]
         return np.concatenate([b[name] for b in blocks]) if blocks else np.empty(0, dtype)
 
     if not column("ok", bool).all():
@@ -771,11 +852,13 @@ def _series_block(
     z: float,
     schedule: DelaySchedule | None,
     rates: DailyRates | None,
+    windows: _Windows | None,
     lookback: int,
     true_rates: DailyRates | None,
 ) -> dict[str, np.ndarray]:
     """``estimate_series`` columns at the ascending days t, each with cases,
-    plus ``ok``: whether A1-A3 hold on each day.
+    plus ``ok``: whether A1-A3 hold on each day. ``windows`` covers the last
+    day when the rates are estimated.
 
     Checks are added in the order the per-day computation meets them.
     """
@@ -789,9 +872,10 @@ def _series_block(
     if schedule is not None:
         raw, floor = _schedule_f(schedule, c, checks)
     f = np.maximum(raw, floor)
-    w = _weights(c, f, checks)
+    divisor = _divisor(f)
+    w = _weights(c, f, divisor, checks)
     if rates is None:
-        p_window, inside, _ = _window_rates(table, c, w, checks)
+        p_window, inside, _ = _window_rates(windows, c, w, checks)
         p = _daily_p(p_window, t, width)
         min_p = np.where(inside, p_window, np.inf).min(axis=1)
         max_p = np.where(inside, p_window, -np.inf).max(axis=1)
@@ -805,7 +889,7 @@ def _series_block(
         checks.add(t >= schedule._days, lambda i: schedule._coverage_error(int(t[i])))
         min_f0, _ = _f0_bounds(schedule, t)
     r_t = table._cum_cases[c.n - 1]
-    terms = _variance_terms(table.cases[:width], p, f, c, checks)
+    terms = _variance_terms(table.cases[:width], p, f, divisor, c, checks)
     v = _row_sums(terms, c.n) / (r_t * r_t)
     checks.add(v < 0.0, lambda i: _negative_variance())
     if true_rates is not None:
@@ -827,7 +911,6 @@ def _series_block(
         "ok": (min_f0 > 0.0) & (min_p > 0.0) & (max_p < 1.0),
     }
     if true_rates is not None:
-        k = min(table.n_days, len(true_rates))
-        weighted = table.cases[:k] * true_rates.p[:k]
-        columns["cfr_true"] = np.array([np.add.reduce(weighted[:n]) for n in c.n.tolist()]) / r_t
+        weighted = table.cases[:width] * true_rates.p[:width]
+        columns["cfr_true"] = _row_sums(weighted, c.n) / r_t
     return columns

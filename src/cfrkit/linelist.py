@@ -109,7 +109,8 @@ MAX_DAY = 3652
 (2202 for 2020) would otherwise size the dense day-by-lag table in tens of GB."""
 
 
-def _parse_day(raw: str, epoch: date | None, line: int, column: str) -> int:
+def _parse_day(raw: str, epoch: date | None, column: str) -> int:
+    """Day index of one non-blank cell; a ParseError names no line."""
     raw = raw.strip()
     try:
         day = int(raw)
@@ -118,19 +119,15 @@ def _parse_day(raw: str, epoch: date | None, line: int, column: str) -> int:
             parsed = date.fromisoformat(raw)
         except ValueError:
             raise ParseError(
-                f"line {line}: invalid {column} {raw!r} (expected ISO date or day index)"
+                f"invalid {column} {raw!r} (expected ISO date or day index)"
             ) from None
         if epoch is None:
-            raise ParseError(
-                f"line {line}: {column} is a calendar date but no epoch was given"
-            )
+            raise ParseError(f"{column} is a calendar date but no epoch was given")
         day = (parsed - epoch).days
     if day < 0:
-        raise ParseError(f"line {line}: {column} {raw!r} falls before day 0")
+        raise ParseError(f"{column} {raw!r} falls before day 0")
     if day > MAX_DAY:
-        raise ParseError(
-            f"line {line}: {column} {raw!r} is day {day}, past the last day {MAX_DAY}"
-        )
+        raise ParseError(f"{column} {raw!r} is day {day}, past the last day {MAX_DAY}")
     return day
 
 
@@ -157,8 +154,8 @@ def parse_csv(text: str | Iterable[str], epoch: date | None = None) -> LineList:
     Raises:
         ParseError: missing header columns, an unparseable, negative or
             out-of-range day, a death date before the confirmation date, or
-            a comment with a quoted line break; messages name the offending
-            line.
+            a comment with a quoted line break; messages name the line the
+            offending record starts on.
     """
     stream = io.StringIO(text) if isinstance(text, str) else iter(text)
     reader = csv.reader(stream)
@@ -178,36 +175,44 @@ def parse_csv(text: str | Iterable[str], epoch: date | None = None) -> LineList:
     # Raw cell -> day, shared by both columns; blank cells map to -1 (no death).
     days: dict[str, int] = {}
 
-    def day_of(raw: str, line: int, column: str) -> int:
+    def day_of(raw: str, column: str) -> int:
         day = days.get(raw)
         if day is None:
-            day = _parse_day(raw, epoch, line, column) if raw.strip() else -1
+            day = _parse_day(raw, epoch, column) if raw.strip() else -1
             days[raw] = day
         return day
 
-    def parse_row(row: list[str], line: int) -> tuple[int, int] | None:
+    def first_line(row: list[str]) -> int:
+        """Line the record ``row`` starts on. Reads ahead, so call it only
+        to raise: the reader's line count less the line breaks inside the
+        cells, of which a quote left open at the end of the input keeps the
+        input's last one."""
+        breaks = sum(cell.count("\n") for cell in row)
+        if breaks and row[-1].endswith("\n") and next(reader, None) is None:
+            breaks -= 1
+        return reader.line_num - breaks
+
+    def parse_row(row: list[str]) -> tuple[int, int] | None:
         """Check and parse one row in full; None for a blank or comment row."""
         if not row or all(not cell.strip() for cell in row):
             return None
         if row[0].lstrip().startswith("#"):
-            breaks = sum(cell.count("\n") for cell in row)
-            if breaks:
-                # A quote left open at the end of the input keeps the last
-                # line break in its cell.
-                if row[-1].endswith("\n") and next(reader, None) is None:
-                    breaks -= 1
+            if any("\n" in cell for cell in row):
                 raise ParseError(
-                    f"line {line - breaks}: comment row holds a quoted line break, "
+                    f"line {first_line(row)}: comment row holds a quoted line break, "
                     "which would swallow the lines after it"
                 )
             return None
         confirm_raw = row[confirm_col] if confirm_col < len(row) else ""
         if not confirm_raw.strip():
-            raise ParseError(f"line {line}: empty confirm_date")
-        confirm = day_of(confirm_raw, line, "confirm_date")
-        death = day_of(row[death_col] if death_col < len(row) else "", line, "death_date")
+            raise ParseError(f"line {first_line(row)}: empty confirm_date")
+        try:
+            confirm = day_of(confirm_raw, "confirm_date")
+            death = day_of(row[death_col] if death_col < len(row) else "", "death_date")
+        except ParseError as exc:
+            raise ParseError(f"line {first_line(row)}: {exc}") from None
         if 0 <= death < confirm:
-            raise ParseError(f"death precedes confirmation at line {line}")
+            raise ParseError(f"death precedes confirmation at line {first_line(row)}")
         return confirm, death
 
     confirms: list[int] = []
@@ -221,12 +226,12 @@ def parse_csv(text: str | Iterable[str], epoch: date | None = None) -> LineList:
         except (KeyError, IndexError):
             confirm = -1
         if confirm < 0 or ("#" in row[0] and row[0].lstrip().startswith("#")):
-            parsed = parse_row(row, reader.line_num)
+            parsed = parse_row(row)
             if parsed is None:
                 continue
             confirm, death = parsed
         elif confirm > death >= 0:
-            raise ParseError(f"death precedes confirmation at line {reader.line_num}")
+            raise ParseError(f"death precedes confirmation at line {first_line(row)}")
         confirms.append(confirm)
         deaths.append(death)
     return LineList(confirms, deaths, epoch)

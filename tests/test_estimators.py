@@ -1075,6 +1075,92 @@ def test_series_kernel_oracle_reaches_every_branch():
         assert (type(got), str(got)) == (type(want), str(want))
 
 
+def test_row_sums_match_numpy_reduce():
+    """Each row's sum is np.add.reduce over its own slice, bit for bit, at
+    every length the pairwise sum groups differently and at extreme scales;
+    a numpy that starts a reduceat segment differently fails here."""
+    rng = np.random.default_rng(5)
+    width = 1100
+    x = rng.normal(size=(width, width)) * np.exp(rng.normal(0.0, 3.0, (width, width)))
+    x[rng.random(x.shape) < 0.3] = 0.0
+    n = np.arange(1, width + 1)  # lengths 1..1100, the last row full
+    for scale in (1.0, 1e-300, 1e300):
+        scaled = x * scale
+        for rows, lengths in [
+            (scaled, n),
+            (scaled, n[::-1]),
+            (scaled[:1], n[-1:]),  # a single full row
+            (scaled[:1, :1], n[:1]),
+            (np.abs(scaled[:40, :129]), np.full(40, 129)),
+        ]:
+            want = np.array([np.add.reduce(row[:k]) for row, k in zip(rows, lengths)])
+            got = est._row_sums(rows, lengths)
+            assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
+        # One row shared by every day, as the cfr_true column sums it.
+        want = np.array([np.add.reduce(scaled[-1, :k]) for k in n])
+        assert np.array_equal(est._row_sums(scaled[-1], n), want, equal_nan=True)
+    zeros = np.zeros((3, 5))
+    assert np.array_equal(est._row_sums(zeros, np.array([1, 3, 5])), np.zeros(3))
+
+
+def gather_window_rates(table, c, w):
+    """The block kernel's first window rates, which gathered each window's
+    bounds with take_along_axis; the oracle for the sliced ones. Returns the
+    estimates, the inside and fallback masks, the days without a computable
+    window, and the daily rates."""
+    j = np.arange(max(min(int(c.t[-1]) - 5, int(c.n[-1])), 1))
+    inside = j < (c.t - 5)[:, None]
+    lo = np.minimum(j, c.n[:, None])
+    hi = np.minimum(j + 7, c.n[:, None])
+    w_prefix = np.zeros((w.shape[0], w.shape[1] + 1))
+    np.cumsum(w, axis=1, out=w_prefix[:, 1:])
+    num = np.take_along_axis(w_prefix, hi, axis=1) - np.take_along_axis(w_prefix, lo, axis=1)
+    c_prefix = np.concatenate([[0], table._cum_cases])
+    den = c_prefix[hi] - c_prefix[lo]
+    computable = inside & (den > 0)
+    p = np.divide(num, den, out=np.zeros(num.shape), where=computable)
+    np.clip(p, 0.0, 1.0, out=p)
+    fallback = inside & ~computable
+    left = np.maximum.accumulate(np.where(computable, j, -1), axis=1)
+    right = np.minimum.accumulate(np.where(computable, j, j.size)[:, ::-1], axis=1)[:, ::-1]
+    use_left = (left >= 0) & ((right == j.size) | (j - left <= right - j))
+    pick = np.minimum(np.where(use_left, left, right), j.size - 1)
+    rows, cols = np.nonzero(fallback)
+    p[rows, cols] = p[rows, pick[rows, cols]]
+    last = np.minimum(np.maximum(c.t - 6, 0), j.size - 1)
+    daily = np.take_along_axis(p, np.clip(np.arange(w.shape[1]) - 3, 0, last[:, None]), axis=1)
+    return p, inside, fallback, ~computable.any(axis=1), daily
+
+
+def test_window_rates_match_gather_oracle():
+    # Cases on days 10-11 and 25 only: windows 0-3 and 12-18 hold none, on
+    # both sides of the computable 4-11, and window 15 ties 11 and 19. Day
+    # 23 ends at window 17, whose nearest window with cases, 19, is not its
+    # own. Days 29 on lie past the table's end; day 6 has no computable window.
+    cases = np.zeros(28, dtype=np.int64)
+    cases[[10, 11, 25]] = [6, 4, 9]
+    deaths = np.zeros((28, 4), dtype=np.int64)
+    deaths[10, 1], deaths[11, [0, 3]], deaths[25, 2] = 2, [1, 1], 5
+    table = EpidemicTable(cases, deaths)
+    t = np.array([6, 12, 16, 17, 21, 23, 27, 29, 33, 40])
+    c = est._cohorts(table, t)
+    f = np.maximum(*est._schedule_f(DelaySchedule(two_point(0.4, 3)), c, est._Checks()))
+    w = est._weights(c, f, est._divisor(f), est._Checks())
+    want_p, want_inside, want_fallback, no_window, want_daily = gather_window_rates(table, c, w)
+    assert want_fallback[4:].any(axis=1).all() and no_window.tolist() == [True] + [False] * 9
+    # Window arrays built for the block's last day, or for a later one as an
+    # estimate_series call with later blocks builds them.
+    for last in (40, 41, 500):
+        checks = est._Checks()
+        p, inside, fallback = est._window_rates(est._windows(table, last), c, w, checks)
+        assert np.array_equal(p, want_p)
+        assert np.array_equal(inside, want_inside)
+        assert np.array_equal(fallback, want_fallback)
+        assert np.array_equal(est._daily_p(p, t, w.shape[1]), want_daily)
+        with pytest.raises(EstimationError, match="no cases in any daily-rate window by day 6$"):
+            checks.raise_first()
+
+
 def long_table(n_days: int, seed: int) -> EpidemicTable:
     """Daily cases with some empty days and deaths at lags 0..40."""
     rng = np.random.default_rng(seed)

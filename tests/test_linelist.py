@@ -189,6 +189,24 @@ def test_parse_rejects_comment_with_quoted_line_break(rows, line):
         parse_csv("confirm_date,death_date\n" + rows)
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # A quote opened in a data cell and left open to the end of the input.
+        ('0,"3\n1,\n2,\n', "line 2: invalid death_date"),
+        # A quote that closes on the next line, before a bad cell.
+        ('1,\n"5\n",x\n', "line 3: invalid death_date 'x'"),
+        ('1,\n"5\n",\n"5\n",2\n', "death precedes confirmation at line 5"),
+        # Both cells cached, so the row takes the fast path to its error.
+        ('2,\n"5\n",\n"5\n",2\n', "death precedes confirmation at line 5"),
+        ('1,\n"\n",4\n', "line 3: empty confirm_date"),
+    ],
+)
+def test_parse_error_names_first_line_of_multiline_record(rows, message):
+    with pytest.raises(ParseError, match=message):
+        parse_csv("confirm_date,death_date\n" + rows)
+
+
 def test_parse_rejects_day_past_max_day(monkeypatch):
     monkeypatch.setattr(linelist_module, "MAX_DAY", 10)
     assert len(parse_csv("confirm_date,death_date\n10,10\n")) == 1
