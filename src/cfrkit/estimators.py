@@ -523,23 +523,26 @@ def _row_sums(x: np.ndarray, n: np.ndarray) -> np.ndarray:
     return np.add.reduceat(buf.ravel(), bounds.ravel())[::2]
 
 
-def _f0_bounds(schedule: DelaySchedule, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each day t: the least floored F_d(0) over days d <= t, and whether
-    some raw F_d(0) lies below its floor. Days past a per-day schedule read
-    its last day."""
+def _f0_bounds(schedule: DelaySchedule) -> tuple[np.ndarray, np.ndarray]:
+    """For each schedule row t: the least floored F_d(0) over rows d <= t,
+    and whether some raw F_d(0) lies below its floor."""
     schedule.tabulate(0)
     raw0, floor = schedule._table[:, 0], schedule._floor
-    i = np.minimum(t, raw0.size - 1)
     return (
-        np.minimum.accumulate(np.maximum(raw0, floor))[i],
-        np.logical_or.accumulate(raw0 < floor)[i],
+        np.minimum.accumulate(np.maximum(raw0, floor)),
+        np.logical_or.accumulate(raw0 < floor),
     )
 
 
-def _p_bounds(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least and largest rate over days 0..t for each day t, clipped to p."""
-    i = np.minimum(t, p.size - 1)
-    return np.minimum.accumulate(p)[i], np.maximum.accumulate(p)[i]
+def _p_bounds(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least and largest rate over days 0..t for each day t of p."""
+    return np.minimum.accumulate(p), np.maximum.accumulate(p)
+
+
+def _at_days(running: tuple[np.ndarray, ...], t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each running bound at the days t; days past its end read its last."""
+    i = np.minimum(t, running[0].size - 1)
+    return tuple(bound[i] for bound in running)
 
 
 def _known_day(
@@ -728,8 +731,8 @@ def validate_assumptions(
     if t >= schedule._days:
         raise schedule._coverage_error(t)
     day = np.array([t])
-    (min_f0,), (clamped,) = _f0_bounds(schedule, day)
-    (min_p,), (max_p,) = _p_bounds(rates.p, day)
+    (min_f0,), (clamped,) = _at_days(_f0_bounds(schedule), day)
+    (min_p,), (max_p,) = _at_days(_p_bounds(rates.p), day)
     return AssumptionReport(
         min_f0=float(min_f0),
         min_p=float(min_p),
@@ -813,9 +816,13 @@ def estimate_series(
     if schedule is None and day_grid.size and lookback < 0:
         raise ValueError("lookback must be non-negative")
     windows = _windows(table, int(day_grid[-1])) if rates is None and day_grid.size else None
+    # Running A1-A3 bounds of the known inputs, built once for every block.
+    f0_bounds = _f0_bounds(schedule) if schedule is not None and day_grid.size else None
+    p_bounds = _p_bounds(rates.p) if rates is not None else None
     blocks = [
         _series_block(
-            table, day_grid[i : i + _BLOCK], z, schedule, rates, windows, lookback, true_rates
+            table, day_grid[i : i + _BLOCK], z, schedule, rates, f0_bounds, p_bounds,
+            windows, lookback, true_rates,
         )
         for i in range(0, day_grid.size, _BLOCK)
     ]
@@ -852,13 +859,16 @@ def _series_block(
     z: float,
     schedule: DelaySchedule | None,
     rates: DailyRates | None,
+    f0_bounds: tuple[np.ndarray, np.ndarray] | None,
+    p_bounds: tuple[np.ndarray, np.ndarray] | None,
     windows: _Windows | None,
     lookback: int,
     true_rates: DailyRates | None,
 ) -> dict[str, np.ndarray]:
     """``estimate_series`` columns at the ascending days t, each with cases,
-    plus ``ok``: whether A1-A3 hold on each day. ``windows`` covers the last
-    day when the rates are estimated.
+    plus ``ok``: whether A1-A3 hold on each day. ``f0_bounds`` and
+    ``p_bounds`` are the running bounds of a known schedule and known rates.
+    ``windows`` covers the last day when the rates are estimated.
 
     Checks are added in the order the per-day computation meets them.
     """
@@ -884,10 +894,10 @@ def _series_block(
     if rates is not None:
         checks.add(t >= len(rates), lambda i: _short_rates(rates, int(t[i])))
         p = rates.p[np.minimum(np.arange(width), len(rates) - 1)]
-        min_p, max_p = _p_bounds(rates.p, t)
+        min_p, max_p = _at_days(p_bounds, t)
     if schedule is not None:
         checks.add(t >= schedule._days, lambda i: schedule._coverage_error(int(t[i])))
-        min_f0, _ = _f0_bounds(schedule, t)
+        min_f0, _ = _at_days(f0_bounds, t)
     r_t = table._cum_cases[c.n - 1]
     terms = _variance_terms(table.cases[:width], p, f, divisor, c, checks)
     v = _row_sums(terms, c.n) / (r_t * r_t)

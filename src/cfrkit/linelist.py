@@ -184,13 +184,14 @@ def parse_csv(text: str | Iterable[str], epoch: date | None = None) -> LineList:
 
     def first_line(row: list[str]) -> int:
         """Line the record ``row`` starts on. Reads ahead, so call it only
-        to raise: the reader's line count less the line breaks inside the
-        cells, of which a quote left open at the end of the input keeps the
-        input's last one."""
+        to raise: the reader's line count, taken before the look-ahead, less
+        the line breaks inside the cells, of which a quote left open at the
+        end of the input keeps the input's last one."""
+        line = reader.line_num
         breaks = sum(cell.count("\n") for cell in row)
         if breaks and row[-1].endswith("\n") and next(reader, None) is None:
             breaks -= 1
-        return reader.line_num - breaks
+        return line - breaks
 
     def parse_row(row: list[str]) -> tuple[int, int] | None:
         """Check and parse one row in full; None for a blank or comment row."""

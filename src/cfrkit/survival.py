@@ -13,9 +13,9 @@ from functools import cached_property
 
 import numpy as np
 
-# scipy is imported inside the functions that use it (the negative binomial
-# CDF and pmf, its log-pmf and the MLE search), so that `import cfrkit` and
-# the empirical-only paths never pay its load time.
+# scipy is imported inside the functions that use it, so that `import cfrkit`
+# and the empirical-only paths never pay its load time: scipy.special for the
+# negative binomial CDF and log-pmf, scipy.optimize for the MLE search only.
 
 from .errors import DegenerateSampleError, EstimationError
 from .linelist import EpidemicTable, LineList
@@ -131,17 +131,19 @@ class NegBinomial(SurvivalModel):
         return self.r / (self.r + self.mu)
 
     def cdf(self, k):
-        from scipy import stats
+        # P(X <= k) = I_p(r, floor(k) + 1): the regularized incomplete beta
+        # function, the same Boost ibeta that scipy's nbinom distribution
+        # evaluates, so the values match it bit for bit.
+        from scipy.special import betainc
 
         arr = _lag_array(k)
-        out = stats.nbinom.cdf(arr, self.r, self._success_prob)
+        out = betainc(self.r, np.floor(arr) + 1.0, self._success_prob)
         return float(out) if arr.ndim == 0 else out
 
     def pmf(self, k):
-        from scipy import stats
-
+        """P(delay == k) at integer lags k."""
         arr = _lag_array(k)
-        out = stats.nbinom.pmf(arr, self.r, self._success_prob)
+        out = np.exp(_nb_logpmf(arr, self.mu, self.r))
         return float(out) if arr.ndim == 0 else out
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -730,6 +730,12 @@ def test_empirical_paths_load_no_scipy(tmp_path, linelist_file):
 def test_nb_estimate_loads_scipy(tmp_path, linelist_file):
     estimate = ["estimate", str(linelist_file), "--epoch", "2020-03-03", "--survival", "nb",
                 "-o", str(tmp_path / "e.csv")]
-    codes, modules = _fresh_cli_runs(estimate)
-    assert codes == [0]
-    assert "scipy.stats" in modules
+    assert _fresh_cli_runs(estimate) == ([0], ["scipy.optimize", "scipy.special"])
+
+
+@pytest.mark.parametrize("command", ["coverage", "simulate"])
+def test_known_mode_study_loads_scipy_special_only(tmp_path, command):
+    # The default NB delay tabulates its CDF through scipy.special alone.
+    study = [command, "--mode", "known", "--replicates", "2", "--arm-days", "60",
+             "--symmetric", "--dstar", "40", "--every", "10", "-o", str(tmp_path / "s.csv")]
+    assert _fresh_cli_runs(study) == ([0], ["scipy.special"])

@@ -737,6 +737,52 @@ def test_series_empirical_refit_path():
     assert np.all(series.ci_low <= series.cfr) and np.all(series.cfr <= series.ci_high)
 
 
+def as_of(table: EpidemicTable, t: int) -> EpidemicTable:
+    """The table as it stood at day t: cases confirmed by t, and of their
+    deaths only those by t (confirmation day d plus lag k at most t)."""
+    cases = table.cases[: t + 1]
+    d, k = np.indices((cases.size, table.deaths.shape[1]))
+    return EpidemicTable(cases, np.where(d + k <= t, table.deaths[: t + 1], 0))
+
+
+def _series_or_error(table, t, **kwargs):
+    """Columns of ``estimate_series(table, [t])`` but cfr_final, with its
+    warnings; or the type and message of the error it raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            series = estimate_series(table, [t], **kwargs)
+        except (ValueError, EstimationError) as exc:
+            return type(exc), str(exc)
+    names = ("t", "r_t", "cfr_naive", "cfr", "ci_low", "ci_high", "cfr_garske", "cfr_garske_mod")
+    return [getattr(series, name).tolist() for name in names], [str(w.message) for w in caught]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_days=st.integers(1, 30),
+    known=st.booleans(),
+    lookback=st.integers(0, 8),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_series_at_t_reads_nothing_after_t(seed, n_days, known, lookback, data):
+    # The real-time property: the estimate at day t depends only on cases
+    # confirmed by t and deaths by t, in known and in estimated mode.
+    rng = np.random.default_rng(seed)
+    table = random_table(rng, n_days=n_days, max_cases=30, max_lag=6)
+    t = data.draw(st.integers(0, n_days - 1), label="t")
+    if known:
+        cdf = np.sort(rng.uniform(0.05, 1.0, size=6))
+        kwargs = {
+            "schedule": DelaySchedule(Empirical(np.append(cdf, 1.0))),
+            "rates": DailyRates(rng.uniform(0.01, 0.5, size=n_days)),
+        }
+    else:
+        kwargs = {"lookback": lookback}
+    assert _series_or_error(table, t, **kwargs) == _series_or_error(as_of(table, t), t, **kwargs)
+
+
 def test_series_negative_days_rejected():
     table = EpidemicTable.from_sparse([5], {})
     with pytest.raises(ValueError, match="non-negative"):

@@ -196,6 +196,8 @@ def test_parse_rejects_comment_with_quoted_line_break(rows, line):
         ('0,"3\n1,\n2,\n', "line 2: invalid death_date"),
         # A quote that closes on the next line, before a bad cell.
         ('1,\n"5\n",x\n', "line 3: invalid death_date 'x'"),
+        # A cell ending in a line break, then one more record.
+        ('0,"x\n"\n1,\n', "line 2: invalid death_date 'x'"),
         ('1,\n"5\n",\n"5\n",2\n', "death precedes confirmation at line 5"),
         # Both cells cached, so the row takes the fast path to its error.
         ('2,\n"5\n",\n"5\n",2\n', "death precedes confirmation at line 5"),

@@ -58,6 +58,26 @@ def test_nb_cdf_matches_pmf_summation(mu, r):
         assert model.pmf(k) == pytest.approx(nb_pmf_reference(k, mu, r), rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "mu,r",
+    [(10.79, 0.88), (1e-3, 1e-3), (1e-3, 1e3), (1e3, 1e-3), (1e3, 1e3)],
+)
+def test_nb_cdf_equals_scipy_stats(mu, r):
+    # scipy.stats is the oracle here only; the models evaluate the same
+    # incomplete beta function without loading it, so values agree exactly.
+    p = r / (r + mu)
+    nb, zinb = NegBinomial(mu, r), Zinb(0.103, mu, r)
+    lags = np.arange(2001)
+    np.testing.assert_array_equal(nb.cdf(lags), stats.nbinom.cdf(lags, r, p))
+    np.testing.assert_array_equal(
+        zinb.cdf(lags), 0.103 + (1 - 0.103) * stats.nbinom.cdf(lags, r, p)
+    )
+    for lag in (0, 7, 2.5, np.inf):
+        assert nb.cdf(lag) == float(stats.nbinom.cdf(lag, r, p))
+        assert isinstance(nb.cdf(lag), float)
+        assert zinb.cdf(lag) == 0.103 + (1 - 0.103) * float(stats.nbinom.cdf(lag, r, p))
+
+
 def test_nb_mean_variance_parameterization():
     # Mean mu and variance mu + mu^2/r, from pmf summation out to the tail.
     mu, r = 6.0, 1.5
