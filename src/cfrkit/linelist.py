@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import csv
 import io
+from array import array
 from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -131,6 +133,20 @@ def _parse_day(raw: str, epoch: date | None, column: str) -> int:
     return day
 
 
+_CHUNK_LINES = 4096
+"""Lines `parse_csv` reads at a time, and records per batch once it reads
+record by record."""
+
+
+def _lines_before(lines: list[str], k: int) -> int:
+    """Lines of ``lines`` before the start of its CSV record k; the records
+    before k must parse."""
+    reader = csv.reader(lines)
+    for _ in islice(reader, k):
+        pass
+    return reader.line_num
+
+
 def parse_csv(text: str | Iterable[str], epoch: date | None = None) -> LineList:
     """Parse a line-list CSV into confirmation and death day columns.
 
@@ -141,8 +157,14 @@ def parse_csv(text: str | Iterable[str], epoch: date | None = None) -> LineList:
     are skipped; a ``#`` line whose quote runs past its end is a ParseError,
     since the quoted field would swallow the lines after it.
 
-    Each distinct raw cell is parsed once; later rows with the same cell reuse
-    its day, so a large file costs one dict lookup per cell.
+    The lines after the header are read in chunks of ``_CHUNK_LINES``. A line
+    without a ``"`` is one CSV record, and a row's days or error depend on
+    its line alone, so each distinct line of a chunk is split and parsed
+    once and its days are copied to its repeats. The first chunk whose
+    distinct lines hold a ``"`` (a record may span lines) or make up more
+    than half of it (deduplication does not pay) hands itself and the rest
+    of the input to a record-by-record loop. In both, each distinct raw cell
+    is parsed once; later rows with the same cell reuse its day.
 
     Args:
         text: CSV content as a string or an iterable of lines.
@@ -153,9 +175,10 @@ def parse_csv(text: str | Iterable[str], epoch: date | None = None) -> LineList:
 
     Raises:
         ParseError: missing header columns, an unparseable, negative or
-            out-of-range day, a death date before the confirmation date, or
-            a comment with a quoted line break; messages name the line the
-            offending record starts on.
+            out-of-range day, a death date before the confirmation date, a
+            comment with a quoted line break, or a record the csv module
+            rejects (a field past its size limit, a bare carriage return);
+            messages name the line the offending record starts on.
     """
     stream = io.StringIO(text) if isinstance(text, str) else iter(text)
     reader = csv.reader(stream)
@@ -163,6 +186,8 @@ def parse_csv(text: str | Iterable[str], epoch: date | None = None) -> LineList:
         header = next(reader)
     except StopIteration:
         raise ParseError("line 1: missing header row") from None
+    except csv.Error as exc:
+        raise ParseError(f"line 1: {exc}") from None
     names = [name.strip() for name in header]
     try:
         confirm_col = names.index("confirm_date")
@@ -182,60 +207,111 @@ def parse_csv(text: str | Iterable[str], epoch: date | None = None) -> LineList:
             days[raw] = day
         return day
 
-    def first_line(row: list[str]) -> int:
-        """Line the record ``row`` starts on. Reads ahead, so call it only
-        to raise: the reader's line count, taken before the look-ahead, less
-        the line breaks inside the cells, of which a quote left open at the
-        end of the input keeps the input's last one."""
-        line = reader.line_num
-        breaks = sum(cell.count("\n") for cell in row)
-        if breaks and row[-1].endswith("\n") and next(reader, None) is None:
-            breaks -= 1
-        return line - breaks
-
-    def parse_row(row: list[str]) -> tuple[int, int] | None:
-        """Check and parse one row in full; None for a blank or comment row."""
+    def parse_row(row: list[str], line: Callable[[], int]) -> tuple[int, int]:
+        """Check and parse one row in full; (-1, -1) for a blank or comment
+        row. ``line()`` is the line the row starts on."""
         if not row or all(not cell.strip() for cell in row):
-            return None
+            return -1, -1
         if row[0].lstrip().startswith("#"):
             if any("\n" in cell for cell in row):
                 raise ParseError(
-                    f"line {first_line(row)}: comment row holds a quoted line break, "
+                    f"line {line()}: comment row holds a quoted line break, "
                     "which would swallow the lines after it"
                 )
-            return None
+            return -1, -1
         confirm_raw = row[confirm_col] if confirm_col < len(row) else ""
         if not confirm_raw.strip():
-            raise ParseError(f"line {first_line(row)}: empty confirm_date")
+            raise ParseError(f"line {line()}: empty confirm_date")
         try:
             confirm = day_of(confirm_raw, "confirm_date")
             death = day_of(row[death_col] if death_col < len(row) else "", "death_date")
         except ParseError as exc:
-            raise ParseError(f"line {first_line(row)}: {exc}") from None
+            raise ParseError(f"line {line()}: {exc}") from None
         if 0 <= death < confirm:
-            raise ParseError(f"death precedes confirmation at line {first_line(row)}")
+            raise ParseError(f"death precedes confirmation at line {line()}")
         return confirm, death
 
-    confirms: list[int] = []
-    deaths: list[int] = []
-    for row in reader:
-        # Fast path: both cells seen before and the row is no comment. A cached
-        # confirm day >= 0 comes from a non-blank cell, so the row is not blank.
+    def read_rows(rows: Iterable[list[str]], line_of: Callable[[int], int]) -> np.ndarray:
+        """(2, n) C-int confirm and death days of the rows, -1 for a blank
+        or comment row. ``line_of(k)`` is the line row k starts on."""
+        confirms: list[int] = []
+        deaths: list[int] = []
+
+        def line() -> int:
+            return line_of(len(confirms))
+
         try:
-            confirm = days[row[confirm_col]]
-            death = days[row[death_col]]
-        except (KeyError, IndexError):
-            confirm = -1
-        if confirm < 0 or ("#" in row[0] and row[0].lstrip().startswith("#")):
-            parsed = parse_row(row)
-            if parsed is None:
-                continue
-            confirm, death = parsed
-        elif confirm > death >= 0:
-            raise ParseError(f"death precedes confirmation at line {first_line(row)}")
-        confirms.append(confirm)
-        deaths.append(death)
-    return LineList(confirms, deaths, epoch)
+            for row in rows:
+                # Fast path: both cells seen before and the row is no comment. A
+                # cached confirm day >= 0 comes from a non-blank cell, so the
+                # row is not blank.
+                try:
+                    confirm = days[row[confirm_col]]
+                    death = days[row[death_col]]
+                except (KeyError, IndexError):
+                    confirm = -1
+                if confirm < 0 or ("#" in row[0] and row[0].lstrip().startswith("#")):
+                    confirm, death = parse_row(row, line)
+                elif confirm > death >= 0:
+                    raise ParseError(f"death precedes confirmation at line {line()}")
+                confirms.append(confirm)
+                deaths.append(death)
+        except csv.Error as exc:
+            raise ParseError(f"line {line()}: {exc}") from None
+        return np.fromiter(chain(confirms, deaths), np.intc, 2 * len(confirms)).reshape(2, -1)
+
+    def read_records(chunk: list[str]) -> Iterator[np.ndarray]:
+        """Days of the records of ``chunk`` and of the rest of the input, in
+        batches of records. The lines since the batch's first record are
+        kept, so an error can name the line its record starts on."""
+        window = [chunk]  # line lists, the first one after `skipped` lines
+        skipped = base
+
+        def lines() -> Iterator[list[str]]:
+            yield chunk
+            while more := list(islice(stream, _CHUNK_LINES)):
+                window.append(more)
+                yield more
+
+        def line_of(k: int) -> int:
+            kept = list(chain.from_iterable(window))[start - skipped :]
+            return start + _lines_before(kept, k) + 1
+
+        records = csv.reader(chain.from_iterable(lines()))
+        while True:
+            start = base + records.line_num  # lines before the batch
+            while len(window) > 1 and skipped + len(window[0]) <= start:
+                skipped += len(window.pop(0))
+            part = read_rows(islice(records, _CHUNK_LINES), line_of)
+            if not part.size:
+                return
+            yield part
+
+    # The case rows so far, as C ints (days are at most MAX_DAY): half the
+    # size of the int64 columns LineList copies them into.
+    confirm, death = array("i"), array("i")
+
+    def keep(part: np.ndarray) -> None:
+        """Append the rows of a (2, n) part but its blank and comment rows."""
+        part = part.compress(part[0] >= 0, axis=1)
+        confirm.frombytes(part[0].tobytes())
+        death.frombytes(part[1].tobytes())
+
+    base = reader.line_num  # lines before the chunk
+    while chunk := list(islice(stream, _CHUNK_LINES)):
+        m = len(chunk)
+        first: dict[str, int] = {}  # line -> index of its first occurrence
+        idx = np.fromiter(map(first.setdefault, chunk, range(m)), np.intp, m)
+        if '"' in "".join(first) or 2 * len(first) > m:
+            for part in read_records(chunk):
+                keep(part)
+            break
+        firsts = list(first.values())
+        part = np.empty((2, m), dtype=np.intc)
+        part[:, firsts] = read_rows(csv.reader(first), lambda k: base + firsts[k] + 1)
+        keep(part[:, idx])
+        base += m
+    return LineList(np.frombuffer(confirm, np.intc), np.frombuffer(death, np.intc), epoch)
 
 
 @dataclass(frozen=True, eq=False)

@@ -297,6 +297,26 @@ def test_exit_day_past_max_day(tmp_path, capsys, monkeypatch):
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "rows, line",
+    [
+        # Three distinct lines: the record-by-record loop reads them.
+        ["1,\n", 3],
+        # Twenty repeats and the bad line: a chunk whose distinct lines are
+        # parsed once each, on their own.
+        ["1,\n" * 20, 22],
+    ],
+)
+def test_exit_oversized_cell_names_line(tmp_path, capsys, rows, line):
+    big = tmp_path / "big.csv"
+    big.write_text("confirm_date,death_date\n" + rows + "2," + "9" * 140_000 + "\n3,\n")
+    code = main(["estimate", str(big), "-o", str(tmp_path / "o.csv")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert f"cfrkit: line {line}: field larger than field limit" in err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_exit_estimation_failure(tmp_path, capsys):
     short = tmp_path / "short.csv"
     short.write_text("confirm_date,death_date\n0,1\n2,\n")

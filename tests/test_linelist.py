@@ -202,10 +202,27 @@ def test_parse_rejects_comment_with_quoted_line_break(rows, line):
         # Both cells cached, so the row takes the fast path to its error.
         ('2,\n"5\n",\n"5\n",2\n', "death precedes confirmation at line 5"),
         ('1,\n"\n",4\n', "line 3: empty confirm_date"),
+        # The input's last record, with its quote closed on the last line.
+        ('0,"x\n"\n', "line 2: invalid death_date 'x'"),
+        ('1,\n0,"x\n"', "line 3: invalid death_date 'x'"),
     ],
 )
 def test_parse_error_names_first_line_of_multiline_record(rows, message):
     with pytest.raises(ParseError, match=message):
+        parse_csv("confirm_date,death_date\n" + rows)
+
+
+@pytest.mark.parametrize(
+    "rows, line",
+    [
+        # A bare carriage return inside an unquoted field of a str input.
+        ("1,\n1,\r2\n", 3),
+        # The same on the second line of a quoted record.
+        ('1,\n"2\n",3\r4\n', 3),
+    ],
+)
+def test_parse_csv_module_error_names_record_start(rows, line):
+    with pytest.raises(ParseError, match=f"^line {line}: new-line character seen"):
         parse_csv("confirm_date,death_date\n" + rows)
 
 
@@ -479,3 +496,151 @@ def test_columnar_parse_matches_record_oracle(header, lines, quoting, newline):
     table = aggregate(ll)
     assert table.cases.tolist() == cases
     assert table.deaths.tolist() == deaths
+
+
+# ---------------------------------------------------------------------------
+# Chunked, deduplicating parse against the record-by-record loop
+
+
+def _record_loop_parse(text, epoch=None) -> LineList:
+    """``parse_csv`` as one loop over CSV records with no caching or line
+    deduplication: the oracle for the chunked parse. A record starts on the
+    line after the reader's line count before it is fetched."""
+    stream = io.StringIO(text) if isinstance(text, str) else iter(text)
+    reader = csv.reader(stream)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("line 1: missing header row") from None
+    except csv.Error as exc:
+        raise ParseError(f"line 1: {exc}") from None
+    names = [name.strip() for name in header]
+    try:
+        ci, di = names.index("confirm_date"), names.index("death_date")
+    except ValueError:
+        raise ParseError(
+            "line 1: header must contain confirm_date and death_date columns"
+        ) from None
+    confirms, deaths = [], []
+    while True:
+        line = reader.line_num + 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as exc:
+            raise ParseError(f"line {line}: {exc}") from None
+        if not any(cell.strip() for cell in row):
+            continue
+        if row[0].lstrip().startswith("#"):
+            if any("\n" in cell for cell in row):
+                raise ParseError(
+                    f"line {line}: comment row holds a quoted line break, "
+                    "which would swallow the lines after it"
+                )
+            continue
+        confirm_raw = row[ci] if ci < len(row) else ""
+        death_raw = row[di] if di < len(row) else ""
+        if not confirm_raw.strip():
+            raise ParseError(f"line {line}: empty confirm_date")
+        try:
+            confirm = linelist_module._parse_day(confirm_raw, epoch, "confirm_date")
+            death = (
+                linelist_module._parse_day(death_raw, epoch, "death_date")
+                if death_raw.strip()
+                else -1
+            )
+        except ParseError as exc:
+            raise ParseError(f"line {line}: {exc}") from None
+        if 0 <= death < confirm:
+            raise ParseError(f"death precedes confirmation at line {line}")
+        confirms.append(confirm)
+        deaths.append(death)
+    return LineList(confirms, deaths, epoch)
+
+
+def _outcome(parse, data):
+    """The day columns a parse returns, or the message of its ParseError."""
+    try:
+        ll = parse(data, epoch=EPOCH)
+    except ParseError as exc:
+        return str(exc)
+    return ll.confirm.tolist(), ll.death.tolist()
+
+
+def _assert_parse_matches_record_loop(data):
+    expected = _outcome(_record_loop_parse, data)
+    got = _outcome(parse_csv, data)
+    assert got == expected
+    if not isinstance(got, str):
+        ll = parse_csv(data, epoch=EPOCH)
+        assert ll.confirm.dtype == ll.death.dtype == np.int64
+
+
+# "{nl}" stands for the input's line ending.
+_valid_cell = st.sampled_from(["0", "1", "3", " 4 ", "12", "2020-03-05", '"2"'])
+_other_cell = st.sampled_from(
+    ["", " ", "x", "-2", "99999", '""', '"1{nl}"', '"{nl}2"', "7\r8", '"3"x', "a#b"]
+)
+_data_line = st.one_of(
+    # A well-formed row, which may have its death before its confirmation.
+    st.tuples(_valid_cell, st.one_of(_valid_cell, st.just(""))).map(",".join),
+    # Anything: short, long, blank or bad cells.
+    st.lists(st.one_of(_valid_cell, _other_cell), max_size=4).map(",".join),
+)
+_other_line = st.sampled_from(
+    ["", "  ", "\t", "# note", "  # indented, 3", '# batch "B" from lab, "x', '#,"a{nl}b"', ",,"]
+)
+_line = st.one_of(_data_line, _data_line, _other_line)
+
+
+@st.composite
+def _line_lists(draw):
+    """(input, chunk size, csv field limit) for a parse: repeats of a few
+    lines mixed with fresh ones, so chunks switch paths anywhere."""
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    header = draw(st.sampled_from(["confirm_date,death_date", "note,confirm_date,death_date"]))
+    pool = draw(st.lists(_line, min_size=1, max_size=5))
+    lines = draw(st.lists(st.one_of(st.sampled_from(pool), _line), max_size=40))
+    end = newline if draw(st.booleans()) else ""
+    text = (newline.join([header, *lines]) + end).replace("{nl}", newline)
+    form = draw(st.sampled_from(["str", "lines", "lines without ends"]))
+    if form == "lines":
+        text = text.splitlines(keepends=True)
+    elif form == "lines without ends":
+        text = text.splitlines()
+    chunk = draw(st.sampled_from([1, 2, 3, 4, linelist_module._CHUNK_LINES]))
+    limit = draw(st.sampled_from([None, 8]))
+    return text, chunk, limit
+
+
+@given(_line_lists())
+@settings(max_examples=400, deadline=None)
+def test_chunked_parse_matches_record_loop(case):
+    """The days, or the error message, equal those of the record loop, for
+    every chunk size, so each path and each switch between them agree."""
+    data, chunk, limit = case
+    old_limit = csv.field_size_limit(limit) if limit else None
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linelist_module, "_CHUNK_LINES", chunk)
+            _assert_parse_matches_record_loop(data)
+    finally:
+        if old_limit is not None:
+            csv.field_size_limit(old_limit)
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        # A quoted cell in the second chunk.
+        '"5",\n6,"7\n"\n',
+        # A second chunk of mostly distinct lines.
+        "".join(f"{day},\n" for day in range(3000)),
+    ],
+)
+@pytest.mark.parametrize("last", ["9,\n", "9,2\n"])
+def test_parse_switches_to_record_loop_after_a_full_chunk(tail, last):
+    text = "confirm_date,death_date\n# rows\n" + "1,\n2,3\n" * 3000 + tail + last
+    _assert_parse_matches_record_loop(text)
+    _assert_parse_matches_record_loop(text.splitlines(keepends=True))
