@@ -201,7 +201,9 @@ def _read_linelist(args: argparse.Namespace) -> LineList:
     path = args.input_flag or args.input
     if not path:
         raise argparse.ArgumentTypeError("an input line-list CSV is required")
-    with open(path, "r", encoding="utf-8") as handle:
+    # Lines end at "\n" alone, as in a str passed to parse_csv, so a bare
+    # "\r" is a parse error rather than a line break.
+    with open(path, "r", encoding="utf-8", newline="\n") as handle:
         linelist = parse_csv(handle, epoch=args.epoch)
     if len(linelist) == 0:
         raise EstimationError(f"{path}: the line list has no case rows")

@@ -275,24 +275,10 @@ def _negative_variance() -> ValueError:
 _BLOCK = 64
 
 
-class _Checks:
-    """Errors found on a block of days, raised as a day-by-day loop raises
-    them: on the earliest failing day, the first failing check in the order
-    added."""
-
-    def __init__(self) -> None:
-        self._first: tuple[int, Exception] | None = None
-
-    def add(self, bad: np.ndarray, error: Callable[[int], Exception]) -> None:
-        """Record ``error(i)`` for the first row i flagged in ``bad``."""
-        if bad.any():
-            i = int(np.argmax(bad))
-            if self._first is None or i < self._first[0]:
-                self._first = (i, error(i))
-
-    def raise_first(self) -> None:
-        if self._first is not None:
-            raise self._first[1]
+def _check(bad: np.ndarray, error: Callable[[int], Exception]) -> None:
+    """Raise ``error(i)`` for the first row i flagged in ``bad``."""
+    if bad.any():
+        raise error(int(np.argmax(bad)))
 
 
 @dataclass(frozen=True)
@@ -316,18 +302,16 @@ def _cohorts(table: EpidemicTable, t: np.ndarray) -> _Cohorts:
     return _Cohorts(t, n, valid, lag, deaths)
 
 
-def _schedule_f(
-    schedule: DelaySchedule, c: _Cohorts, checks: _Checks
-) -> tuple[np.ndarray, np.ndarray]:
+def _schedule_f(schedule: DelaySchedule, c: _Cohorts) -> tuple[np.ndarray, np.ndarray]:
     """Raw F_d(t - d) from the schedule's table, and each cohort's floor."""
     schedule.tabulate(int(c.t[-1]))
-    checks.add(c.n > schedule._days, lambda i: schedule._coverage_error(int(c.n[i]) - 1))
+    _check(c.n > schedule._days, lambda i: schedule._coverage_error(int(c.n[i]) - 1))
     rows = np.minimum(np.arange(c.lag.shape[1]), len(schedule._models) - 1)
     return schedule._table[rows, c.lag], schedule._floor[rows]
 
 
 def _empirical_f(
-    table: EpidemicTable, c: _Cohorts, lookback: int, checks: _Checks
+    table: EpidemicTable, c: _Cohorts, lookback: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """F of each day's own ``fit_empirical`` table, all days at once.
 
@@ -336,7 +320,7 @@ def _empirical_f(
     entry and the value it reads past its end.
     """
     cdf, n_obs = _empirical_cdfs(table, c.t, lookback)
-    checks.add(n_obs == 0, lambda i: EstimationError(_NO_RESOLVED_DEATHS))
+    _check(n_obs == 0, lambda i: EstimationError(_NO_RESOLVED_DEATHS))
     floor = 1.0 / (n_obs + 1)
     raw = np.take_along_axis(cdf, np.minimum(c.lag, table.max_lag), axis=1)
     return raw, floor[:, None], np.maximum(cdf[:, 0], floor)
@@ -348,14 +332,14 @@ def _divisor(f: np.ndarray) -> np.ndarray:
     return np.where(f > 0.0, f, 1.0)
 
 
-def _weights(c: _Cohorts, f: np.ndarray, divisor: np.ndarray, checks: _Checks) -> np.ndarray:
+def _weights(c: _Cohorts, f: np.ndarray, divisor: np.ndarray) -> np.ndarray:
     """Predicted eventual deaths per cohort: deaths_by(d, t) / F_d(t - d).
 
     Cohorts without observed deaths contribute exactly 0 whatever F is; one
     with deaths but zero CDF mass is an A1 violation.
     """
     bad = (c.deaths > 0) & (f <= 0.0)
-    checks.add(
+    _check(
         bad.any(axis=1),
         lambda i: EstimationError(
             f"assumption A1 violated: no delay CDF mass by day {c.t[i]} for deaths "
@@ -365,9 +349,7 @@ def _weights(c: _Cohorts, f: np.ndarray, divisor: np.ndarray, checks: _Checks) -
     return np.where(c.deaths > 0, c.deaths / divisor, 0.0)
 
 
-def _garske_denominators(
-    cases: np.ndarray, raw: np.ndarray, c: _Cohorts, checks: _Checks
-) -> np.ndarray:
+def _garske_denominators(cases: np.ndarray, raw: np.ndarray, c: _Cohorts) -> np.ndarray:
     """Cases discounted by raw F_d(t - d), one dot product per day.
 
     The dot product is BLAS ``ddot``, whose summation order is not numpy's
@@ -375,7 +357,7 @@ def _garske_denominators(
     """
     cases = cases[: raw.shape[1]].astype(float)  # what int64 @ float64 casts to
     denom = np.array([cases[:k] @ row[:k] for row, k in zip(raw, c.n.tolist())])
-    checks.add(
+    _check(
         denom <= 0.0,
         lambda i: EstimationError(f"zero delay-weighted case total at day {c.t[i]}"),
     )
@@ -416,7 +398,7 @@ def _windows(table: EpidemicTable, t: int) -> _Windows:
 
 
 def _window_rates(
-    windows: _Windows, c: _Cohorts, w: np.ndarray, checks: _Checks
+    windows: _Windows, c: _Cohorts, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``p_hat_daily`` window estimates of every day of a block.
 
@@ -430,6 +412,10 @@ def _window_rates(
     """
     size = _window_count(int(c.t[-1]), int(c.n[-1]))
     cut = np.minimum(c.t - 5, size)  # windows of row i: j < cut_i
+    _check(
+        windows.right[0] >= cut,
+        lambda i: EstimationError(f"no cases in any daily-rate window by day {c.t[i]}"),
+    )
     inside = np.arange(size) < cut[:, None]
     # Padding weights are exactly 0, so each row's prefix holds its total
     # from column n_i on, which is the value a window cut at n_i reads.
@@ -442,21 +428,15 @@ def _window_rates(
     den = windows.den[:size]
 
     computable = inside & (den > 0)
-    checks.add(
-        windows.right[0] >= cut,
-        lambda i: EstimationError(f"no cases in any daily-rate window by day {c.t[i]}"),
-    )
     p = np.divide(num, den, out=np.zeros(num.shape), where=computable)
     np.clip(p, 0.0, 1.0, out=p)
     fallback = inside & ~computable
     if fallback.any():
         # Nearest computable window of the same day, the earlier one on ties.
-        # A day without one raises; its pick -1 reads a value left unused.
         day, j = np.nonzero(fallback)
         left = windows.left[j]
         right = windows.right[j]
-        right = np.where(right < cut[day], right, -1)
-        use_left = (left >= 0) & ((right < 0) | (j - left <= right - j))
+        use_left = (left >= 0) & ((right >= cut[day]) | (j - left <= right - j))
         p[day, j] = p[day, np.where(use_left, left, right)]
     return p, inside, fallback
 
@@ -482,7 +462,6 @@ def _variance_terms(
     f: np.ndarray,
     divisor: np.ndarray,
     c: _Cohorts,
-    checks: _Checks,
 ) -> np.ndarray:
     """Terms c_d p_d (1 - p_d F_d(t - d)) / F_d(t - d) of ``variance_cfr``.
 
@@ -491,7 +470,7 @@ def _variance_terms(
     cp = cases * p
     active = cp > 0
     bad = active & (f <= 0.0) & c.valid
-    checks.add(
+    _check(
         bad.any(axis=1),
         lambda i: EstimationError(
             f"assumption A1 violated: no delay CDF mass by day {c.t[i]} for cases "
@@ -547,12 +526,11 @@ def _at_days(running: tuple[np.ndarray, ...], t: np.ndarray) -> tuple[np.ndarray
 
 def _known_day(
     table: EpidemicTable, schedule: DelaySchedule, t: int
-) -> tuple[_Cohorts, np.ndarray, np.ndarray, _Checks]:
-    """The kernel at the single day t: cohorts, raw F, floored F, checks."""
-    checks = _Checks()
+) -> tuple[_Cohorts, np.ndarray, np.ndarray]:
+    """The kernel at the single day t: cohorts, raw F and floored F."""
     c = _cohorts(table, np.array([t]))
-    raw, floor = _schedule_f(schedule, c, checks)
-    return c, raw, np.maximum(raw, floor), checks
+    raw, floor = _schedule_f(schedule, c)
+    return c, raw, np.maximum(raw, floor)
 
 
 # ---------------------------------------------------------------------------
@@ -597,9 +575,8 @@ def cfr_proposed(table: EpidemicTable, schedule: DelaySchedule, t: int) -> float
     1 in small samples; values are reported unclipped.
     """
     r_t = _require_cases(table, t)
-    c, _, f, checks = _known_day(table, schedule, t)
-    w = _weights(c, f, _divisor(f), checks)
-    checks.raise_first()
+    c, _, f = _known_day(table, schedule, t)
+    w = _weights(c, f, _divisor(f))
     return float(w[0].sum() / r_t)
 
 
@@ -622,9 +599,8 @@ def cfr_garske_mod(table: EpidemicTable, schedule: DelaySchedule, t: int) -> flo
     rates rather than the case-weighted mean when rates vary.
     """
     _require_cases(table, t)
-    c, raw, _, checks = _known_day(table, schedule, t)
-    denom = _garske_denominators(table.cases, raw, c, checks)
-    checks.raise_first()
+    c, raw, _ = _known_day(table, schedule, t)
+    denom = _garske_denominators(table.cases, raw, c)
     return float(c.deaths[0].sum() / denom[0])
 
 
@@ -645,10 +621,9 @@ def p_hat_daily(table: EpidemicTable, schedule: DelaySchedule, t: int) -> DailyR
     if t < 6:
         raise _rate_day_error()
     _require_cases(table, t)
-    c, _, f, checks = _known_day(table, schedule, t)
-    w = _weights(c, f, _divisor(f), checks)
-    p, _, fallback = _window_rates(_windows(table, t), c, w, checks)
-    checks.raise_first()
+    c, _, f = _known_day(table, schedule, t)
+    w = _weights(c, f, _divisor(f))
+    p, _, fallback = _window_rates(_windows(table, t), c, w)
     # Window centres past the last column are fallbacks too.
     centres = np.concatenate([np.nonzero(fallback[0])[0] + 3, np.arange(p.shape[1] + 3, t - 2)])
     return DailyRates(_daily_p(p, c.t, t + 1)[0], fallback_days=tuple(centres.tolist()))
@@ -665,9 +640,8 @@ def variance_cfr(
     r_t = _require_cases(table, t)
     upto = _upto(table, t)
     p = _rates_upto(rates, upto)
-    c, _, f, checks = _known_day(table, schedule, t)
-    terms = _variance_terms(table.cases[: upto + 1], p, f, _divisor(f), c, checks)
-    checks.raise_first()
+    c, _, f = _known_day(table, schedule, t)
+    terms = _variance_terms(table.cases[: upto + 1], p, f, _divisor(f), c)
     return float(terms[0].sum() / r_t**2)
 
 
@@ -795,11 +769,13 @@ def estimate_series(
     the variance terms, and A1-A3 as prefix minima and maxima. Each float
     sum is still one reduction per day over that day's own cohorts, so
     every value equals the single-day functions' bit for bit whatever the
-    block size, and an error is the one the first failing day raises on its
-    own. The ``cfr_garske`` and ``cfr_garske_mod`` columns hold the same
-    values, the shared delay model's on a constant schedule and the per-day
-    variant's otherwise. Emits one AssumptionWarning if A1-A3 fail on any
-    evaluated day.
+    block size. A block raises at its first failing check, which may belong
+    to a later day than the first failing day; so a failing block of several
+    days is re-run one day at a time, and the error is still the one the
+    first failing day raises on its own. The ``cfr_garske`` and
+    ``cfr_garske_mod`` columns hold the same values, the shared delay
+    model's on a constant schedule and the per-day variant's otherwise.
+    Emits one AssumptionWarning if A1-A3 fail on any evaluated day.
     """
     day_grid = np.unique(np.asarray(days, dtype=np.int64))
     if day_grid.size and day_grid[0] < 0:
@@ -819,13 +795,18 @@ def estimate_series(
     # Running A1-A3 bounds of the known inputs, built once for every block.
     f0_bounds = _f0_bounds(schedule) if schedule is not None and day_grid.size else None
     p_bounds = _p_bounds(rates.p) if rates is not None else None
-    blocks = [
-        _series_block(
-            table, day_grid[i : i + _BLOCK], z, schedule, rates, f0_bounds, p_bounds,
-            windows, lookback, true_rates,
-        )
-        for i in range(0, day_grid.size, _BLOCK)
-    ]
+    shared = (z, schedule, rates, f0_bounds, p_bounds, windows, lookback, true_rates)
+    blocks = []
+    for i in range(0, day_grid.size, _BLOCK):
+        t = day_grid[i : i + _BLOCK]
+        try:
+            blocks.append(_series_block(table, t, *shared))
+        except (EstimationError, ValueError):
+            # The first of the earlier days that fails raises its own error;
+            # if none does, the block's error is its last day's.
+            for j in range(t.size - 1):
+                _series_block(table, t[j : j + 1], *shared)
+            raise
 
     def column(name: str, dtype: type = float) -> np.ndarray:
         if len(blocks) == 1:
@@ -870,41 +851,41 @@ def _series_block(
     ``p_bounds`` are the running bounds of a known schedule and known rates.
     ``windows`` covers the last day when the rates are estimated.
 
-    Checks are added in the order the per-day computation meets them.
+    The checks run in the order the per-day computation meets them, and
+    each raises where it is found: the error is the first failing check's on
+    any day of the block, which need not be the first failing day's.
     """
-    checks = _Checks()
     c = _cohorts(table, t)
     width = c.deaths.shape[1]
     if schedule is None:
-        raw, floor, min_f0 = _empirical_f(table, c, lookback, checks)
+        raw, floor, min_f0 = _empirical_f(table, c, lookback)
     if rates is None:
-        checks.add(t < 6, lambda i: _rate_day_error())
+        _check(t < 6, lambda i: _rate_day_error())
     if schedule is not None:
-        raw, floor = _schedule_f(schedule, c, checks)
+        raw, floor = _schedule_f(schedule, c)
     f = np.maximum(raw, floor)
     divisor = _divisor(f)
-    w = _weights(c, f, divisor, checks)
+    w = _weights(c, f, divisor)
     if rates is None:
-        p_window, inside, _ = _window_rates(windows, c, w, checks)
+        p_window, inside, _ = _window_rates(windows, c, w)
         p = _daily_p(p_window, t, width)
         min_p = np.where(inside, p_window, np.inf).min(axis=1)
         max_p = np.where(inside, p_window, -np.inf).max(axis=1)
-    denom = _garske_denominators(table.cases, raw, c, checks)
+    denom = _garske_denominators(table.cases, raw, c)
     # A1-A3 over days 0..t, then the variance.
     if rates is not None:
-        checks.add(t >= len(rates), lambda i: _short_rates(rates, int(t[i])))
+        _check(t >= len(rates), lambda i: _short_rates(rates, int(t[i])))
         p = rates.p[np.minimum(np.arange(width), len(rates) - 1)]
         min_p, max_p = _at_days(p_bounds, t)
     if schedule is not None:
-        checks.add(t >= schedule._days, lambda i: schedule._coverage_error(int(t[i])))
+        _check(t >= schedule._days, lambda i: schedule._coverage_error(int(t[i])))
         min_f0, _ = _at_days(f0_bounds, t)
     r_t = table._cum_cases[c.n - 1]
-    terms = _variance_terms(table.cases[:width], p, f, divisor, c, checks)
+    terms = _variance_terms(table.cases[:width], p, f, divisor, c)
     v = _row_sums(terms, c.n) / (r_t * r_t)
-    checks.add(v < 0.0, lambda i: _negative_variance())
+    _check(v < 0.0, lambda i: _negative_variance())
     if true_rates is not None:
-        checks.add(c.n > len(true_rates), lambda i: _short_rates(true_rates, int(c.n[i]) - 1))
-    checks.raise_first()
+        _check(c.n > len(true_rates), lambda i: _short_rates(true_rates, int(c.n[i]) - 1))
 
     dead = c.deaths.sum(axis=1)
     cfr = _row_sums(w, c.n) / r_t

@@ -339,10 +339,15 @@ def run_study(
 
 def _data_rows(lines: Iterable[str]) -> list[tuple[int, list[str]]]:
     """(line number, cells) of each CSV row, header included, skipping blank
-    lines and lines starting with ``#``."""
+    lines and lines starting with ``#``. A row is numbered by the line its
+    record starts on."""
     numbered = [(n, line) for n, line in enumerate(lines, 1) if line.strip() and line[0] != "#"]
     reader = csv.reader(line for _, line in numbered)
-    return [(numbered[reader.line_num - 1][0], row) for row in reader]
+    rows, start = [], 0
+    for row in reader:
+        rows.append((numbered[start][0], row))
+        start = reader.line_num
+    return rows
 
 
 def read_arm_csv(path: Path) -> np.ndarray:

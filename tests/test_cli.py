@@ -317,6 +317,24 @@ def test_exit_oversized_cell_names_line(tmp_path, capsys, rows, line):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # A bare carriage return inside an unquoted field.
+        "1,\n1,\r2\n",
+        # The same on the second line of a quoted record.
+        '1,\n"2\n",3\r4\n',
+    ],
+)
+def test_exit_bare_carriage_return_names_line(tmp_path, capsys, rows):
+    # A file reads as the same text passed to parse_csv: "\r" ends no line.
+    bad = tmp_path / "cr.csv"
+    bad.write_bytes(("confirm_date,death_date\n" + rows).encode())
+    assert main(["estimate", str(bad), "-o", str(tmp_path / "o.csv")]) == 4
+    assert "cfrkit: line 3: new-line character seen" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_exit_estimation_failure(tmp_path, capsys):
     short = tmp_path / "short.csv"
     short.write_text("confirm_date,death_date\n0,1\n2,\n")
@@ -517,6 +535,19 @@ def test_survival_file_non_numeric_parameter(tmp_path, linelist_file, capsys, co
     assert not out.exists()
 
 
+def test_survival_file_multiline_record_names_its_first_line(tmp_path, linelist_file, capsys):
+    params = tmp_path / "fit.csv"
+    params.write_text('model,mu,r,pi,loglik,n\nnb,"10\n8",0.9,0,-80.5,25\n')
+    out = tmp_path / "est.csv"
+    code = main(
+        ["estimate", str(linelist_file), "-o", str(out), "--epoch", "2020-03-03",
+         "--survival", "file", "--survival-file", str(params)]
+    )
+    assert code == 4
+    assert f"{params}: bad delay model parameters at line 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate / coverage
 
@@ -636,7 +667,8 @@ def test_simulate_arm_file_matches_bundled_arm(tmp_path):
 def test_simulate_arm_file_bad_count(tmp_path, capsys):
     arm_file = tmp_path / "arm.csv"
     out = tmp_path / "o.csv"
-    for bad in ("7.5", "-3"):
+    # The last is a quoted record on lines 5 and 6, named by its first line.
+    for bad in ("7.5", "-3", '"7\n5"'):
         arm_file.write_text(f"cases\n5\n# note\n\n{bad}\n")
         assert main(["simulate", "--arm-file", str(arm_file), "-o", str(out)]) == 4
         assert f"{arm_file}: bad case count at line 5" in capsys.readouterr().err

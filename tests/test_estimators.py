@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import tracemalloc
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -1109,6 +1111,8 @@ def test_series_kernel_oracle_reaches_every_branch():
         (dict(schedule=DelaySchedule(clamped), rates=known), [0, 5]),  # Garske
         (dict(schedule=DelaySchedule(two_point(0.0, 2)), rates=known), [10]),  # A1, cases
         (dict(schedule=DelaySchedule([point_mass(0)] * 15)), [12, 16]),  # F coverage
+        # Day 16 fails the earlier F-coverage check, day 0 the later Garske one.
+        (dict(schedule=DelaySchedule([clamped] * 15), rates=known), [0, 16]),
         (dict(schedule=DelaySchedule([point_mass(0)] * 20), rates=known), [21]),  # A1-A3 coverage
         (dict(schedule=DelaySchedule(point_mass(0)), rates=DailyRates(np.full(12, 0.1))), [9, 13]),
         (dict(schedule=DelaySchedule(point_mass(0)), rates=known,
@@ -1190,21 +1194,26 @@ def test_window_rates_match_gather_oracle():
     table = EpidemicTable(cases, deaths)
     t = np.array([6, 12, 16, 17, 21, 23, 27, 29, 33, 40])
     c = est._cohorts(table, t)
-    f = np.maximum(*est._schedule_f(DelaySchedule(two_point(0.4, 3)), c, est._Checks()))
-    w = est._weights(c, f, est._divisor(f), est._Checks())
-    want_p, want_inside, want_fallback, no_window, want_daily = gather_window_rates(table, c, w)
-    assert want_fallback[4:].any(axis=1).all() and no_window.tolist() == [True] + [False] * 9
+    f = np.maximum(*est._schedule_f(DelaySchedule(two_point(0.4, 3)), c))
+    w = est._weights(c, f, est._divisor(f))
+    assert gather_window_rates(table, c, w)[3].tolist() == [True] + [False] * 9
+    # The other days, with the oracle on them alone.
+    rest = est._cohorts(table, t[1:])
+    want_p, want_inside, want_fallback, no_window, want_daily = gather_window_rates(
+        table, rest, w[1:]
+    )
+    assert want_fallback[3:].any(axis=1).all() and not no_window.any()
     # Window arrays built for the block's last day, or for a later one as an
     # estimate_series call with later blocks builds them.
     for last in (40, 41, 500):
-        checks = est._Checks()
-        p, inside, fallback = est._window_rates(est._windows(table, last), c, w, checks)
+        windows = est._windows(table, last)
+        with pytest.raises(EstimationError, match="no cases in any daily-rate window by day 6$"):
+            est._window_rates(windows, c, w)
+        p, inside, fallback = est._window_rates(windows, rest, w[1:])
         assert np.array_equal(p, want_p)
         assert np.array_equal(inside, want_inside)
         assert np.array_equal(fallback, want_fallback)
-        assert np.array_equal(est._daily_p(p, t, w.shape[1]), want_daily)
-        with pytest.raises(EstimationError, match="no cases in any daily-rate window by day 6$"):
-            checks.raise_first()
+        assert np.array_equal(est._daily_p(p, t[1:], w.shape[1]), want_daily)
 
 
 def long_table(n_days: int, seed: int) -> EpidemicTable:
@@ -1254,3 +1263,22 @@ def test_series_memory_is_blockwise():
         tracemalloc.stop()
     assert len(series) == n_days - 90 + 1
     assert peak < 8 * n_days**2 / 2
+
+
+@pytest.mark.filterwarnings("ignore::cfrkit.AssumptionWarning")
+@pytest.mark.parametrize("mode", ["known", "estimated"])
+def test_series_leaves_no_cycle_holding_the_table(mode):
+    """A study drops each replicate's table after its series; a reference
+    cycle would keep the table until the cycle collector runs."""
+    kwargs = {}
+    if mode == "known":
+        kwargs = dict(schedule=DelaySchedule(NegBinomial(10.0, 1.0)), rates=DailyRates([0.05] * 200))
+    table = long_table(200, seed=4)
+    freed = weakref.ref(table)
+    gc.disable()
+    try:
+        assert len(estimate_series(table, range(60, 200), **kwargs)) > est._BLOCK
+        del table
+        assert freed() is None
+    finally:
+        gc.enable()
