@@ -160,7 +160,7 @@ def _read_params_csv(path: str) -> SurvivalModel:
     among the rest the highest log-likelihood wins.
     """
     with open(path, "r", encoding="utf-8") as handle:
-        rows = _data_rows(handle)
+        rows = _data_rows(handle, path)
     header = rows[0][1] if rows else []
     best: tuple[float, SurvivalModel] | None = None
     for line_no, cells in rows[1:]:

@@ -337,29 +337,38 @@ def run_study(
     )
 
 
-def _data_rows(lines: Iterable[str]) -> list[tuple[int, list[str]]]:
-    """(line number, cells) of each CSV row, header included, skipping blank
-    lines and lines starting with ``#``. A row is numbered by the line its
-    record starts on."""
-    numbered = [(n, line) for n, line in enumerate(lines, 1) if line.strip() and line[0] != "#"]
-    reader = csv.reader(line for _, line in numbered)
-    rows, start = [], 0
+def _data_rows(lines: Iterable[str], source: object) -> list[tuple[int, list[str]]]:
+    """(line number, cells) of each CSV record, header included, skipping
+    blank records and records whose first cell starts with ``#``. A record is
+    numbered by the line it starts on. Every line reaches the csv reader, so
+    a quoted cell keeps its blank and ``#`` lines; a ``#`` record holding a
+    quoted line break is a ParseError naming ``source`` and that line, since
+    its quote would swallow the lines after it."""
+    reader = csv.reader(lines)
+    rows, start = [], 1
     for row in reader:
-        rows.append((numbered[start][0], row))
-        start = reader.line_num
+        if row and row[0].startswith("#"):
+            if any("\n" in cell for cell in row):
+                raise ParseError(
+                    f"{source}: comment row at line {start} holds a quoted line break, "
+                    "which would swallow the lines after it"
+                )
+        elif any(cell.strip() for cell in row):
+            rows.append((start, row))
+        start = reader.line_num + 1
     return rows
 
 
 def read_arm_csv(path: Path) -> np.ndarray:
     """Daily case counts from the ``cases`` column of a CSV file.
 
-    ``path`` is a ``Path`` or a package resource. Blank lines and lines
+    ``path`` is a ``Path`` or a package resource. Blank records and records
     starting with ``#`` are skipped. Raises ParseError, naming the file,
     when the column is missing, and the line too when a count is not a
-    non-negative integer.
+    non-negative integer or a ``#`` record holds a quoted line break.
     """
     with path.open("r", encoding="utf-8") as handle:
-        rows = _data_rows(handle)
+        rows = _data_rows(handle, path)
     if not rows:
         raise ParseError(f"{path}: empty case-curve file")
     names = [h.strip() for h in rows[0][1]]

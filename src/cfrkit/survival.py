@@ -40,7 +40,18 @@ _MU_BOUNDS = (1e-3, 1e3)
 _R_BOUNDS = (1e-3, 1e3)
 _PI_BOUNDS = (0.0, 1.0 - 1e-6)
 _NO_RESOLVED_DEATHS = "insufficient resolved deaths for empirical fit"
+# ``fatol`` lies below the float spacing of the objective at realistic sample
+# sizes: the negative log-likelihood of ~50k lags is ~1.7e5, where one ulp is
+# 2.9e-11. The simplex can then shrink to 1-ulp spacing in x while its values
+# still differ by a few ulps, and the search cycles until ``maxfev`` (seen from
+# n = 1,000 lags up; 26 of the 82 NB and ZINB fits on the benchmark's seed
+# 0..40 line lists hit the 20,000 cap). So the search also stops once its best
+# point has been bitwise unchanged for ``_NM_STALL`` iterations. Run uncapped
+# on those 82 fits, no search's best point moved again more than 48 iterations
+# after its previous move, and the capped ones made their last move within
+# 241 iterations of the start, so the stop returns the capped searches' bits.
 _NM_OPTIONS = {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 20_000, "maxfev": 20_000}
+_NM_STALL = 200
 
 
 def _lag_array(k) -> np.ndarray:
@@ -256,19 +267,40 @@ def zinb_loglik(sample, pi: float, mu: float, r: float) -> float:
     return float(counts @ _zinb_logpmf(vals, pi, mu, r))
 
 
-def _fit_mle(logpmf, lags: np.ndarray, x0: np.ndarray, bounds) -> list[float]:
+def _fit_mle(model: str, logpmf, lags: np.ndarray, x0: np.ndarray, bounds) -> list[float]:
     """Parameters maximizing sum(logpmf(lags, *x)): a bounded Nelder-Mead
-    search from x0."""
+    search from x0, stopped once its best point stalls (see ``_NM_STALL``).
+    A search that runs out of iterations or evaluations while its best point
+    still moves issues a RuntimeWarning naming ``model``."""
     from scipy import optimize
 
     vals, counts = np.unique(lags, return_counts=True)
+    best, stalled = None, 0
+
+    def stop_when_stalled(intermediate_result) -> None:
+        nonlocal best, stalled
+        # scipy reuses the simplex array, so keep a copy of x's bytes.
+        point = (intermediate_result.x.tobytes(), intermediate_result.fun)
+        stalled = stalled + 1 if point == best else 0
+        best = point
+        if stalled >= _NM_STALL:
+            raise StopIteration
+
     res = optimize.minimize(
         lambda x: -float(counts @ logpmf(vals, *x)),
         x0,
         method="Nelder-Mead",
         bounds=bounds,
         options=_NM_OPTIONS,
+        callback=stop_when_stalled,
     )
+    if res.status in (1, 2):  # maxfev, maxiter
+        warnings.warn(
+            f"{model} MLE search stopped after {res.nfev} evaluations "
+            "while its best point was still moving",
+            RuntimeWarning,
+            stacklevel=3,
+        )
     return [float(v) for v in res.x]
 
 
@@ -278,6 +310,8 @@ def fit_nb_mle(sample) -> NegBinomial:
     Runs a bounded Nelder-Mead search from method-of-moments starting values.
     The likelihood's stationarity in mu forces the fitted mean onto the
     sample mean; r degenerates to the box edge for underdispersed samples.
+    A search that reaches its evaluation cap while its best point still
+    moves issues a RuntimeWarning.
 
     Raises:
         DegenerateSampleError: empty sample, or all lags equal (message
@@ -292,7 +326,8 @@ def fit_nb_mle(sample) -> NegBinomial:
         raise DegenerateSampleError("dispersion unidentifiable: all lags equal")
     r0 = m * m / (v - m) if v > m else 100.0
     x0 = np.array([np.clip(m, *_MU_BOUNDS), np.clip(r0, *_R_BOUNDS)])
-    return NegBinomial(*_fit_mle(_nb_logpmf, lags, x0, [_MU_BOUNDS, _R_BOUNDS]))
+    bounds = [_MU_BOUNDS, _R_BOUNDS]
+    return NegBinomial(*_fit_mle("negative binomial", _nb_logpmf, lags, x0, bounds))
 
 
 def fit_zinb_mle(sample) -> Zinb:
@@ -337,7 +372,8 @@ def fit_zinb_mle(sample) -> Zinb:
             np.clip(r0, *_R_BOUNDS),
         ]
     )
-    return Zinb(*_fit_mle(_zinb_logpmf, lags, x0, [_PI_BOUNDS, _MU_BOUNDS, _R_BOUNDS]))
+    bounds = [_PI_BOUNDS, _MU_BOUNDS, _R_BOUNDS]
+    return Zinb(*_fit_mle("zero-inflated negative binomial", _zinb_logpmf, lags, x0, bounds))
 
 
 def _empirical_cdfs(

@@ -548,6 +548,31 @@ def test_survival_file_multiline_record_names_its_first_line(tmp_path, linelist_
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "record,message",
+    [
+        # The blank and # lines belong to the quoted mu, which is no number.
+        ('nb,"10\n\n# note\n",0.9,0,-80.5,25\n', "bad delay model parameters at line 2"),
+        # The comment's quote would swallow the nb row.
+        ('# note,"x\nnb,10,0.9,0,-80.5,25\n"\n', "comment row at line 2 holds a quoted line break"),
+    ],
+    ids=["blank-and-comment-in-cell", "comment-with-line-break"],
+)
+def test_survival_file_quoted_cell_keeps_its_lines(
+    tmp_path, linelist_file, capsys, record, message
+):
+    params = tmp_path / "fit.csv"
+    params.write_text("model,mu,r,pi,loglik,n\n" + record)
+    out = tmp_path / "est.csv"
+    code = main(
+        ["estimate", str(linelist_file), "-o", str(out), "--epoch", "2020-03-03",
+         "--survival", "file", "--survival-file", str(params)]
+    )
+    assert code == 4
+    assert f"{params}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate / coverage
 
@@ -673,6 +698,25 @@ def test_simulate_arm_file_bad_count(tmp_path, capsys):
         assert main(["simulate", "--arm-file", str(arm_file), "-o", str(out)]) == 4
         assert f"{arm_file}: bad case count at line 5" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # The blank and # lines belong to the quoted count, which is no integer.
+        ('cases\n5\n"6\n\n# note\n"\n7\n', "bad case count at line 3"),
+        # The comment's quote would swallow the next count.
+        ('cases\n5\n# note,"x\n6\n"\n7\n', "comment row at line 3 holds a quoted line break"),
+    ],
+    ids=["blank-and-comment-in-cell", "comment-with-line-break"],
+)
+def test_simulate_arm_file_quoted_cell_keeps_its_lines(tmp_path, capsys, text, message):
+    arm_file = tmp_path / "arm.csv"
+    arm_file.write_text(text)
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--arm-file", str(arm_file), "-o", str(out)]) == 4
+    assert f"{arm_file}: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_deterministic(tmp_path):

@@ -350,6 +350,91 @@ def test_zinb_mle_loglik_not_below_truth():
     ) - 1e-6
 
 
+# Benchmark-like lags (the generator's mean 10.79 and dispersion 0.88): both
+# searches on the seed-4 draw cycle to the 20,000-evaluation cap without the
+# stall stop, those on the seed-0 draw converge.
+MLE_SAMPLES = {
+    "nb-stalls": lambda: np.random.default_rng(4).negative_binomial(0.88, 0.88 / 11.67, 20_000),
+    "nb-converges": lambda: np.random.default_rng(0).negative_binomial(0.88, 0.88 / 11.67, 20_000),
+    "box-edge": lambda: np.array([5, 5, 5, 6]),
+    "zinb-zeros": lambda: Zinb(0.2, 9.0, 1.1).sample(3_000, np.random.default_rng(21)),
+}
+
+
+@pytest.mark.parametrize("name", list(MLE_SAMPLES))
+def test_mle_stall_stop_matches_uncapped_search(monkeypatch, name):
+    from scipy import optimize
+
+    lags = MLE_SAMPLES[name]()
+    minimize = optimize.minimize
+    evaluations = []
+
+    def counting(fun, x0, **kwargs):
+        evaluations.append(0)
+
+        def counted(x):
+            evaluations[-1] += 1
+            return fun(x)
+
+        return minimize(counted, x0, **kwargs)
+
+    monkeypatch.setattr(optimize, "minimize", counting)
+    with warnings.catch_warnings():
+        # A search that ends at its cap while still moving fails the test.
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.filterwarnings("ignore", "no zero lags", RuntimeWarning)
+        fits = fit_nb_mle(lags), fit_zinb_mle(lags)
+    assert len(evaluations) == 2 and max(evaluations) <= 2000
+
+    # The oracle: the same searches without the stall stop, run to their caps.
+    monkeypatch.setattr(
+        optimize, "minimize", lambda *args, callback=None, **kwargs: minimize(*args, **kwargs)
+    )
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "no zero lags|.*still moving", RuntimeWarning)
+        uncapped = fit_nb_mle(lags), fit_zinb_mle(lags)
+    assert fits == uncapped
+
+
+def test_mle_stall_stop_needs_unchanged_iterations_in_a_row(monkeypatch):
+    from scipy import optimize
+    from cfrkit import survival
+
+    stall = survival._NM_STALL
+    stopped_at = []
+
+    def scripted(fun, x0, callback=None, **kwargs):
+        """Moves the best point after every stall - 1 unchanged iterations,
+        three times, then holds it."""
+        x = np.array(x0, dtype=float)
+        for step in range(10 * stall):
+            if step < 3 * stall and step % stall == 0:
+                # In place, as scipy does, and with an equal value: only a
+                # snapshot of x's bytes sees the move.
+                x[0] += 1.0
+            try:
+                callback(intermediate_result=optimize.OptimizeResult(x=x, fun=0.0))
+            except StopIteration:
+                stopped_at.append(step)
+                break
+        return optimize.OptimizeResult(x=x, status=99, nfev=step + 1)
+
+    monkeypatch.setattr(optimize, "minimize", scripted)
+    fit_nb_mle(np.array([1, 2, 3, 5, 8]))
+    assert stopped_at == [3 * stall]
+
+
+def test_mle_search_out_of_evaluations_warns(monkeypatch):
+    from cfrkit import survival
+
+    monkeypatch.setitem(survival._NM_OPTIONS, "maxfev", 10)
+    lags = MLE_SAMPLES["nb-converges"]()
+    with pytest.warns(RuntimeWarning, match=r"^negative binomial MLE search stopped after 10 "):
+        fit_nb_mle(lags)
+    with pytest.warns(RuntimeWarning, match=r"^zero-inflated negative binomial MLE search stopped"):
+        fit_zinb_mle(lags)
+
+
 # ---------------------------------------------------------------------------
 # fit_empirical
 
