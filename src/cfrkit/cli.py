@@ -159,7 +159,7 @@ def _read_params_csv(path: str) -> SurvivalModel:
     Rows without distribution parameters (the empirical entry) are skipped;
     among the rest the highest log-likelihood wins.
     """
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8", newline="\n") as handle:
         rows = _data_rows(handle, path)
     header = rows[0][1] if rows else []
     best: tuple[float, SurvivalModel] | None = None

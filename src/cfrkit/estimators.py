@@ -257,6 +257,16 @@ def _negative_variance() -> ValueError:
     return ValueError("variance must be non-negative")
 
 
+def _zero_denominator(t) -> EstimationError:
+    return EstimationError(f"zero delay-weighted case total at day {t}")
+
+
+def _a1_cases_error(t, d) -> EstimationError:
+    return EstimationError(
+        f"assumption A1 violated: no delay CDF mass by day {t} for cases confirmed on day {d}"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Block kernel
 #
@@ -282,32 +292,56 @@ def _check(bad: np.ndarray, error: Callable[[int], Exception]) -> None:
 
 
 @dataclass(frozen=True)
-class _Cohorts:
-    """Observed deaths of a block of days on a (days x cohorts) grid."""
+class _Grid:
+    """The (days x cohorts) layout of a block of days."""
 
     t: np.ndarray  # evaluation days, ascending
     n: np.ndarray  # cohorts of each day
     valid: np.ndarray  # d < n, False in the padding
     lag: np.ndarray  # t - d, 0 in the padding
+
+
+@dataclass(frozen=True)
+class _Cohorts(_Grid):
+    """A block's grid with a table's observed deaths on it."""
+
     deaths: np.ndarray  # deaths_by(d, t), 0 in the padding
+
+
+def _grid(t: np.ndarray, n_days: int) -> _Grid:
+    """Grid of the ascending days t of a table of n_days >= 1 days."""
+    n = np.minimum(t, n_days - 1) + 1
+    d = np.arange(int(n[-1]))
+    return _Grid(t, n, d < n[:, None], np.maximum(t[:, None] - d, 0))
 
 
 def _cohorts(table: EpidemicTable, t: np.ndarray) -> _Cohorts:
     """Cohorts of the ascending days t of a table with at least one day."""
-    n = np.minimum(t, table.n_days - 1) + 1
-    d = np.arange(int(n[-1]))
-    valid = d < n[:, None]
-    lag = np.maximum(t[:, None] - d, 0)
-    deaths = np.where(valid, table._cum_lag[d, np.minimum(lag, table.max_lag)], 0)
-    return _Cohorts(t, n, valid, lag, deaths)
+    g = _grid(t, table.n_days)
+    # Flat indices into _cum_lag: a 1-D take is faster than a 2-D gather.
+    cells = np.arange(g.lag.shape[1]) * (table.max_lag + 1) + np.minimum(g.lag, table.max_lag)
+    deaths = np.where(g.valid, np.take(table._cum_lag, cells), 0)
+    return _Cohorts(g.t, g.n, g.valid, g.lag, deaths)
 
 
-def _schedule_f(schedule: DelaySchedule, c: _Cohorts) -> tuple[np.ndarray, np.ndarray]:
-    """Raw F_d(t - d) from the schedule's table, and each cohort's floor."""
-    schedule.tabulate(int(c.t[-1]))
-    _check(c.n > schedule._days, lambda i: schedule._coverage_error(int(c.n[i]) - 1))
-    rows = np.minimum(np.arange(c.lag.shape[1]), len(schedule._models) - 1)
-    return schedule._table[rows, c.lag], schedule._floor[rows]
+def _schedule_f(schedule: DelaySchedule, g: _Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Raw F_d(t - d) from the schedule's table, and each cohort's floor.
+
+    A cohort past a per-day schedule reads its last model; the caller
+    checks coverage.
+    """
+    schedule.tabulate(int(g.t[-1]))
+    table, floor = schedule._table, schedule._floor
+    if schedule.is_constant:
+        return np.take(table[0], g.lag), floor
+    rows = np.minimum(np.arange(g.lag.shape[1]), len(schedule._models) - 1)
+    # Flat indices, as in _cohorts.
+    return np.take(table, rows * table.shape[1] + g.lag), floor[rows]
+
+
+def _check_covered(schedule: DelaySchedule, g: _Grid) -> None:
+    """Raise if a per-day schedule lacks the model of some cohort."""
+    _check(g.n > schedule._days, lambda i: schedule._coverage_error(int(g.n[i]) - 1))
 
 
 def _empirical_f(
@@ -328,40 +362,40 @@ def _empirical_f(
 
 def _divisor(f: np.ndarray) -> np.ndarray:
     """F where it is positive, 1.0 elsewhere: what the weights and the
-    variance terms divide by, their zero-mass cells being masked out."""
-    return np.where(f > 0.0, f, 1.0)
+    variance terms divide by, their zero-mass cells being masked out. When
+    every F is positive this is ``f`` itself, not a copy."""
+    positive = f > 0.0
+    return f if positive.all() else np.where(positive, f, 1.0)
 
 
 def _weights(c: _Cohorts, f: np.ndarray, divisor: np.ndarray) -> np.ndarray:
     """Predicted eventual deaths per cohort: deaths_by(d, t) / F_d(t - d).
 
-    Cohorts without observed deaths contribute exactly 0 whatever F is; one
-    with deaths but zero CDF mass is an A1 violation.
+    Cohorts without observed deaths contribute exactly 0 whatever F is, as
+    the divisor is positive; one with deaths but zero CDF mass is an A1
+    violation. ``_divisor`` returns F itself only when all of F is positive,
+    and then there is nothing to check.
     """
-    bad = (c.deaths > 0) & (f <= 0.0)
-    _check(
-        bad.any(axis=1),
-        lambda i: EstimationError(
-            f"assumption A1 violated: no delay CDF mass by day {c.t[i]} for deaths "
-            f"confirmed on day {np.argmax(bad[i])}"
-        ),
-    )
-    return np.where(c.deaths > 0, c.deaths / divisor, 0.0)
+    if divisor is not f:
+        bad = (c.deaths > 0) & (f <= 0.0)
+        _check(
+            bad.any(axis=1),
+            lambda i: EstimationError(
+                f"assumption A1 violated: no delay CDF mass by day {c.t[i]} for deaths "
+                f"confirmed on day {np.argmax(bad[i])}"
+            ),
+        )
+    return c.deaths / divisor
 
 
-def _garske_denominators(cases: np.ndarray, raw: np.ndarray, c: _Cohorts) -> np.ndarray:
+def _garske_denominators(cases: np.ndarray, raw: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Cases discounted by raw F_d(t - d), one dot product per day.
 
     The dot product is BLAS ``ddot``, whose summation order is not numpy's
     pairwise one, so ``_row_sums`` cannot stand in for it.
     """
     cases = cases[: raw.shape[1]].astype(float)  # what int64 @ float64 casts to
-    denom = np.array([cases[:k] @ row[:k] for row, k in zip(raw, c.n.tolist())])
-    _check(
-        denom <= 0.0,
-        lambda i: EstimationError(f"zero delay-weighted case total at day {c.t[i]}"),
-    )
-    return denom
+    return np.array([cases[:k] @ row[:k] for row, k in zip(raw, n.tolist())])
 
 
 def _window_count(t: int, n: int) -> int:
@@ -461,23 +495,55 @@ def _variance_terms(
     p: np.ndarray,
     f: np.ndarray,
     divisor: np.ndarray,
-    c: _Cohorts,
-) -> np.ndarray:
-    """Terms c_d p_d (1 - p_d F_d(t - d)) / F_d(t - d) of ``variance_cfr``.
+    valid: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Terms c_d p_d (1 - p_d F_d(t - d)) / F_d(t - d) of ``variance_cfr``,
+    and the cells that break A1: cohorts with c_d p_d > 0 but no CDF mass.
 
     Cohorts with c_d p_d = 0 contribute nothing and need no CDF mass.
     """
     cp = cases * p
     active = cp > 0
-    bad = active & (f <= 0.0) & c.valid
-    _check(
-        bad.any(axis=1),
-        lambda i: EstimationError(
-            f"assumption A1 violated: no delay CDF mass by day {c.t[i]} for cases "
-            f"confirmed on day {np.argmax(bad[i])}"
-        ),
-    )
-    return np.where(active, cp * (1.0 - p * f) / divisor, 0.0)
+    bad = active & (f <= 0.0) & valid
+    return np.where(active, cp * (1.0 - p * f) / divisor, 0.0), bad
+
+
+def _late_terms(
+    cases: np.ndarray,
+    g: _Grid,
+    raw: np.ndarray,
+    f: np.ndarray,
+    divisor: np.ndarray,
+    p: np.ndarray,
+    r_t: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Garske denominators, V(t), and the first cohort of each day whose
+    cases break A1 (-1 if none), for rates p on the grid's columns."""
+    denom = _garske_denominators(cases, raw, g.n)
+    terms, bad = _variance_terms(cases[: g.lag.shape[1]], p, f, divisor, g.valid)
+    a1_cohort = np.where(bad.any(axis=1), np.argmax(bad, axis=1), -1)
+    return denom, _row_sums(terms, g.n) / (r_t * r_t), a1_cohort
+
+
+def _late_checks(
+    t: np.ndarray,
+    denom: np.ndarray,
+    a1_cohort: np.ndarray,
+    v: np.ndarray,
+    schedule: DelaySchedule | None,
+    rates: DailyRates | None,
+) -> list[tuple[np.ndarray, Callable[[int], Exception]]]:
+    """(flags, error) of each check on ``_late_terms`` of the days t, in the
+    order the per-day computation meets them; ``error(i)`` is day i's. The
+    rates and schedule checks apply when those are known."""
+    checks = [(denom <= 0.0, lambda i: _zero_denominator(t[i]))]
+    if rates is not None:
+        checks.append((t >= len(rates), lambda i: _short_rates(rates, int(t[i]))))
+    if schedule is not None:
+        checks.append((t >= schedule._days, lambda i: schedule._coverage_error(int(t[i]))))
+    checks.append((a1_cohort >= 0, lambda i: _a1_cases_error(t[i], a1_cohort[i])))
+    checks.append((v < 0.0, lambda i: _negative_variance()))
+    return checks
 
 
 def _row_sums(x: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -529,6 +595,7 @@ def _known_day(
 ) -> tuple[_Cohorts, np.ndarray, np.ndarray]:
     """The kernel at the single day t: cohorts, raw F and floored F."""
     c = _cohorts(table, np.array([t]))
+    _check_covered(schedule, c)
     raw, floor = _schedule_f(schedule, c)
     return c, raw, np.maximum(raw, floor)
 
@@ -600,8 +667,10 @@ def cfr_garske_mod(table: EpidemicTable, schedule: DelaySchedule, t: int) -> flo
     """
     _require_cases(table, t)
     c, raw, _ = _known_day(table, schedule, t)
-    denom = _garske_denominators(table.cases, raw, c)
-    return float(c.deaths[0].sum() / denom[0])
+    (denom,) = _garske_denominators(table.cases, raw, c.n)
+    if denom <= 0.0:
+        raise _zero_denominator(t)
+    return float(c.deaths[0].sum() / denom)
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +710,9 @@ def variance_cfr(
     upto = _upto(table, t)
     p = _rates_upto(rates, upto)
     c, _, f = _known_day(table, schedule, t)
-    terms = _variance_terms(table.cases[: upto + 1], p, f, _divisor(f), c)
+    terms, bad = _variance_terms(table.cases[: upto + 1], p, f, _divisor(f), c.valid)
+    if bad.any():
+        raise _a1_cases_error(t, np.argmax(bad[0]))
     return float(terms[0].sum() / r_t**2)
 
 
@@ -772,11 +843,74 @@ def estimate_series(
     block size. A block raises at its first failing check, which may belong
     to a later day than the first failing day; so a failing block of several
     days is re-run one day at a time, and the error is still the one the
-    first failing day raises on its own. The ``cfr_garske`` and
-    ``cfr_garske_mod`` columns hold the same values, the shared delay
-    model's on a constant schedule and the per-day variant's otherwise.
+    first failing day raises on its own. What reads no deaths (r_t,
+    ``cfr_true``, and with a known schedule and rates the Garske
+    denominators, V(t) and A1-A3) is built first as vectors over the days,
+    which ``run_study`` builds once for all its replicates. The
+    ``cfr_garske`` and ``cfr_garske_mod`` columns hold the same values, the
+    shared delay model's on a constant schedule and the per-day variant's
+    otherwise.
     Emits one AssumptionWarning if A1-A3 fail on any evaluated day.
     """
+    shared = _shared_terms(table, days, alpha, schedule, rates, lookback, true_rates)
+    return _series(table, shared, include_final)
+
+
+@dataclass(frozen=True, eq=False)
+class _Shared:
+    """Everything ``estimate_series`` computes without reading deaths, as
+    vectors over the evaluation days.
+
+    The replicates of a study share their cases, and in known mode their
+    schedule and rates too, so ``run_study`` builds this once and each
+    replicate's blocks do only the work that reads its deaths. With both
+    the schedule and the rates known that leaves the deaths gather, F, the
+    weights and their sums: ``denom`` and ``v`` are set, and ``checks``
+    holds every check after the weights'. Otherwise ``checks`` holds only
+    the trailing ``true_rates`` one. No (days x cohorts) array is kept.
+    """
+
+    t: np.ndarray  # evaluation days, ascending, each with cases
+    r_t: np.ndarray
+    z: float
+    schedule: DelaySchedule | None
+    rates: DailyRates | None
+    lookback: int
+    windows: _Windows | None  # rates estimated
+    min_f0: np.ndarray | None  # schedule known
+    min_p: np.ndarray | None  # rates known
+    max_p: np.ndarray | None  # rates known
+    cfr_true: np.ndarray | None
+    denom: np.ndarray | None  # schedule and rates known
+    v: np.ndarray | None  # schedule and rates known
+    checks: tuple[tuple[np.ndarray, Callable[[int], Exception]], ...]
+    failing: np.ndarray  # some check in ``checks`` flags the day
+
+
+def _rates_grid(rates: DailyRates, width: int) -> np.ndarray:
+    """Rates of cohorts 0..width - 1; cohorts past the rates read the last."""
+    return rates.p[np.minimum(np.arange(width), len(rates) - 1)]
+
+
+def _joined(parts: list[np.ndarray], dtype: type = float) -> np.ndarray:
+    """The blocks' vectors as one; a single block's is returned as is."""
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts) if parts else np.empty(0, dtype)
+
+
+def _shared_terms(
+    table: EpidemicTable,
+    days: Sequence[int],
+    alpha: float,
+    schedule: DelaySchedule | None,
+    rates: DailyRates | None,
+    lookback: int,
+    true_rates: DailyRates | None,
+) -> _Shared:
+    """``_Shared`` of an ``estimate_series`` call; reads only the table's
+    cases. Raises for bad arguments, and records each day's failing checks
+    for the kernel to raise in order."""
     day_grid = np.unique(np.asarray(days, dtype=np.int64))
     if day_grid.size and day_grid[0] < 0:
         raise ValueError("days must be non-negative")
@@ -786,43 +920,89 @@ def estimate_series(
         # The largest lag any day reads is t - 0 at the last day.
         schedule.tabulate(int(day_grid[-1]))
     if table.n_days:
-        day_grid = day_grid[table._cum_cases[np.minimum(day_grid, table.n_days - 1)] > 0]
+        t = day_grid[table._cum_cases[np.minimum(day_grid, table.n_days - 1)] > 0]
     else:
-        day_grid = day_grid[:0]
-    if schedule is None and day_grid.size and lookback < 0:
+        t = day_grid[:0]
+    if schedule is None and t.size and lookback < 0:
         raise ValueError("lookback must be non-negative")
-    windows = _windows(table, int(day_grid[-1])) if rates is None and day_grid.size else None
-    # Running A1-A3 bounds of the known inputs, built once for every block.
-    f0_bounds = _f0_bounds(schedule) if schedule is not None and day_grid.size else None
-    p_bounds = _p_bounds(rates.p) if rates is not None else None
-    shared = (z, schedule, rates, f0_bounds, p_bounds, windows, lookback, true_rates)
+    n = np.minimum(t, table.n_days - 1) + 1
+    r_t = table._cum_cases[n - 1]
+    windows = _windows(table, int(t[-1])) if rates is None and t.size else None
+    # Running A1-A3 bounds of the known inputs at each day.
+    min_f0 = _at_days(_f0_bounds(schedule), t)[0] if schedule is not None and t.size else None
+    min_p, max_p = _at_days(_p_bounds(rates.p), t) if rates is not None else (None, None)
+
+    known = schedule is not None and rates is not None
+    cfr_true, late = [], []
+    for i in range(0, t.size, _BLOCK):
+        block = slice(i, i + _BLOCK)
+        width = int(n[block][-1])
+        if true_rates is not None:
+            weighted = table.cases[:width] * _rates_grid(true_rates, width)
+            cfr_true.append(_row_sums(weighted, n[block]) / r_t[block])
+        if known:
+            g = _grid(t[block], table.n_days)
+            raw, floor = _schedule_f(schedule, g)
+            f = np.maximum(raw, floor)
+            p = _rates_grid(rates, width)
+            late.append(_late_terms(table.cases, g, raw, f, _divisor(f), p, r_t[block]))
+
+    denom = v = None
+    checks = []
+    if known:
+        denom, v, a1_cohort = (_joined([block[k] for block in late]) for k in range(3))
+        checks = _late_checks(t, denom, a1_cohort, v, schedule, rates)
+    if true_rates is not None:
+        checks.append((n > len(true_rates), lambda i: _short_rates(true_rates, int(n[i]) - 1)))
+    failing = np.zeros(t.size, dtype=bool)
+    for bad, _ in checks:
+        failing |= bad
+    return _Shared(
+        t=t,
+        r_t=r_t,
+        z=z,
+        schedule=schedule,
+        rates=rates,
+        lookback=lookback,
+        windows=windows,
+        min_f0=min_f0,
+        min_p=min_p,
+        max_p=max_p,
+        cfr_true=_joined(cfr_true) if true_rates is not None else None,
+        denom=denom,
+        v=v,
+        checks=tuple(checks),
+        failing=failing,
+    )
+
+
+def _series(table: EpidemicTable, shared: _Shared, include_final: bool) -> EstimateSeries:
+    """``estimate_series`` of a table whose cases ``shared`` was built from."""
     blocks = []
-    for i in range(0, day_grid.size, _BLOCK):
-        t = day_grid[i : i + _BLOCK]
+    for i in range(0, shared.t.size, _BLOCK):
+        rows = slice(i, min(i + _BLOCK, shared.t.size))
         try:
-            blocks.append(_series_block(table, t, *shared))
+            blocks.append(_series_block(table, shared, rows))
         except (EstimationError, ValueError):
             # The first of the earlier days that fails raises its own error;
             # if none does, the block's error is its last day's.
-            for j in range(t.size - 1):
-                _series_block(table, t[j : j + 1], *shared)
+            for j in range(rows.start, rows.stop - 1):
+                _series_block(table, shared, slice(j, j + 1))
             raise
 
     def column(name: str, dtype: type = float) -> np.ndarray:
-        if len(blocks) == 1:
-            return blocks[0][name]
-        return np.concatenate([b[name] for b in blocks]) if blocks else np.empty(0, dtype)
+        return _joined([b[name] for b in blocks], dtype)
 
     if not column("ok", bool).all():
         warnings.warn(
             "assumptions A1-A3 failed on some evaluated days; intervals may undercover",
             AssumptionWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     garske = column("cfr_garske")
     return EstimateSeries(
-        t=column("t", np.int64),
-        r_t=column("r_t", np.int64),
+        t=shared.t.copy(),
+        r_t=shared.r_t.copy(),
         cfr_naive=column("cfr_naive"),
         cfr=column("cfr"),
         ci_low=column("ci_low"),
@@ -830,69 +1010,57 @@ def estimate_series(
         cfr_garske=garske,
         cfr_garske_mod=garske.copy(),
         cfr_final=column("cfr_final") if include_final else None,
-        cfr_true=column("cfr_true") if true_rates is not None else None,
+        cfr_true=shared.cfr_true.copy() if shared.cfr_true is not None else None,
     )
 
 
-def _series_block(
-    table: EpidemicTable,
-    t: np.ndarray,
-    z: float,
-    schedule: DelaySchedule | None,
-    rates: DailyRates | None,
-    f0_bounds: tuple[np.ndarray, np.ndarray] | None,
-    p_bounds: tuple[np.ndarray, np.ndarray] | None,
-    windows: _Windows | None,
-    lookback: int,
-    true_rates: DailyRates | None,
-) -> dict[str, np.ndarray]:
-    """``estimate_series`` columns at the ascending days t, each with cases,
-    plus ``ok``: whether A1-A3 hold on each day. ``f0_bounds`` and
-    ``p_bounds`` are the running bounds of a known schedule and known rates.
-    ``windows`` covers the last day when the rates are estimated.
+def _series_block(table: EpidemicTable, shared: _Shared, rows: slice) -> dict[str, np.ndarray]:
+    """``estimate_series`` columns that read deaths at the days ``rows`` of
+    ``shared.t``, plus ``ok``: whether A1-A3 hold on each day.
 
-    The checks run in the order the per-day computation meets them, and
-    each raises where it is found: the error is the first failing check's on
-    any day of the block, which need not be the first failing day's.
+    The checks run in the order the per-day computation meets them, those
+    that read no deaths from ``shared.checks``: the error is the first
+    failing check's on any day of the block, which need not be the first
+    failing day's.
     """
+    t = shared.t[rows]
+    schedule, rates = shared.schedule, shared.rates
     c = _cohorts(table, t)
     width = c.deaths.shape[1]
     if schedule is None:
-        raw, floor, min_f0 = _empirical_f(table, c, lookback)
+        raw, floor, min_f0 = _empirical_f(table, c, shared.lookback)
     if rates is None:
         _check(t < 6, lambda i: _rate_day_error())
     if schedule is not None:
+        _check_covered(schedule, c)
         raw, floor = _schedule_f(schedule, c)
+        min_f0 = shared.min_f0[rows]
     f = np.maximum(raw, floor)
     divisor = _divisor(f)
     w = _weights(c, f, divisor)
     if rates is None:
-        p_window, inside, _ = _window_rates(windows, c, w)
-        p = _daily_p(p_window, t, width)
+        p_window, inside, _ = _window_rates(shared.windows, c, w)
         min_p = np.where(inside, p_window, np.inf).min(axis=1)
         max_p = np.where(inside, p_window, -np.inf).max(axis=1)
-    denom = _garske_denominators(table.cases, raw, c)
-    # A1-A3 over days 0..t, then the variance.
-    if rates is not None:
-        _check(t >= len(rates), lambda i: _short_rates(rates, int(t[i])))
-        p = rates.p[np.minimum(np.arange(width), len(rates) - 1)]
-        min_p, max_p = _at_days(p_bounds, t)
-    if schedule is not None:
-        _check(t >= schedule._days, lambda i: schedule._coverage_error(int(t[i])))
-        min_f0, _ = _at_days(f0_bounds, t)
-    r_t = table._cum_cases[c.n - 1]
-    terms = _variance_terms(table.cases[:width], p, f, divisor, c)
-    v = _row_sums(terms, c.n) / (r_t * r_t)
-    _check(v < 0.0, lambda i: _negative_variance())
-    if true_rates is not None:
-        _check(c.n > len(true_rates), lambda i: _short_rates(true_rates, int(c.n[i]) - 1))
+    else:
+        min_p, max_p = shared.min_p[rows], shared.max_p[rows]
+    r_t = shared.r_t[rows]
+    if shared.v is None:
+        # F or the rates come from this table's deaths.
+        p = _daily_p(p_window, t, width) if rates is None else _rates_grid(rates, width)
+        denom, v, a1_cohort = _late_terms(table.cases, c, raw, f, divisor, p, r_t)
+        for bad, error in _late_checks(t, denom, a1_cohort, v, schedule, rates):
+            _check(bad, error)
+    else:
+        denom, v = shared.denom[rows], shared.v[rows]
+    if shared.failing[rows].any():
+        for bad, error in shared.checks:
+            _check(bad[rows], lambda i: error(rows.start + i))
 
     dead = c.deaths.sum(axis=1)
     cfr = _row_sums(w, c.n) / r_t
-    low, high = _interval(cfr, v, z)
-    columns = {
-        "t": t,
-        "r_t": r_t,
+    low, high = _interval(cfr, v, shared.z)
+    return {
         "cfr_naive": dead / r_t,
         "cfr": cfr,
         "ci_low": low,
@@ -901,7 +1069,3 @@ def _series_block(
         "cfr_final": table._cum_final[c.n - 1] / r_t,
         "ok": (min_f0 > 0.0) & (min_p > 0.0) & (max_p < 1.0),
     }
-    if true_rates is not None:
-        weighted = table.cases[:width] * true_rates.p[:width]
-        columns["cfr_true"] = _row_sums(weighted, c.n) / r_t
-    return columns

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CfrError, ParseError
-from .estimators import DailyRates, DelaySchedule, EstimateSeries, estimate_series
+from .estimators import DailyRates, DelaySchedule, EstimateSeries, _series, _shared_terms
 from .linelist import EpidemicTable, _death_table
 from .survival import SurvivalModel
 
@@ -277,21 +277,20 @@ def run_study(
     kept: list[ReplicateResult] = []
 
     n_reps = scenario.replicates
+    shared = None
     for index in range(n_reps):
-        # simulate_replicate(scenario, index) reproduces a failing replicate alone.
+        # simulate_replicate(scenario, index) reproduces a failing replicate
+        # alone, and estimate_series on its table gives the same series.
         where = f"replicate {index} of scenario seed {scenario.seed}"
         try:
             table = simulate_replicate(scenario, index)
-            series = estimate_series(
-                table,
-                days,
-                alpha=alpha,
-                schedule=schedule_arg,
-                rates=rates_arg,
-                lookback=lookback,
-                include_final=True,
-                true_rates=rates_true,
-            )
+            if shared is None:
+                # Every replicate has the scenario's cases, so the terms that
+                # read no deaths are built from the first one, once.
+                shared = _shared_terms(
+                    table, days, alpha, schedule_arg, rates_arg, lookback, rates_true
+                )
+            series = _series(table, shared, include_final=True)
         except (CfrError, ValueError) as exc:
             raise type(exc)(f"{where}: {exc}") from exc
         if len(series) != n_days:
@@ -343,19 +342,24 @@ def _data_rows(lines: Iterable[str], source: object) -> list[tuple[int, list[str
     numbered by the line it starts on. Every line reaches the csv reader, so
     a quoted cell keeps its blank and ``#`` lines; a ``#`` record holding a
     quoted line break is a ParseError naming ``source`` and that line, since
-    its quote would swallow the lines after it."""
+    its quote would swallow the lines after it, and so is a record the csv
+    module rejects. Lines should end at "\n" alone (``newline="\n"``), so
+    that a bare "\r" is such a record rather than a line break."""
     reader = csv.reader(lines)
     rows, start = [], 1
-    for row in reader:
-        if row and row[0].startswith("#"):
-            if any("\n" in cell for cell in row):
-                raise ParseError(
-                    f"{source}: comment row at line {start} holds a quoted line break, "
-                    "which would swallow the lines after it"
-                )
-        elif any(cell.strip() for cell in row):
-            rows.append((start, row))
-        start = reader.line_num + 1
+    try:
+        for row in reader:
+            if row and row[0].startswith("#"):
+                if any("\n" in cell for cell in row):
+                    raise ParseError(
+                        f"{source}: comment row at line {start} holds a quoted line break, "
+                        "which would swallow the lines after it"
+                    )
+            elif any(cell.strip() for cell in row):
+                rows.append((start, row))
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise ParseError(f"{source}: malformed CSV record at line {start} ({exc})") from None
     return rows
 
 
@@ -365,9 +369,10 @@ def read_arm_csv(path: Path) -> np.ndarray:
     ``path`` is a ``Path`` or a package resource. Blank records and records
     starting with ``#`` are skipped. Raises ParseError, naming the file,
     when the column is missing, and the line too when a count is not a
-    non-negative integer or a ``#`` record holds a quoted line break.
+    non-negative integer, a ``#`` record holds a quoted line break or a
+    record is not valid CSV (a bare "\r", an oversized cell).
     """
-    with path.open("r", encoding="utf-8") as handle:
+    with path.open("r", encoding="utf-8", newline="\n") as handle:
         rows = _data_rows(handle, path)
     if not rows:
         raise ParseError(f"{path}: empty case-curve file")

@@ -27,7 +27,7 @@ from cfrkit import (
     run_study,
 )
 import cfrkit.linelist as linelist_module
-from cfrkit import load_example_arm
+from cfrkit import load_example_arm, read_arm_csv
 from cfrkit.cli import main
 from cfrkit.survival import DelaySample
 
@@ -573,6 +573,52 @@ def test_survival_file_quoted_cell_keeps_its_lines(
     assert not out.exists()
 
 
+# An arm file and a parameter file with the same fault, and the line the
+# faulty record starts on. A bare "\r" ends no line; a cell past the csv
+# module's field limit is rejected by it.
+MALFORMED_ARM = {
+    "bare-cr": ("cases\n5\r6\n", 2),
+    "oversized-cell": ("cases\n5\n" + "9" * 200_000 + "\n", 3),
+}
+MALFORMED_PARAMS = {
+    "bare-cr": ("model,mu,r,pi,loglik,n\nnb,10\r,0.9,0,-80.5,25\n", 2),
+    "oversized-cell": (
+        'model,mu,r,pi,loglik,n\n# note\nnb,"' + "9" * 200_000 + '",0.9,0,-80.5,25\n', 3
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(MALFORMED_PARAMS))
+def test_survival_file_malformed_record_exits_4(tmp_path, linelist_file, capsys, fault):
+    text, line = MALFORMED_PARAMS[fault]
+    params = tmp_path / "fit.csv"
+    params.write_bytes(text.encode())
+    out = tmp_path / "est.csv"
+    code = main(
+        ["estimate", str(linelist_file), "-o", str(out), "--epoch", "2020-03-03",
+         "--survival", "file", "--survival-file", str(params)]
+    )
+    assert code == 4
+    assert f"{params}: malformed CSV record at line {line} (" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_survival_file_crlf_reads_as_lf(tmp_path, linelist_file):
+    text = "model,mu,r,pi,loglik,n\nempirical,,,,-90.1,25\nnb,10.5,0.9,0,-80.5,25\n"
+    outputs = []
+    for name, newline in (("lf", "\n"), ("crlf", "\r\n")):
+        params = tmp_path / f"{name}.csv"
+        params.write_bytes(text.replace("\n", newline).encode())
+        out = tmp_path / f"{name}_est.csv"
+        code = main(
+            ["estimate", str(linelist_file), "-o", str(out), "--epoch", "2020-03-03",
+             "--survival", "file", "--survival-file", str(params)]
+        )
+        assert code == 0
+        outputs.append(out.read_bytes().split(b"\n", 1)[1])  # past the meta line
+    assert outputs[0] == outputs[1]
+
+
 # ---------------------------------------------------------------------------
 # simulate / coverage
 
@@ -717,6 +763,32 @@ def test_simulate_arm_file_quoted_cell_keeps_its_lines(tmp_path, capsys, text, m
     assert main(["simulate", "--arm-file", str(arm_file), "-o", str(out)]) == 4
     assert f"{arm_file}: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fault", sorted(MALFORMED_ARM))
+def test_simulate_arm_file_malformed_record_exits_4(tmp_path, capsys, fault):
+    text, line = MALFORMED_ARM[fault]
+    arm_file = tmp_path / "arm.csv"
+    arm_file.write_bytes(text.encode())
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--arm-file", str(arm_file), "-o", str(out)]) == 4
+    assert f"{arm_file}: malformed CSV record at line {line} (" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_arm_file_crlf_reads_as_lf(tmp_path):
+    arm = load_example_arm()[:40]
+    args = ["simulate", "--symmetric", "--dstar", "30", "--replicates", "2", "--to", "60"]
+    outputs = []
+    for name, newline in (("lf", "\n"), ("crlf", "\r\n")):
+        arm_file = tmp_path / f"{name}.csv"
+        text = newline.join(["# a comment", "", "cases", *map(str, arm)]) + newline
+        arm_file.write_bytes(text.encode())
+        assert read_arm_csv(arm_file).tolist() == arm.tolist()
+        out = tmp_path / f"{name}_out.csv"
+        assert main([*args, "--arm-file", str(arm_file), "-o", str(out)]) == 0
+        outputs.append(out.read_bytes().split(b"\n", 1)[1])  # past the meta line
+    assert outputs[0] == outputs[1]
 
 
 def test_simulate_deterministic(tmp_path):

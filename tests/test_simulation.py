@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from cfrkit import (
+    ESTIMATORS,
     DailyRates,
     DelaySchedule,
+    EstimateSeries,
     EstimationError,
     NegBinomial,
     Scenario,
@@ -24,6 +26,7 @@ from cfrkit import (
     run_study,
     simulate_replicate,
 )
+import cfrkit.estimators as est
 
 
 def small_scenario(**overrides) -> Scenario:
@@ -240,6 +243,124 @@ def test_run_study_names_failing_replicate():
     # The message is enough to reproduce the failure alone.
     with pytest.raises(EstimationError, match="insufficient resolved deaths"):
         estimate_series(simulate_replicate(sc, 2), [8], lookback=2)
+
+
+def estimate_series_loop(sc, days):
+    """A known-mode study written as one estimate_series call per replicate:
+    the kept series, and the StudyResult arrays summed as run_study sums
+    them."""
+    truth = np.cumsum(sc.curve * sc.daily_rates.p)[days] / np.cumsum(sc.curve)[days]
+    kwargs = dict(
+        schedule=sc.schedule, rates=sc.daily_rates, include_final=True,
+        true_rates=sc.daily_rates,
+    )
+    sums = np.zeros((len(ESTIMATORS), len(days)))
+    sumsq = np.zeros_like(sums)
+    hit_sum = np.zeros(len(days))
+    length_sum = np.zeros(len(days))
+    kept = []
+    for index in range(sc.replicates):
+        series = estimate_series(simulate_replicate(sc, index), days, **kwargs)
+        values = np.array([getattr(series, name) for name in ESTIMATORS])
+        sums += values
+        sumsq += values * values
+        hit_sum += (series.ci_low <= truth) & (truth <= series.ci_high)
+        length_sum += series.ci_high - series.ci_low
+        kept.append(series)
+    n = sc.replicates
+    mean = sums / n
+    se = np.sqrt(np.maximum(sumsq - n * mean * mean, 0.0) / (n - 1) / n)
+    coverage = hit_sum / n
+    arrays = {
+        "days": days,
+        "r_t": np.cumsum(sc.curve)[days],
+        "cfr_true": truth,
+        "coverage": coverage,
+        "coverage_se": np.sqrt(coverage * (1.0 - coverage) / n),
+        "mean_ci_length": length_sum / n,
+    }
+    for name, m, e in zip(ESTIMATORS, mean, se):
+        arrays[f"mean_{name}"], arrays[f"se_{name}"] = m, e
+    return kept, arrays
+
+
+@pytest.mark.parametrize(
+    "overrides,eval_days",
+    [
+        # The default grid runs from the first case to day 40, 30 days past
+        # the curve's last case.
+        ({}, None),
+        ({"delay": DelaySchedule([NegBinomial(3.0 + d / 20, 1.0) for d in range(41)])}, None),
+        ({}, [7]),
+        # 151 days: three blocks, the last of them partly past the curve.
+        ({"rising_arm": np.arange(5, 65, 3), "horizon": 150, "p_spec": StepRates(0.1, 0.05, 20)},
+         None),
+    ],
+    ids=["constant", "per-day", "one-day", "three-blocks"],
+)
+def test_run_study_known_equals_estimate_series_loop(overrides, eval_days):
+    """Terms built once per study give what one estimate_series call per
+    replicate gives, bit for bit."""
+    sc = small_scenario(replicates=5, **overrides)
+    result = run_study(sc, "known", eval_days=eval_days, keep_series=True)
+    kept, arrays = estimate_series_loop(sc, result.days)
+    for got, want in zip([rep.series for rep in result.replicates], kept, strict=True):
+        for name in EstimateSeries.__dataclass_fields__:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for name, want in arrays.items():
+        source = result.coverage if name in ("coverage", "coverage_se", "mean_ci_length") else result
+        assert np.array_equal(getattr(source, name), want), name
+    assert np.array_equal(result.coverage.days, result.days)
+    assert np.array_equal(result.coverage.r_t, result.r_t)
+
+
+@pytest.mark.parametrize(
+    "eval_days,message",
+    [
+        # Day 0's cases have no delay mass by day 0.
+        ([0, 5], "zero delay-weighted case total at day 0"),
+        # Day 4's cases have no mass by day 5; earlier cohorts have all of it.
+        ([5, 9],
+         "assumption A1 violated: no delay CDF mass by day 5 for cases confirmed on day 4"),
+    ],
+    ids=["garske", "a1-cases"],
+)
+def test_run_study_known_deaths_free_error_keeps_its_message(eval_days, message):
+    """A check that reads no deaths is raised by the first failing day, with
+    the failing replicate named, as estimate_series raises it."""
+    sc = small_scenario(delay=point_mass(2), seed=11)
+    with pytest.raises(EstimationError) as raised:
+        run_study(sc, "known", eval_days=eval_days)
+    assert str(raised.value) == f"replicate 0 of scenario seed 11: {message}"
+    with pytest.raises(EstimationError) as alone:
+        estimate_series(
+            simulate_replicate(sc, 0), eval_days, schedule=sc.schedule, rates=sc.daily_rates,
+            include_final=True, true_rates=sc.daily_rates,
+        )
+    assert str(alone.value) == message
+
+
+def test_run_study_known_builds_deaths_free_terms_once(monkeypatch):
+    """The Garske denominators and the variance terms read no deaths in
+    known mode, so a study builds them once per block, not per replicate."""
+    calls = {"_garske_denominators": 0, "_variance_terms": 0}
+    for name in calls:
+        original = getattr(est, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(est, name, counting)
+    sc = small_scenario(
+        rising_arm=np.arange(5, 65, 3), horizon=150, p_spec=StepRates(0.1, 0.05, 20),
+        replicates=6,
+    )
+    result = run_study(sc, "known")
+    blocks = -(-result.days.size // est._BLOCK)
+    assert blocks == 3
+    assert calls == {"_garske_denominators": blocks, "_variance_terms": blocks}
 
 
 def test_run_study_true_rate_column():
