@@ -9,11 +9,14 @@ length over replicates on a fixed evaluation grid.
 from __future__ import annotations
 
 import csv
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -21,6 +24,9 @@ from .errors import CfrError, ParseError
 from .estimators import DailyRates, DelaySchedule, EstimateSeries, _series, _shared_terms
 from .linelist import EpidemicTable, _death_table
 from .survival import SurvivalModel
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 __all__ = [
     "StepRates",
@@ -150,20 +156,65 @@ def simulate_replicate(scenario: Scenario, replicate_index: int) -> EpidemicTabl
     """
     if replicate_index < 0:
         raise ValueError("replicate_index must be non-negative")
+    return _table(scenario.curve, *_draw(scenario, replicate_index))
+
+
+def _draw(scenario: Scenario, replicate_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Replicate ``replicate_index``'s random draws: the daily death counts
+    and every death's delay, day by day. This is all of a replicate that
+    touches its stream, so it may run on any thread."""
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=scenario.seed, spawn_key=(int(replicate_index),))
     )
     curve = scenario.curve
-    p = scenario.daily_rates.p
-    n_die = rng.binomial(curve, p)
+    n_die = rng.binomial(curve, scenario.daily_rates.p)
     schedule = scenario.schedule
     if schedule.is_constant:
         lags = schedule.model_for(0).sample(int(n_die.sum()), rng)
     else:
         parts = [schedule.model_for(d).sample(int(n_die[d]), rng) for d in range(curve.size)]
         lags = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    return n_die, lags
+
+
+def _table(curve: np.ndarray, n_die: np.ndarray, lags: np.ndarray) -> EpidemicTable:
+    """The epidemic table of one replicate's draws."""
     day_of = np.repeat(np.arange(curve.size), n_die)
     return EpidemicTable(curve, _death_table(day_of, lags, curve.size))
+
+
+# Threads that draw study replicates. numpy's Generator releases the GIL in
+# its distribution loops, so two draws run side by side. Two are enough: then
+# the calling thread's estimation sets the pace, and each further draw in
+# flight only holds memory.
+_DRAW_THREADS = min(2, os.cpu_count() or 1)
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _draw_pool() -> ThreadPoolExecutor:
+    """The process's drawing pool, created by the first study and kept, since
+    starting threads per study costs more than the overlap saves. Imported
+    here, so that importing cfrkit loads no concurrent.futures."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_DRAW_THREADS, thread_name_prefix="cfrkit-draw")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # A forked child has none of the parent's threads, but the parent's pool
+    # would count them as idle and never start its own: the child's first
+    # study would wait forever. It builds a new pool instead, under a new
+    # lock, since a parent thread may have held the old one at the fork.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,8 +316,11 @@ def run_study(
         raise ValueError("every evaluation day needs at least one confirmed case")
 
     rates_true = scenario.daily_rates
+    # The drawing threads read the curve, the rates and the schedule, and a
+    # cached_property need not be thread-safe, so all three are built here.
+    schedule = scenario.schedule
     truth = np.cumsum(curve * rates_true.p)[days] / cum_cases[days]
-    schedule_arg = scenario.schedule if known else None
+    schedule_arg = schedule if known else None
     rates_arg = rates_true if known else None
 
     n_days = days.size
@@ -277,33 +331,43 @@ def run_study(
     kept: list[ReplicateResult] = []
 
     n_reps = scenario.replicates
+    pool = _draw_pool()
+    draws: deque = deque()
     shared = None
-    for index in range(n_reps):
-        # simulate_replicate(scenario, index) reproduces a failing replicate
-        # alone, and estimate_series on its table gives the same series.
-        where = f"replicate {index} of scenario seed {scenario.seed}"
-        try:
-            table = simulate_replicate(scenario, index)
-            if shared is None:
-                # Every replicate has the scenario's cases, so the terms that
-                # read no deaths are built from the first one, once.
-                shared = _shared_terms(
-                    table, days, alpha, schedule_arg, rates_arg, lookback, rates_true
-                )
-            series = _series(table, shared, include_final=True)
-        except (CfrError, ValueError) as exc:
-            raise type(exc)(f"{where}: {exc}") from exc
-        if len(series) != n_days:
-            raise RuntimeError(f"{where} skipped evaluation days unexpectedly")
-        values = np.array([getattr(series, name) for name in ESTIMATORS])
-        sums += values
-        sumsq += values * values
-        hit = (series.ci_low <= truth) & (truth <= series.ci_high)
-        length = series.ci_high - series.ci_low
-        hit_sum += hit
-        length_sum += length
-        if keep_series:
-            kept.append(ReplicateResult(series, ci_hit=hit, ci_length=length))
+    try:
+        for index in range(n_reps):
+            # Keep the draws of the next _DRAW_THREADS replicates in flight
+            # while this one is estimated; results are taken in index order.
+            for ahead in range(index + len(draws), min(index + _DRAW_THREADS + 1, n_reps)):
+                draws.append(pool.submit(_draw, scenario, ahead))
+            # simulate_replicate(scenario, index) reproduces a failing replicate
+            # alone, and estimate_series on its table gives the same series.
+            where = f"replicate {index} of scenario seed {scenario.seed}"
+            try:
+                table = _table(curve, *draws.popleft().result())
+                if shared is None:
+                    # Every replicate has the scenario's cases, so the terms that
+                    # read no deaths are built from the first one, once.
+                    shared = _shared_terms(
+                        table, days, alpha, schedule_arg, rates_arg, lookback, rates_true
+                    )
+                series = _series(table, shared, include_final=True)
+            except (CfrError, ValueError) as exc:
+                raise type(exc)(f"{where}: {exc}") from exc
+            if len(series) != n_days:
+                raise RuntimeError(f"{where} skipped evaluation days unexpectedly")
+            values = np.array([getattr(series, name) for name in ESTIMATORS])
+            sums += values
+            sumsq += values * values
+            hit = (series.ci_low <= truth) & (truth <= series.ci_high)
+            length = series.ci_high - series.ci_low
+            hit_sum += hit
+            length_sum += length
+            if keep_series:
+                kept.append(ReplicateResult(series, ci_hit=hit, ci_length=length))
+    finally:
+        for pending in draws:
+            pending.cancel()
 
     mean = sums / n_reps
     if n_reps > 1:

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
+import os
+import subprocess
+import sys
+import textwrap
+import threading
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +24,7 @@ from cfrkit import (
     NegBinomial,
     Scenario,
     StepRates,
+    SurvivalModel,
     build_curve,
     cfr_proposed,
     estimate_series,
@@ -27,6 +35,7 @@ from cfrkit import (
     simulate_replicate,
 )
 import cfrkit.estimators as est
+import cfrkit.simulation as simulation
 
 
 def small_scenario(**overrides) -> Scenario:
@@ -245,15 +254,14 @@ def test_run_study_names_failing_replicate():
         estimate_series(simulate_replicate(sc, 2), [8], lookback=2)
 
 
-def estimate_series_loop(sc, days):
-    """A known-mode study written as one estimate_series call per replicate:
+def estimate_series_loop(sc, days, mode="known", lookback=45):
+    """A study written as one estimate_series call per replicate, serially:
     the kept series, and the StudyResult arrays summed as run_study sums
     them."""
     truth = np.cumsum(sc.curve * sc.daily_rates.p)[days] / np.cumsum(sc.curve)[days]
-    kwargs = dict(
-        schedule=sc.schedule, rates=sc.daily_rates, include_final=True,
-        true_rates=sc.daily_rates,
-    )
+    kwargs = dict(include_final=True, true_rates=sc.daily_rates, lookback=lookback)
+    if mode == "known":
+        kwargs.update(schedule=sc.schedule, rates=sc.daily_rates)
     sums = np.zeros((len(ESTIMATORS), len(days)))
     sumsq = np.zeros_like(sums)
     hit_sum = np.zeros(len(days))
@@ -315,6 +323,31 @@ def test_run_study_known_equals_estimate_series_loop(overrides, eval_days):
     assert np.array_equal(result.coverage.r_t, result.r_t)
 
 
+@pytest.mark.filterwarnings("ignore::cfrkit.AssumptionWarning")
+@pytest.mark.parametrize(
+    "delay",
+    [NegBinomial(4.0, 1.0), DelaySchedule([NegBinomial(3.0 + d / 40, 1.0) for d in range(101)])],
+    ids=["constant", "per-day"],
+)
+def test_run_study_estimated_equals_estimate_series_loop(delay):
+    """Replicates drawn on the pool and taken in index order give what a
+    serial loop over simulate_replicate gives, bit for bit."""
+    sc = small_scenario(
+        rising_arm=np.full(40, 80), horizon=100, p_spec=StepRates(0.1, 0.05, 40),
+        delay=delay, replicates=5, seed=9,
+    )
+    result = run_study(sc, "estimated", lookback=20, keep_series=True)
+    assert result.days.tolist() == list(range(40, 101))
+    kept, arrays = estimate_series_loop(sc, result.days, mode="estimated", lookback=20)
+    for got, want in zip([rep.series for rep in result.replicates], kept, strict=True):
+        for name in EstimateSeries.__dataclass_fields__:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for name, want in arrays.items():
+        source = result.coverage if name in ("coverage", "coverage_se", "mean_ci_length") else result
+        assert np.array_equal(getattr(source, name), want), name
+
+
 @pytest.mark.parametrize(
     "eval_days,message",
     [
@@ -361,6 +394,146 @@ def test_run_study_known_builds_deaths_free_terms_once(monkeypatch):
     blocks = -(-result.days.size // est._BLOCK)
     assert blocks == 3
     assert calls == {"_garske_denominators": blocks, "_variance_terms": blocks}
+
+
+# ---------------------------------------------------------------------------
+# The drawing pool: run_study draws replicates on at most two threads
+
+
+class _FailingDraws(SurvivalModel):
+    """A delay model whose draws fail."""
+
+    def cdf(self, k):
+        return NegBinomial(4.0, 1.0).cdf(k)
+
+    def sample(self, n, rng):
+        raise ValueError("boom")
+
+
+def run_fresh_python(script: str, timeout: float = 60) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports cfrkit from this
+    checkout."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)], env=env, capture_output=True,
+        text=True, timeout=timeout, check=False,
+    )
+
+
+def test_run_study_draw_error_names_replicate_and_pool_recovers():
+    sc = small_scenario(delay=_FailingDraws(), seed=4, replicates=6)
+    with pytest.raises(ValueError, match=r"^replicate 0 of scenario seed 4: boom$"):
+        run_study(sc, "known")
+    good = small_scenario(seed=4, replicates=6)
+    result = run_study(good, "known")
+    assert np.array_equal(result.mean_cfr, estimate_series_loop(good, result.days)[1]["mean_cfr"])
+
+
+def test_run_study_keeps_one_drawing_pool():
+    run_study(small_scenario(replicates=3), "known", eval_days=[20])
+    pool = simulation._pool
+    for seed in range(20):
+        run_study(small_scenario(seed=seed, replicates=3), "known", eval_days=[20])
+    assert simulation._pool is pool
+    assert threading.active_count() <= 1 + min(2, os.cpu_count() or 1)
+
+
+def test_import_and_estimate_series_start_no_thread():
+    done = run_fresh_python(
+        """
+        import threading
+        import numpy as np
+        import cfrkit
+        sc = cfrkit.Scenario(
+            rising_arm=np.array([5, 10, 20, 40, 60]), symmetric=True,
+            p_spec=cfrkit.StepRates(0.1, 0.05, 6), delay=cfrkit.NegBinomial(4.0, 1.0),
+            horizon=40, seed=3,
+        )
+        cfrkit.estimate_series(
+            cfrkit.simulate_replicate(sc, 0), [10, 20], schedule=sc.schedule, rates=sc.daily_rates
+        )
+        print(threading.active_count())
+        """
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_run_study_in_forked_child():
+    """A child forked after a study has none of the pool's threads; its own
+    study must build a new pool rather than wait on the parent's."""
+    done = run_fresh_python(
+        """
+        import os, signal, sys, time, traceback, warnings
+        import numpy as np
+        import cfrkit
+        sc = cfrkit.Scenario(
+            rising_arm=np.array([5, 10, 20, 40, 60]), symmetric=True,
+            p_spec=cfrkit.StepRates(0.1, 0.05, 6), delay=cfrkit.NegBinomial(4.0, 1.0),
+            horizon=40, seed=3, replicates=6,
+        )
+        before = cfrkit.run_study(sc, "known").mean_cfr
+        with warnings.catch_warnings():
+            # Newer Pythons warn when a process with threads forks.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            try:
+                os._exit(0 if np.array_equal(cfrkit.run_study(sc, "known").mean_cfr, before) else 3)
+            except BaseException:
+                traceback.print_exc()
+                os._exit(1)
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                sys.exit(os.waitstatus_to_exitcode(status))
+            time.sleep(0.05)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        sys.exit("the forked child's study did not finish in 30 s")
+        """
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_concurrent_first_studies_share_one_pool(monkeypatch):
+    """Callers on more threads than cores, switching often, start one pool
+    between them, and each gets the serial loop's arrays."""
+    made = []
+
+    class CountedPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
+    monkeypatch.setattr(simulation, "_pool", None)
+    sc = small_scenario(replicates=6)
+    results = [None] * 4
+
+    def call(i):
+        results[i] = run_study(sc, "known")
+
+    callers = [threading.Thread(target=call, args=(i,)) for i in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in made:
+            pool.shutdown()
+    assert not any(caller.is_alive() for caller in callers)
+    assert len(made) == 1
+    arrays = estimate_series_loop(sc, results[0].days)[1]
+    for result in results:
+        for name in ("mean_cfr", "se_cfr", "mean_cfr_final"):
+            assert np.array_equal(getattr(result, name), arrays[name]), name
 
 
 def test_run_study_true_rate_column():
