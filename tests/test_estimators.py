@@ -1118,6 +1118,9 @@ def test_series_kernel_oracle_reaches_every_branch():
         (dict(schedule=DelaySchedule(point_mass(0)), rates=known,
               true_rates=DailyRates(np.full(12, 0.1))), [9, 13]),
         (dict(schedule=DelaySchedule(Overshoot()), rates=DailyRates(np.full(25, 0.9))), [9]),
+        (dict(lookback=6), [2]),  # the fit's error comes before t >= 6
+        (dict(schedule=DelaySchedule([point_mass(0)] * 3)), [4]),  # t >= 6 before coverage
+        (dict(lookback=-1), [9]),
     ]:
         want = run_series(reference_series, table, days, **kwargs)[2]
         got = run_series(estimate_series, table, days, **kwargs)[2]

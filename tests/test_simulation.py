@@ -374,6 +374,15 @@ def test_run_study_known_deaths_free_error_keeps_its_message(eval_days, message)
     assert str(alone.value) == message
 
 
+def test_run_study_negative_lookback_names_the_replicate():
+    """The lookback is checked once the first replicate's cases are known,
+    so its error carries that replicate's prefix."""
+    sc = small_scenario(seed=7)
+    with pytest.raises(ValueError) as raised:
+        run_study(sc, "estimated", eval_days=[20], lookback=-1)
+    assert str(raised.value) == "replicate 0 of scenario seed 7: lookback must be non-negative"
+
+
 def test_run_study_known_builds_deaths_free_terms_once(monkeypatch):
     """The Garske denominators and the variance terms read no deaths in
     known mode, so a study builds them once per block, not per replicate."""
