@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,8 +55,11 @@ class DelaySchedule:
     lags 0..K, one row for a constant schedule. The table grows when a lag
     beyond K is requested, with one ``cdf`` call per model, and is never
     rebuilt. A per-day schedule covers days 0..len(models) - 1; a constant
-    one covers every day.
+    one covers every day. It is one of the block kernel's two delay sources,
+    with ``_Lookback``: both answer the private calls below the same way.
     """
+
+    _reads_deaths = False  # F is known, so a study builds it once
 
     def __init__(self, models: SurvivalModel | Sequence[SurvivalModel]):
         if isinstance(models, SurvivalModel):
@@ -83,6 +86,10 @@ class DelaySchedule:
 
     def _coverage_error(self, day: int) -> ValueError:
         return ValueError(f"schedule covers days 0..{self._days - 1}, got {day}")
+
+    def _uncovered(self, days: np.ndarray) -> tuple[np.ndarray, Callable[[int], Exception]]:
+        """(flags, error) of the check that the schedule covers each day."""
+        return days >= self._days, lambda i: self._coverage_error(int(days[i]))
 
     def tabulate(self, k_max: int) -> None:
         """Extend the table to cover lags 0..k_max.
@@ -117,6 +124,37 @@ class DelaySchedule:
     def floor(self, days) -> np.ndarray:
         """Clamp floor of the model of each confirmation day."""
         return self._floor[self._rows(np.asarray(days))]
+
+    def _start(self, days: np.ndarray, t: np.ndarray) -> None:
+        """Tabulate once: no evaluation day reads a lag past the last day."""
+        if days.size:
+            self.tabulate(int(days[-1]))
+
+    def _fit(self, table: EpidemicTable, g: _Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Raw F_d(t - d) from the table, each cohort's floor, and each
+        day's least floored F_d(0) over its cohorts.
+
+        A cohort past a per-day schedule reads its last model; ``_uncovered``
+        checks coverage.
+        """
+        self.tabulate(int(g.t[-1]))
+        cdf, floor = self._table, self._floor
+        min_f0 = _at_days(self._f0_bounds(), g.t)[0]
+        if self.is_constant:
+            return np.take(cdf[0], g.lag), floor, min_f0
+        rows = np.minimum(np.arange(g.lag.shape[1]), len(self._models) - 1)
+        # Flat indices, as in _cohorts.
+        return np.take(cdf, rows * cdf.shape[1] + g.lag), floor[rows], min_f0
+
+    def _f0_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """For each row t: the least floored F_d(0) over rows d <= t, and
+        whether some raw F_d(0) lies below its floor."""
+        self.tabulate(0)
+        raw0, floor = self._table[:, 0], self._floor
+        return (
+            np.minimum.accumulate(np.maximum(raw0, floor)),
+            np.logical_or.accumulate(raw0 < floor),
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,40 +362,35 @@ def _cohorts(table: EpidemicTable, t: np.ndarray) -> _Cohorts:
     return _Cohorts(g.t, g.n, g.valid, g.lag, deaths)
 
 
-def _schedule_f(schedule: DelaySchedule, g: _Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Raw F_d(t - d) from the schedule's table, and each cohort's floor.
+@dataclass(frozen=True)
+class _Lookback:
+    """The delay source of estimated mode: each day's F is refit from the
+    deaths it has seen, by ``fit_empirical``'s ``lookback`` rule. It answers
+    the calls a ``DelaySchedule`` answers as the kernel's other source."""
 
-    A cohort past a per-day schedule reads its last model; the caller
-    checks coverage.
-    """
-    schedule.tabulate(int(g.t[-1]))
-    table, floor = schedule._table, schedule._floor
-    if schedule.is_constant:
-        return np.take(table[0], g.lag), floor
-    rows = np.minimum(np.arange(g.lag.shape[1]), len(schedule._models) - 1)
-    # Flat indices, as in _cohorts.
-    return np.take(table, rows * table.shape[1] + g.lag), floor[rows]
+    lookback: int
+    _reads_deaths = True
 
+    def _start(self, days: np.ndarray, t: np.ndarray) -> None:
+        if t.size and self.lookback < 0:
+            raise ValueError("lookback must be non-negative")
 
-def _check_covered(schedule: DelaySchedule, g: _Grid) -> None:
-    """Raise if a per-day schedule lacks the model of some cohort."""
-    _check(g.n > schedule._days, lambda i: schedule._coverage_error(int(g.n[i]) - 1))
+    def _fit(self, table: EpidemicTable, c: _Cohorts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """F of each day's own ``fit_empirical`` table, all days at once.
 
+        Returns raw F, the clamp floor and the floored F_t(0). A row's CDF is
+        1.0 from its largest eligible lag on, which is the fitted table's last
+        entry and the value it reads past its end.
+        """
+        cdf, n_obs = _empirical_cdfs(table, c.t, self.lookback)
+        _check(n_obs == 0, lambda i: EstimationError(_NO_RESOLVED_DEATHS))
+        floor = 1.0 / (n_obs + 1)
+        raw = np.take_along_axis(cdf, np.minimum(c.lag, table.max_lag), axis=1)
+        return raw, floor[:, None], np.maximum(cdf[:, 0], floor)
 
-def _empirical_f(
-    table: EpidemicTable, c: _Cohorts, lookback: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """F of each day's own ``fit_empirical`` table, all days at once.
-
-    Returns raw F, the clamp floor and the floored F_t(0). A row's CDF is
-    1.0 from its largest eligible lag on, which is the fitted table's last
-    entry and the value it reads past its end.
-    """
-    cdf, n_obs = _empirical_cdfs(table, c.t, lookback)
-    _check(n_obs == 0, lambda i: EstimationError(_NO_RESOLVED_DEATHS))
-    floor = 1.0 / (n_obs + 1)
-    raw = np.take_along_axis(cdf, np.minimum(c.lag, table.max_lag), axis=1)
-    return raw, floor[:, None], np.maximum(cdf[:, 0], floor)
+    def _uncovered(self, days: np.ndarray) -> tuple[np.ndarray, None]:
+        """A refit covers every day: nothing is flagged, so no error is built."""
+        return np.zeros(days.shape, dtype=bool), None
 
 
 def _divisor(f: np.ndarray) -> np.ndarray:
@@ -530,17 +563,16 @@ def _late_checks(
     denom: np.ndarray,
     a1_cohort: np.ndarray,
     v: np.ndarray,
-    schedule: DelaySchedule | None,
+    delay: DelaySchedule | _Lookback,
     rates: DailyRates | None,
 ) -> list[tuple[np.ndarray, Callable[[int], Exception]]]:
     """(flags, error) of each check on ``_late_terms`` of the days t, in the
     order the per-day computation meets them; ``error(i)`` is day i's. The
-    rates and schedule checks apply when those are known."""
+    rates check applies when they are known."""
     checks = [(denom <= 0.0, lambda i: _zero_denominator(t[i]))]
     if rates is not None:
         checks.append((t >= len(rates), lambda i: _short_rates(rates, int(t[i]))))
-    if schedule is not None:
-        checks.append((t >= schedule._days, lambda i: schedule._coverage_error(int(t[i]))))
+    checks.append(delay._uncovered(t))
     checks.append((a1_cohort >= 0, lambda i: _a1_cases_error(t[i], a1_cohort[i])))
     checks.append((v < 0.0, lambda i: _negative_variance()))
     return checks
@@ -568,17 +600,6 @@ def _row_sums(x: np.ndarray, n: np.ndarray) -> np.ndarray:
     return np.add.reduceat(buf.ravel(), bounds.ravel())[::2]
 
 
-def _f0_bounds(schedule: DelaySchedule) -> tuple[np.ndarray, np.ndarray]:
-    """For each schedule row t: the least floored F_d(0) over rows d <= t,
-    and whether some raw F_d(0) lies below its floor."""
-    schedule.tabulate(0)
-    raw0, floor = schedule._table[:, 0], schedule._floor
-    return (
-        np.minimum.accumulate(np.maximum(raw0, floor)),
-        np.logical_or.accumulate(raw0 < floor),
-    )
-
-
 def _p_bounds(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least and largest rate over days 0..t for each day t of p."""
     return np.minimum.accumulate(p), np.maximum.accumulate(p)
@@ -595,8 +616,8 @@ def _known_day(
 ) -> tuple[_Cohorts, np.ndarray, np.ndarray]:
     """The kernel at the single day t: cohorts, raw F and floored F."""
     c = _cohorts(table, np.array([t]))
-    _check_covered(schedule, c)
-    raw, floor = _schedule_f(schedule, c)
+    _check(*schedule._uncovered(c.n - 1))
+    raw, floor, _ = schedule._fit(table, c)
     return c, raw, np.maximum(raw, floor)
 
 
@@ -773,10 +794,9 @@ def validate_assumptions(
     if t < 0:
         raise ValueError("t must be non-negative")
     _rates_upto(rates, t)
-    if t >= schedule._days:
-        raise schedule._coverage_error(t)
     day = np.array([t])
-    (min_f0,), (clamped,) = _at_days(_f0_bounds(schedule), day)
+    _check(*schedule._uncovered(day))
+    (min_f0,), (clamped,) = _at_days(schedule._f0_bounds(), day)
     (min_p,), (max_p,) = _at_days(_p_bounds(rates.p), day)
     return AssumptionReport(
         min_f0=float(min_f0),
@@ -852,7 +872,8 @@ def estimate_series(
     otherwise.
     Emits one AssumptionWarning if A1-A3 fail on any evaluated day.
     """
-    shared = _shared_terms(table, days, alpha, schedule, rates, lookback, true_rates)
+    delay = schedule if schedule is not None else _Lookback(lookback)
+    shared = _shared_terms(table, days, alpha, delay, rates, true_rates)
     return _series(table, shared, include_final)
 
 
@@ -863,9 +884,9 @@ class _Shared:
 
     The replicates of a study share their cases, and in known mode their
     schedule and rates too, so ``run_study`` builds this once and each
-    replicate's blocks do only the work that reads its deaths. With both
-    the schedule and the rates known that leaves the deaths gather, F, the
-    weights and their sums: ``denom`` and ``v`` are set, and ``checks``
+    replicate's blocks do only the work that reads its deaths. With known
+    rates and a delay whose F reads no deaths that leaves the deaths gather,
+    F, the weights and their sums: ``denom`` and ``v`` are set, and ``checks``
     holds every check after the weights'. Otherwise ``checks`` holds only
     the trailing ``true_rates`` one. No (days x cohorts) array is kept.
     """
@@ -873,16 +894,14 @@ class _Shared:
     t: np.ndarray  # evaluation days, ascending, each with cases
     r_t: np.ndarray
     z: float
-    schedule: DelaySchedule | None
+    delay: DelaySchedule | _Lookback
     rates: DailyRates | None
-    lookback: int
     windows: _Windows | None  # rates estimated
-    min_f0: np.ndarray | None  # schedule known
     min_p: np.ndarray | None  # rates known
     max_p: np.ndarray | None  # rates known
     cfr_true: np.ndarray | None
-    denom: np.ndarray | None  # schedule and rates known
-    v: np.ndarray | None  # schedule and rates known
+    denom: np.ndarray | None  # F and rates known
+    v: np.ndarray | None  # F and rates known
     checks: tuple[tuple[np.ndarray, Callable[[int], Exception]], ...]
     failing: np.ndarray  # some check in ``checks`` flags the day
 
@@ -903,9 +922,8 @@ def _shared_terms(
     table: EpidemicTable,
     days: Sequence[int],
     alpha: float,
-    schedule: DelaySchedule | None,
+    delay: DelaySchedule | _Lookback,
     rates: DailyRates | None,
-    lookback: int,
     true_rates: DailyRates | None,
 ) -> _Shared:
     """``_Shared`` of an ``estimate_series`` call; reads only the table's
@@ -916,23 +934,18 @@ def _shared_terms(
         raise ValueError("days must be non-negative")
     _check_alpha(alpha)
     z = normal_quantile(1.0 - alpha / 2.0)
-    if schedule is not None and day_grid.size:
-        # The largest lag any day reads is t - 0 at the last day.
-        schedule.tabulate(int(day_grid[-1]))
     if table.n_days:
         t = day_grid[table._cum_cases[np.minimum(day_grid, table.n_days - 1)] > 0]
     else:
         t = day_grid[:0]
-    if schedule is None and t.size and lookback < 0:
-        raise ValueError("lookback must be non-negative")
+    delay._start(day_grid, t)
     n = np.minimum(t, table.n_days - 1) + 1
     r_t = table._cum_cases[n - 1]
     windows = _windows(table, int(t[-1])) if rates is None and t.size else None
-    # Running A1-A3 bounds of the known inputs at each day.
-    min_f0 = _at_days(_f0_bounds(schedule), t)[0] if schedule is not None and t.size else None
+    # Running A2-A3 bounds of known rates at each day.
     min_p, max_p = _at_days(_p_bounds(rates.p), t) if rates is not None else (None, None)
 
-    known = schedule is not None and rates is not None
+    known = not delay._reads_deaths and rates is not None
     cfr_true, late = [], []
     for i in range(0, t.size, _BLOCK):
         block = slice(i, i + _BLOCK)
@@ -942,7 +955,7 @@ def _shared_terms(
             cfr_true.append(_row_sums(weighted, n[block]) / r_t[block])
         if known:
             g = _grid(t[block], table.n_days)
-            raw, floor = _schedule_f(schedule, g)
+            raw, floor, _ = delay._fit(table, g)
             f = np.maximum(raw, floor)
             p = _rates_grid(rates, width)
             late.append(_late_terms(table.cases, g, raw, f, _divisor(f), p, r_t[block]))
@@ -951,7 +964,7 @@ def _shared_terms(
     checks = []
     if known:
         denom, v, a1_cohort = (_joined([block[k] for block in late]) for k in range(3))
-        checks = _late_checks(t, denom, a1_cohort, v, schedule, rates)
+        checks = _late_checks(t, denom, a1_cohort, v, delay, rates)
     if true_rates is not None:
         checks.append((n > len(true_rates), lambda i: _short_rates(true_rates, int(n[i]) - 1)))
     failing = np.zeros(t.size, dtype=bool)
@@ -961,11 +974,9 @@ def _shared_terms(
         t=t,
         r_t=r_t,
         z=z,
-        schedule=schedule,
+        delay=delay,
         rates=rates,
-        lookback=lookback,
         windows=windows,
-        min_f0=min_f0,
         min_p=min_p,
         max_p=max_p,
         cfr_true=_joined(cfr_true) if true_rates is not None else None,
@@ -1024,17 +1035,13 @@ def _series_block(table: EpidemicTable, shared: _Shared, rows: slice) -> dict[st
     failing day's.
     """
     t = shared.t[rows]
-    schedule, rates = shared.schedule, shared.rates
+    delay, rates = shared.delay, shared.rates
     c = _cohorts(table, t)
     width = c.deaths.shape[1]
-    if schedule is None:
-        raw, floor, min_f0 = _empirical_f(table, c, shared.lookback)
+    raw, floor, min_f0 = delay._fit(table, c)
     if rates is None:
         _check(t < 6, lambda i: _rate_day_error())
-    if schedule is not None:
-        _check_covered(schedule, c)
-        raw, floor = _schedule_f(schedule, c)
-        min_f0 = shared.min_f0[rows]
+    _check(*delay._uncovered(c.n - 1))
     f = np.maximum(raw, floor)
     divisor = _divisor(f)
     w = _weights(c, f, divisor)
@@ -1049,7 +1056,7 @@ def _series_block(table: EpidemicTable, shared: _Shared, rows: slice) -> dict[st
         # F or the rates come from this table's deaths.
         p = _daily_p(p_window, t, width) if rates is None else _rates_grid(rates, width)
         denom, v, a1_cohort = _late_terms(table.cases, c, raw, f, divisor, p, r_t)
-        for bad, error in _late_checks(t, denom, a1_cohort, v, schedule, rates):
+        for bad, error in _late_checks(t, denom, a1_cohort, v, delay, rates):
             _check(bad, error)
     else:
         denom, v = shared.denom[rows], shared.v[rows]

@@ -21,7 +21,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .errors import CfrError, ParseError
-from .estimators import DailyRates, DelaySchedule, EstimateSeries, _series, _shared_terms
+from .estimators import DailyRates, DelaySchedule, EstimateSeries
+from .estimators import _Lookback, _series, _shared_terms
 from .linelist import EpidemicTable, _death_table
 from .survival import SurvivalModel
 
@@ -320,7 +321,7 @@ def run_study(
     # cached_property need not be thread-safe, so all three are built here.
     schedule = scenario.schedule
     truth = np.cumsum(curve * rates_true.p)[days] / cum_cases[days]
-    schedule_arg = schedule if known else None
+    delay = schedule if known else _Lookback(lookback)
     rates_arg = rates_true if known else None
 
     n_days = days.size
@@ -348,9 +349,7 @@ def run_study(
                 if shared is None:
                     # Every replicate has the scenario's cases, so the terms that
                     # read no deaths are built from the first one, once.
-                    shared = _shared_terms(
-                        table, days, alpha, schedule_arg, rates_arg, lookback, rates_true
-                    )
+                    shared = _shared_terms(table, days, alpha, delay, rates_arg, rates_true)
                 series = _series(table, shared, include_final=True)
             except (CfrError, ValueError) as exc:
                 raise type(exc)(f"{where}: {exc}") from exc

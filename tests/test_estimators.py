@@ -1197,7 +1197,7 @@ def test_window_rates_match_gather_oracle():
     table = EpidemicTable(cases, deaths)
     t = np.array([6, 12, 16, 17, 21, 23, 27, 29, 33, 40])
     c = est._cohorts(table, t)
-    f = np.maximum(*est._schedule_f(DelaySchedule(two_point(0.4, 3)), c))
+    f = np.maximum(*DelaySchedule(two_point(0.4, 3))._fit(table, c)[:2])
     w = est._weights(c, f, est._divisor(f))
     assert gather_window_rates(table, c, w)[3].tolist() == [True] + [False] * 9
     # The other days, with the oracle on them alone.
