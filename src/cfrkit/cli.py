@@ -161,7 +161,7 @@ def _read_params_csv(path: str) -> SurvivalModel:
     """
     with open(path, "r", encoding="utf-8", newline="\n") as handle:
         rows = _data_rows(handle, path)
-    header = rows[0][1] if rows else []
+    header = [name.strip() for name in rows[0][1]] if rows else []
     best: tuple[float, SurvivalModel] | None = None
     for line_no, cells in rows[1:]:
         row = {name: cell.strip() for name, cell in zip(header, cells)}

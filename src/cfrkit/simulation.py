@@ -401,8 +401,8 @@ def run_study(
 
 def _data_rows(lines: Iterable[str], source: object) -> list[tuple[int, list[str]]]:
     """(line number, cells) of each CSV record, header included, skipping
-    blank records and records whose first cell starts with ``#``. A record is
-    numbered by the line it starts on. Every line reaches the csv reader, so
+    blank records and records whose first cell starts with ``#`` after any
+    leading blanks, as line lists do. A record is numbered by its first line. Every line reaches the csv reader, so
     a quoted cell keeps its blank and ``#`` lines; a ``#`` record holding a
     quoted line break is a ParseError naming ``source`` and that line, since
     its quote would swallow the lines after it, and so is a record the csv
@@ -412,7 +412,7 @@ def _data_rows(lines: Iterable[str], source: object) -> list[tuple[int, list[str
     rows, start = [], 1
     try:
         for row in reader:
-            if row and row[0].startswith("#"):
+            if row and row[0].lstrip().startswith("#"):
                 if any("\n" in cell for cell in row):
                     raise ParseError(
                         f"{source}: comment row at line {start} holds a quoted line break, "

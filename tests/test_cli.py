@@ -555,8 +555,11 @@ def test_survival_file_multiline_record_names_its_first_line(tmp_path, linelist_
         ('nb,"10\n\n# note\n",0.9,0,-80.5,25\n', "bad delay model parameters at line 2"),
         # The comment's quote would swallow the nb row.
         ('# note,"x\nnb,10,0.9,0,-80.5,25\n"\n', "comment row at line 2 holds a quoted line break"),
+        # An indented comment is skipped, as in a line list; the next row is bad.
+        ("  # note,x,0.9,0,-80.5,25\nnb,y,0.9,0,-80.5,25\n",
+         "bad delay model parameters at line 3"),
     ],
-    ids=["blank-and-comment-in-cell", "comment-with-line-break"],
+    ids=["blank-and-comment-in-cell", "comment-with-line-break", "indented-comment"],
 )
 def test_survival_file_quoted_cell_keeps_its_lines(
     tmp_path, linelist_file, capsys, record, message
@@ -601,6 +604,24 @@ def test_survival_file_malformed_record_exits_4(tmp_path, linelist_file, capsys,
     assert code == 4
     assert f"{params}: malformed CSV record at line {line} (" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_survival_file_header_names_are_stripped(tmp_path, linelist_file):
+    """A header written with spaces after its commas names the same columns,
+    as it does in an arm file or a line list."""
+    outputs = []
+    for name, sep in (("plain", ","), ("spaced", ", ")):
+        params = tmp_path / f"{name}.csv"
+        header = sep.join(["model", "pi", "mu", "r", "loglik", "n"])
+        params.write_text(f"{header}\nempirical,,,,-90.1,25\nnb,0,10.5,0.9,-80.5,25\n")
+        out = tmp_path / f"{name}_est.csv"
+        code = main(
+            ["estimate", str(linelist_file), "-o", str(out), "--epoch", "2020-03-03",
+             "--survival", "file", "--survival-file", str(params)]
+        )
+        assert code == 0
+        outputs.append(out.read_bytes().split(b"\n", 1)[1])  # past the meta line
+    assert outputs[0] == outputs[1]
 
 
 def test_survival_file_crlf_reads_as_lf(tmp_path, linelist_file):
@@ -753,8 +774,10 @@ def test_simulate_arm_file_bad_count(tmp_path, capsys):
         ('cases\n5\n"6\n\n# note\n"\n7\n', "bad case count at line 3"),
         # The comment's quote would swallow the next count.
         ('cases\n5\n# note,"x\n6\n"\n7\n', "comment row at line 3 holds a quoted line break"),
+        # An indented comment is skipped, as in a line list; the next count is bad.
+        ("cases\n  # note\n5\n-3\n", "bad case count at line 4"),
     ],
-    ids=["blank-and-comment-in-cell", "comment-with-line-break"],
+    ids=["blank-and-comment-in-cell", "comment-with-line-break", "indented-comment"],
 )
 def test_simulate_arm_file_quoted_cell_keeps_its_lines(tmp_path, capsys, text, message):
     arm_file = tmp_path / "arm.csv"
