@@ -864,9 +864,9 @@ def estimate_series(
     to a later day than the first failing day; so a failing block of several
     days is re-run one day at a time, and the error is still the one the
     first failing day raises on its own. What reads no deaths (r_t,
-    ``cfr_true``, and with a known schedule and rates the Garske
-    denominators, V(t) and A1-A3) is built first as vectors over the days,
-    which ``run_study`` builds once for all its replicates. The
+    ``cfr_true``, A2-A3 of known rates, and with a known schedule and rates
+    the Garske denominators and V(t)) is built first as vectors over the
+    days, which ``run_study`` builds once for all its replicates. The
     ``cfr_garske`` and ``cfr_garske_mod`` columns hold the same values, the
     shared delay model's on a constant schedule and the per-day variant's
     otherwise.
