@@ -157,12 +157,14 @@ def _read_params_csv(path: str) -> SurvivalModel:
     """Load a parametric delay model from a fit-survival parameter file.
 
     Rows without distribution parameters (the empirical entry) are skipped;
-    among the rest the highest log-likelihood wins.
+    among the rest the highest log-likelihood wins. A row whose log-likelihood
+    is blank or NaN ranks below every row with one; the first such row wins
+    among them.
     """
     with open(path, "r", encoding="utf-8", newline="\n") as handle:
         rows = _data_rows(handle, path)
     header = [name.strip() for name in rows[0][1]] if rows else []
-    best: tuple[float, SurvivalModel] | None = None
+    best: tuple[tuple[bool, float], SurvivalModel] | None = None
     for line_no, cells in rows[1:]:
         row = {name: cell.strip() for name, cell in zip(header, cells)}
         mu_raw, r_raw = row.get("mu"), row.get("r")
@@ -179,8 +181,9 @@ def _read_params_csv(path: str) -> SurvivalModel:
             raise ParseError(
                 f"{path}: bad delay model parameters at line {line_no} ({exc})"
             ) from exc
-        if best is None or loglik > best[0]:
-            best = (loglik, model)
+        rank = (loglik == loglik, loglik)  # NaN != NaN: ranks below every number
+        if best is None or rank > best[0]:
+            best = (rank, model)
     if best is None:
         raise ParseError(f"{path}: no parametric delay model rows found")
     return best[1]
@@ -201,9 +204,9 @@ def _read_linelist(args: argparse.Namespace) -> LineList:
     path = args.input_flag or args.input
     if not path:
         raise argparse.ArgumentTypeError("an input line-list CSV is required")
-    # Lines end at "\n" alone, as in a str passed to parse_csv, so a bare
-    # "\r" is a parse error rather than a line break.
-    with open(path, "r", encoding="utf-8", newline="\n") as handle:
+    # parse_csv reads the bytes in blocks; a line ends at "\n" alone, so a
+    # bare "\r" is a parse error rather than a line break.
+    with open(path, "rb") as handle:
         linelist = parse_csv(handle, epoch=args.epoch)
     if len(linelist) == 0:
         raise EstimationError(f"{path}: the line list has no case rows")

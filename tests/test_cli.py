@@ -26,6 +26,7 @@ from cfrkit import (
     parse_csv,
     run_study,
 )
+import cfrkit.cli as cli
 import cfrkit.linelist as linelist_module
 from cfrkit import load_example_arm, read_arm_csv
 from cfrkit.cli import main
@@ -335,6 +336,38 @@ def test_exit_bare_carriage_return_names_line(tmp_path, capsys, rows):
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_exit_latin1_linelist_names_line(tmp_path, capsys):
+    """A line list that is not UTF-8 exits 4 and names the line of its
+    first bad byte."""
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes("region,confirm_date,death_date\nCórdoba,2020-03-05,\n".encode("latin-1"))
+    out = tmp_path / "o.csv"
+    assert main(["estimate", str(bad), "--epoch", "2020-03-03", "-o", str(out)]) == 4
+    assert "cfrkit: line 2: 'utf-8' codec can't decode byte 0xf3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_utf8_region_names_take_the_block_path(tmp_path, linelist_file, monkeypatch):
+    """Non-ASCII region names stay on the block path, and the series equals
+    that of a copy with ASCII names."""
+    blocks = []
+    block_days = linelist_module._block_days
+    monkeypatch.setattr(
+        linelist_module, "_block_days", lambda *args: blocks.append(block_days(*args)) or blocks[-1]
+    )
+    header, *rows = linelist_file.read_text().splitlines()
+    outputs = []
+    for name, regions in (("ascii", ["Cordoba", "Neuquen"]), ("utf8", ["Córdoba", "Neuquén"])):
+        path = tmp_path / f"{name}.csv"
+        lines = [f"region,{header}", *(f"{regions[i % 2]},{row}" for i, row in enumerate(rows))]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / f"{name}_est.csv"
+        assert main(["estimate", str(path), "--epoch", "2020-03-03", "-o", str(out)]) == 0
+        outputs.append(out.read_bytes().split(b"\n", 1)[1])  # past the meta line
+    assert blocks and all(blocks)
+    assert outputs[0] == outputs[1]
+
+
 def test_exit_estimation_failure(tmp_path, capsys):
     short = tmp_path / "short.csv"
     short.write_text("confirm_date,death_date\n0,1\n2,\n")
@@ -622,6 +655,23 @@ def test_survival_file_header_names_are_stripped(tmp_path, linelist_file):
         assert code == 0
         outputs.append(out.read_bytes().split(b"\n", 1)[1])  # past the meta line
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("loglik", ["", "nan"])
+def test_survival_file_row_without_loglik_ranks_last(tmp_path, loglik):
+    """A row with no log-likelihood loses to one with any, in either order;
+    among rows with none the first wins."""
+    bare, fitted = f"nb,3,0.5,0,{loglik},25\n", "nb,10.5,0.9,0,-80.5,25\n"
+    for name, rows in (("bare_first", bare + fitted), ("fitted_first", fitted + bare)):
+        params = tmp_path / f"{name}.csv"
+        params.write_text("model,mu,r,pi,loglik,n\n" + rows)
+        assert cli._read_params_csv(str(params)) == NegBinomial(10.5, 0.9)
+    params = tmp_path / "all_bare.csv"
+    params.write_text(f"model,mu,r,pi,loglik,n\n{bare}nb,4,0.6,0,{loglik},25\n")
+    assert cli._read_params_csv(str(params)) == NegBinomial(3.0, 0.5)
+    params = tmp_path / "no_loglik.csv"
+    params.write_text("model,mu,r,pi,n\nempirical,,,,25\nnb,3,0.5,0,25\n")
+    assert cli._read_params_csv(str(params)) == NegBinomial(3.0, 0.5)
 
 
 def test_survival_file_crlf_reads_as_lf(tmp_path, linelist_file):

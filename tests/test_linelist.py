@@ -499,12 +499,12 @@ def test_columnar_parse_matches_record_oracle(header, lines, quoting, newline):
 
 
 # ---------------------------------------------------------------------------
-# Chunked, deduplicating parse against the record-by-record loop
+# Block parse against the record-by-record loop
 
 
 def _record_loop_parse(text, epoch=None) -> LineList:
-    """``parse_csv`` as one loop over CSV records with no caching or line
-    deduplication: the oracle for the chunked parse. A record starts on the
+    """``parse_csv`` as one loop over CSV records with no caching and no
+    block path: the oracle for the block parse. A record starts on the
     line after the reader's line count before it is fetched."""
     stream = io.StringIO(text) if isinstance(text, str) else iter(text)
     reader = csv.reader(stream)
@@ -559,72 +559,118 @@ def _record_loop_parse(text, epoch=None) -> LineList:
     return LineList(confirms, deaths, epoch)
 
 
-def _outcome(parse, data):
+def _outcome(parse, data, epoch=EPOCH):
     """The day columns a parse returns, or the message of its ParseError."""
     try:
-        ll = parse(data, epoch=EPOCH)
+        ll = parse(data, epoch=epoch)
     except ParseError as exc:
         return str(exc)
     return ll.confirm.tolist(), ll.death.tolist()
 
 
-def _assert_parse_matches_record_loop(data):
-    expected = _outcome(_record_loop_parse, data)
-    got = _outcome(parse_csv, data)
+def _assert_parse_matches_record_loop(data, epoch=EPOCH):
+    text = data.decode() if isinstance(data, bytes) else data
+    expected = _outcome(_record_loop_parse, text, epoch)
+    got = _outcome(parse_csv, data, epoch)
     assert got == expected
     if not isinstance(got, str):
-        ll = parse_csv(data, epoch=EPOCH)
+        ll = parse_csv(data, epoch=epoch)
         assert ll.confirm.dtype == ll.death.dtype == np.int64
 
 
 # "{nl}" stands for the input's line ending.
-_valid_cell = st.sampled_from(["0", "1", "3", " 4 ", "12", "2020-03-05", '"2"'])
-_other_cell = st.sampled_from(
-    ["", " ", "x", "-2", "99999", '""', '"1{nl}"', '"{nl}2"', "7\r8", '"3"x', "a#b"]
+_day_cell = st.sampled_from(["0", "1", "3", "12", "0007", "2020-03-05", "2024-02-29"])
+_edge_cell = st.sampled_from(
+    ["", "2020-02-30", "2021-02-29", "2020-04-31", "0999-01-01", "Córdoba"]
 )
-_data_line = st.one_of(
-    # A well-formed row, which may have its death before its confirmation.
-    st.tuples(_valid_cell, st.one_of(_valid_cell, st.just(""))).map(",".join),
-    # Anything: short, long, blank or bad cells.
-    st.lists(st.one_of(_valid_cell, _other_cell), max_size=4).map(",".join),
+_valid_cell = st.one_of(_day_cell, st.sampled_from([" 4 ", '"2"']))
+_other_cell = st.one_of(
+    _edge_cell,
+    st.sampled_from([" ", "x", "-2", "99999", '""', '"1{nl}"', '"{nl}2"', "7\r8", '"3"x', "a#b"]),
 )
+# "\u00a0# note" is a comment: str.lstrip strips the no-break space.
 _other_line = st.sampled_from(
-    ["", "  ", "\t", "# note", "  # indented, 3", '# batch "B" from lab, "x', '#,"a{nl}b"', ",,"]
+    ["", "  ", "\t", "# note", "\u00a0# note", "  # indented, 3", '# batch "B" from lab, "x']
+    + ['#,"a{nl}b"', ",,"]
 )
-_line = st.one_of(_data_line, _data_line, _other_line)
+
+
+def _line_strategies(header: list[str]):
+    """(lines of the block path, any line) under ``header``."""
+    note = st.sampled_from(["", "a", "Córdoba", "Santiago del Estero", "AR00000000001"])
+
+    def row(confirm, death):
+        cells = {"note": note, "confirm_date": confirm, "death_date": death}
+        return st.tuples(*(cells[name] for name in header)).map(",".join)
+
+    # Digits or an ISO date, with no death before the confirmation.
+    day_row = row(
+        st.sampled_from(["0", "1", "3", "12", "0007", "2020-03-05"]),
+        st.sampled_from(["", "", "12", "0012", "2024-02-29"]),
+    )
+    block_line = st.one_of(
+        day_row,
+        day_row,
+        # As many cells as the header, where a day may be a bad date.
+        st.lists(st.one_of(_day_cell, _edge_cell), min_size=len(header), max_size=len(header)).map(
+            ",".join
+        ),
+        st.sampled_from(["", "# note", "#,x"]),
+    )
+    line = st.one_of(
+        block_line,
+        # A well-formed row, which may have its death before its confirmation.
+        row(_valid_cell, st.one_of(_valid_cell, st.just(""))),
+        # Anything: short, long, blank or bad cells.
+        st.lists(st.one_of(_valid_cell, _other_cell), max_size=4).map(",".join),
+        _other_line,
+    )
+    return block_line, line
 
 
 @st.composite
 def _line_lists(draw):
-    """(input, chunk size, csv field limit) for a parse: repeats of a few
-    lines mixed with fresh ones, so chunks switch paths anywhere."""
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
-    header = draw(st.sampled_from(["confirm_date,death_date", "note,confirm_date,death_date"]))
-    pool = draw(st.lists(_line, min_size=1, max_size=5))
-    lines = draw(st.lists(st.one_of(st.sampled_from(pool), _line), max_size=40))
+    """(input, epoch, chunk lines, block bytes, csv field limit) for a
+    parse: lines of the block path, then repeats of a few lines mixed with
+    fresh ones, so blocks and chunks are cut anywhere and switch to the
+    record loop anywhere."""
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    header = draw(st.permutations(["note", "confirm_date", "death_date"]))
+    header = header if draw(st.booleans()) else [name for name in header if name != "note"]
+    block_line, line = _line_strategies(header)
+    pool = draw(st.lists(line, min_size=1, max_size=5))
+    lines = draw(st.lists(block_line, max_size=20))
+    lines += draw(st.lists(st.one_of(st.sampled_from(pool), line), max_size=40))
     end = newline if draw(st.booleans()) else ""
-    text = (newline.join([header, *lines]) + end).replace("{nl}", newline)
-    form = draw(st.sampled_from(["str", "lines", "lines without ends"]))
-    if form == "lines":
+    text = (newline.join([",".join(header), *lines]) + end).replace("{nl}", newline)
+    form = draw(st.sampled_from(["str", "bytes", "lines", "lines without ends"]))
+    if form == "bytes":
+        text = text.encode()
+    elif form == "lines":
         text = text.splitlines(keepends=True)
     elif form == "lines without ends":
         text = text.splitlines()
+    epoch = draw(st.sampled_from([EPOCH, np.datetime64("2020-03-03")]))
     chunk = draw(st.sampled_from([1, 2, 3, 4, linelist_module._CHUNK_LINES]))
-    limit = draw(st.sampled_from([None, 8]))
-    return text, chunk, limit
+    block = draw(st.sampled_from([1, 2, 5, 13, 40, linelist_module._BLOCK_BYTES]))
+    # 8 stops the header; 12 lets it pass and stops a long note.
+    limit = draw(st.sampled_from([None, 8, 12, 12]))
+    return text, epoch, chunk, block, limit
 
 
 @given(_line_lists())
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=500, deadline=None)
 def test_chunked_parse_matches_record_loop(case):
     """The days, or the error message, equal those of the record loop, for
-    every chunk size, so each path and each switch between them agree."""
-    data, chunk, limit = case
+    every block and chunk size, so each path and each switch between them
+    agree."""
+    data, epoch, chunk, block, limit = case
     old_limit = csv.field_size_limit(limit) if limit else None
     try:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linelist_module, "_CHUNK_LINES", chunk)
-            _assert_parse_matches_record_loop(data)
+            mp.setattr(linelist_module, "_BLOCK_BYTES", block)
+            _assert_parse_matches_record_loop(data, epoch)
     finally:
         if old_limit is not None:
             csv.field_size_limit(old_limit)
@@ -633,14 +679,15 @@ def test_chunked_parse_matches_record_loop(case):
 @pytest.mark.parametrize(
     "tail",
     [
-        # A quoted cell in the second chunk.
+        # A quoted cell after the first full blocks and chunk.
         '"5",\n6,"7\n"\n',
-        # A second chunk of mostly distinct lines.
+        # Distinct lines, which blocks take as well.
         "".join(f"{day},\n" for day in range(3000)),
     ],
 )
 @pytest.mark.parametrize("last", ["9,\n", "9,2\n"])
-def test_parse_switches_to_record_loop_after_a_full_chunk(tail, last):
+def test_parse_switches_to_record_loop_after_a_full_chunk(tail, last, monkeypatch):
+    monkeypatch.setattr(linelist_module, "_BLOCK_BYTES", 4096)  # several blocks before the tail
     text = "confirm_date,death_date\n# rows\n" + "1,\n2,3\n" * 3000 + tail + last
     _assert_parse_matches_record_loop(text)
     _assert_parse_matches_record_loop(text.splitlines(keepends=True))
