@@ -542,19 +542,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(args: argparse.Namespace) -> int:
     """Run the subcommand, printing each distinct AssumptionWarning once as a
-    ``cfrkit: warning:`` line; any other warning shows as Python shows it."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", AssumptionWarning)
-        try:
+    ``cfrkit: warning:`` line; any other warning shows as Python shows it.
+    They are shown after recording stops: shown while recording, a warning
+    would be recorded again, and the loop would never end."""
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", AssumptionWarning)
             return args.func(args)
-        finally:
-            shown = set()
-            for w in caught:
-                if not issubclass(w.category, AssumptionWarning):
-                    warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-                elif str(w.message) not in shown:
-                    shown.add(str(w.message))
-                    print(f"cfrkit: warning: {w.message}", file=sys.stderr)
+    finally:
+        shown = set()
+        for w in caught:
+            if not issubclass(w.category, AssumptionWarning):
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+            elif str(w.message) not in shown:
+                shown.add(str(w.message))
+                print(f"cfrkit: warning: {w.message}", file=sys.stderr)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -143,7 +143,7 @@ class DelaySchedule:
         if self.is_constant:
             return np.take(cdf[0], g.lag), floor, min_f0
         rows = np.minimum(np.arange(g.lag.shape[1]), len(self._models) - 1)
-        # Flat indices, as in _cohorts.
+        # Flat indices: a 1-D take is faster than a 2-D gather.
         return np.take(cdf, rows * cdf.shape[1] + g.lag), floor[rows], min_f0
 
     def _f0_bounds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -356,10 +356,7 @@ def _grid(t: np.ndarray, n_days: int) -> _Grid:
 def _cohorts(table: EpidemicTable, t: np.ndarray) -> _Cohorts:
     """Cohorts of the ascending days t of a table with at least one day."""
     g = _grid(t, table.n_days)
-    # Flat indices into _cum_lag: a 1-D take is faster than a 2-D gather.
-    cells = np.arange(g.lag.shape[1]) * (table.max_lag + 1) + np.minimum(g.lag, table.max_lag)
-    deaths = np.where(g.valid, np.take(table._cum_lag, cells), 0)
-    return _Cohorts(g.t, g.n, g.valid, g.lag, deaths)
+    return _Cohorts(g.t, g.n, g.valid, g.lag, table._observed(t))
 
 
 @dataclass(frozen=True)
@@ -864,16 +861,17 @@ def estimate_series(
     to a later day than the first failing day; so a failing block of several
     days is re-run one day at a time, and the error is still the one the
     first failing day raises on its own. What reads no deaths (r_t,
-    ``cfr_true``, A2-A3 of known rates, and with a known schedule and rates
-    the Garske denominators and V(t)) is built first as vectors over the
-    days, which ``run_study`` builds once for all its replicates. The
-    ``cfr_garske`` and ``cfr_garske_mod`` columns hold the same values, the
-    shared delay model's on a constant schedule and the per-day variant's
-    otherwise.
+    ``cfr_true`` and A2-A3 of known rates) is built first as vectors over
+    the days. ``run_study`` builds these once for all its replicates, and
+    with a known schedule and rates the Garske denominators and V(t) too;
+    a single call builds those in each block, from the grid and F the
+    block builds anyway. The ``cfr_garske`` and ``cfr_garske_mod`` columns
+    hold the same values, the shared delay model's on a constant schedule
+    and the per-day variant's otherwise.
     Emits one AssumptionWarning if A1-A3 fail on any evaluated day.
     """
     delay = schedule if schedule is not None else _Lookback(lookback)
-    shared = _shared_terms(table, days, alpha, delay, rates, true_rates)
+    shared = _shared_terms(table, days, alpha, delay, rates, true_rates, reused=False)
     return _series(table, shared, include_final)
 
 
@@ -885,10 +883,11 @@ class _Shared:
     The replicates of a study share their cases, and in known mode their
     schedule and rates too, so ``run_study`` builds this once and each
     replicate's blocks do only the work that reads its deaths. With known
-    rates and a delay whose F reads no deaths that leaves the deaths gather,
-    F, the weights and their sums: ``denom`` and ``v`` are set, and ``checks``
-    holds every check after the weights'. Otherwise ``checks`` holds only
-    the trailing ``true_rates`` one. No (days x cohorts) array is kept.
+    rates and a delay whose F reads no deaths, built for a study, that
+    leaves the deaths grid, F, the weights and their sums: ``denom`` and
+    ``v`` are set, and ``checks`` holds every check after the weights'.
+    Otherwise ``checks`` holds only the trailing ``true_rates`` one. No
+    (days x cohorts) array is kept.
     """
 
     t: np.ndarray  # evaluation days, ascending, each with cases
@@ -900,8 +899,8 @@ class _Shared:
     min_p: np.ndarray | None  # rates known
     max_p: np.ndarray | None  # rates known
     cfr_true: np.ndarray | None
-    denom: np.ndarray | None  # F and rates known
-    v: np.ndarray | None  # F and rates known
+    denom: np.ndarray | None  # F and rates known, built for a study
+    v: np.ndarray | None  # F and rates known, built for a study
     checks: tuple[tuple[np.ndarray, Callable[[int], Exception]], ...]
     failing: np.ndarray  # some check in ``checks`` flags the day
 
@@ -925,10 +924,14 @@ def _shared_terms(
     delay: DelaySchedule | _Lookback,
     rates: DailyRates | None,
     true_rates: DailyRates | None,
+    reused: bool,
 ) -> _Shared:
     """``_Shared`` of an ``estimate_series`` call; reads only the table's
     cases. Raises for bad arguments, and records each day's failing checks
-    for the kernel to raise in order."""
+    for the kernel to raise in order. ``reused`` says that many tables with
+    these cases will read it: then, with F and the rates known, the Garske
+    denominators and V(t) are built here, once. Otherwise each block builds
+    them from the grid and F it builds anyway."""
     day_grid = np.unique(np.asarray(days, dtype=np.int64))
     if day_grid.size and day_grid[0] < 0:
         raise ValueError("days must be non-negative")
@@ -945,7 +948,7 @@ def _shared_terms(
     # Running A2-A3 bounds of known rates at each day.
     min_p, max_p = _at_days(_p_bounds(rates.p), t) if rates is not None else (None, None)
 
-    known = not delay._reads_deaths and rates is not None
+    known = reused and not delay._reads_deaths and rates is not None
     cfr_true, late = [], []
     for i in range(0, t.size, _BLOCK):
         block = slice(i, i + _BLOCK)
@@ -1073,6 +1076,6 @@ def _series_block(table: EpidemicTable, shared: _Shared, rows: slice) -> dict[st
         "ci_low": low,
         "ci_high": high,
         "cfr_garske": dead / denom,
-        "cfr_final": table._cum_final[c.n - 1] / r_t,
+        "cfr_final": table._cumulative_final(c.n - 1) / r_t,
         "ok": (min_f0 > 0.0) & (min_p > 0.0) & (max_p < 1.0),
     }

@@ -68,8 +68,8 @@ class LineList:
     epoch: date | None = None
 
     def __post_init__(self) -> None:
-        confirm = np.array(self.confirm, dtype=np.int64)
-        death = np.array(self.death, dtype=np.int64)
+        confirm = _whole(self.confirm, "confirmation days")
+        death = _whole(self.death, "death days")
         if confirm.ndim != 1 or death.shape != confirm.shape:
             raise ValueError("confirm and death must be one-dimensional and equally long")
         if np.any(confirm < 0):
@@ -109,7 +109,9 @@ class LineList:
 
 MAX_DAY = 3652
 """Last day index `parse_csv` accepts: ten years after day 0. A typo'd year
-(2202 for 2020) would otherwise size the dense day-by-lag table in tens of GB."""
+(2202 for 2020) would otherwise stretch the days that `cfrkit estimate`
+evaluates, and each (days x cohorts) block the estimators hold, to some
+66,000 days."""
 
 
 def _parse_day(raw: str, epoch: date | None, column: str) -> int:
@@ -411,51 +413,161 @@ def parse_csv(text: str | bytes | BinaryIO | Iterable[str], epoch: date | None =
     return LineList(np.frombuffer(confirms, np.intc), np.frombuffer(deaths, np.intc), epoch)
 
 
-@dataclass(frozen=True, eq=False)
-class EpidemicTable:
-    """Daily confirmed-case counts plus a (day, lag) death table.
+def _whole(values, name: str) -> np.ndarray:
+    """``values`` as a new int64 array. A ValueError names the first value
+    that is not a finite whole number; integer input is only copied."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "biu":
+        real = array.astype(float)
+        bad = ~(np.abs(real) < 2.0**63) | (real != np.trunc(real))
+        if bad.any():
+            raise ValueError(f"{name} must be finite whole numbers, got {real[bad][0]}")
+    return np.array(array, dtype=np.int64)
 
-    ``cases[d]`` counts cases confirmed on day d. ``deaths[d, k]`` counts
-    cases confirmed on day d that died exactly k days later. Rows may sum to
-    less than ``cases[d]``; the remainder survived or is unresolved. Arrays
-    are copied on construction and frozen.
+
+def _day_counts(cases) -> np.ndarray:
+    """Daily case counts as a frozen int64 copy."""
+    cases = _whole(cases, "cases")
+    if cases.ndim != 1:
+        raise ValueError("cases must be one-dimensional")
+    if np.any(cases < 0):
+        raise ValueError("counts must be non-negative")
+    cases.setflags(write=False)
+    return cases
+
+
+class _Running:
+    """Counts of events per bin on each evaluation day, where an event counts
+    on every day from its first day on: ``counts(t, width)[i, b]`` is the
+    number of events in bin b whose first day is at most t[i].
+
+    A first query of one day, all a study's final-day replicate asks,
+    counts the events as they are. Any other query sorts them first, once,
+    as keys ``first << shift | bin`` of 32 bits where they fit. A block of
+    ascending days then costs one ``bincount`` over the events first
+    counted within it and one ``cumsum`` down its rows, over the bins those
+    events touch, on top of the counts carried from the previous query if
+    that ended no later, else of none. Each state is one tuple, replaced
+    whole, so a table may be read from several threads.
     """
 
-    cases: np.ndarray
-    deaths: np.ndarray
+    def __init__(self, first: np.ndarray, bins: np.ndarray) -> None:
+        self._events = first, bins  # first day >= 0 and bin of each event
+        self._sorted: tuple[np.ndarray, int, int] | None = None  # keys, shift, days
+        self._carry = -1, np.zeros(0, np.int64)  # last day counted, and its counts
 
-    def __post_init__(self) -> None:
-        cases = np.array(self.cases, dtype=np.int64, copy=True)
-        deaths = np.array(self.deaths, dtype=np.int64, copy=True)
-        if cases.ndim != 1:
-            raise ValueError("cases must be one-dimensional")
+    def counts(self, t: np.ndarray, width: int) -> np.ndarray:
+        """(t.size, width) int64 counts at the ascending non-empty days t.
+        Each event counted by t[-1] has a bin below ``width``, which grows
+        with t[-1] from one query to the next."""
+        if self._sorted is None:
+            first, bins = self._events
+            if t.size == 1 and self._carry[0] < 0:
+                grid = np.bincount(bins[first <= t[0]], minlength=width)[None]
+                self._carry = int(t[0]), grid[0].copy()
+                return grid
+            days = int(first.max()) + 1 if first.size else 0
+            shift = int(bins.max(initial=0)).bit_length()
+            dtype = np.uint32 if days << shift < 1 << 32 else np.uint64
+            keys = first.astype(dtype) << shift | bins.astype(dtype)
+            keys.sort()
+            self._sorted = keys, shift, days
+        keys, shift, days = self._sorted
+        day, carried = self._carry
+        if day > t[0]:
+            day, carried = -1, carried[:0]
+        # The events by the carried day and by each day t_i: keys below
+        # min(day + 1, days) << shift.
+        upto = np.empty(t.size + 1, np.int64)
+        upto[0], upto[1:] = day, t
+        upto = np.minimum(np.maximum(upto + 1, 0), days).astype(keys.dtype)
+        ends = np.searchsorted(keys, upto << shift)
+        grid = np.zeros((t.size, width), np.int64)
+        grid[:, : carried.size] = carried
+        if ends[-1] > ends[0]:
+            new = keys[ends[0] : ends[-1]] & (1 << shift) - 1
+            lo, span = int(new.min()), int(new.max() - new.min()) + 1
+            rows = np.repeat(np.arange(t.size), ends[1:] - ends[:-1])
+            step = np.bincount(rows * span + (new - lo), minlength=t.size * span)
+            step = step.reshape(t.size, span)
+            grid[:, lo : lo + span] += np.cumsum(step, axis=0, out=step)
+        self._carry = int(t[-1]), grid[-1].copy()
+        return grid
+
+
+class EpidemicTable:
+    """Daily confirmed-case counts plus the deaths of each day's cases.
+
+    ``cases[d]`` counts cases confirmed on day d. Each death is held as one
+    event, its confirmation day d and its lag k (days from confirmation to
+    death), beside each day's death total, which may be less than
+    ``cases[d]``: the remainder survived or is unresolved. ``deaths[d, k]``,
+    the dense (day, lag) table of counts, is built from the events on first
+    access. The estimators never build it: they count the events per block
+    of evaluation days, so their memory is O(deaths + block x days). The
+    table is immutable and its arrays are frozen copies.
+    """
+
+    def __init__(self, cases, deaths) -> None:
+        """A table from a (day, lag) count table with one row per day of ``cases``."""
+        cases, deaths = _day_counts(cases), _whole(deaths, "deaths")
         if deaths.ndim != 2:
             raise ValueError("deaths must be two-dimensional")
         if deaths.shape[0] != cases.shape[0]:
             raise ValueError("deaths must have one row per day in cases")
-        if deaths.shape[1] == 0:
-            deaths = np.zeros((deaths.shape[0], 1), dtype=np.int64)
-        if np.any(cases < 0) or np.any(deaths < 0):
+        if np.any(deaths < 0):
             raise ValueError("counts must be non-negative")
-        if np.any(deaths.sum(axis=1) > cases):
+        day, lag = np.nonzero(deaths)
+        count = deaths[day, lag]
+        self._set(cases, np.repeat(day, count), np.repeat(lag, count), deaths.shape[1])
+
+    @classmethod
+    def _from_events(
+        cls, cases, day: np.ndarray, lag: np.ndarray, width: int | None = None
+    ) -> "EpidemicTable":
+        """A table from one confirmation day and one lag per death, which the
+        caller has checked: days index ``cases`` and lags are non-negative.
+        ``max_lag`` is ``width - 1``, by default the largest lag."""
+        table = cls.__new__(cls)
+        table._set(_day_counts(cases), day, lag, width)
+        return table
+
+    def _set(self, cases: np.ndarray, day: np.ndarray, lag: np.ndarray, width: int | None):
+        totals = np.bincount(day, minlength=cases.size)
+        if np.any(totals > cases):
             raise ValueError("more deaths than confirmed cases on some day")
-        cases.setflags(write=False)
-        deaths.setflags(write=False)
-        object.__setattr__(self, "cases", cases)
-        object.__setattr__(self, "deaths", deaths)
+        if width is None:
+            width = int(lag.max()) + 1 if lag.size else 1
+        totals.setflags(write=False)
+        vars(self).update(cases=cases, _day=day, _lag=lag, _totals=totals, _width=max(width, 1))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"EpidemicTable is immutable: cannot set {name!r}")
 
     @classmethod
     def from_sparse(
         cls, cases: Sequence[int], lag_counts: Mapping[int, Mapping[int, int]]
     ) -> "EpidemicTable":
-        """Build a table from per-day ``{lag: count}`` mappings."""
-        n = len(cases)
-        width = 1 + max((k for row in lag_counts.values() for k in row), default=0)
-        deaths = np.zeros((n, width), dtype=np.int64)
+        """Build a table from per-day ``{lag: count}`` mappings.
+
+        Raises:
+            ValueError: a day outside 0..len(cases) - 1, a negative lag or
+                count, or a count that is no whole number.
+        """
+        cases = _day_counts(cases)
+        cells = []
         for d, row in lag_counts.items():
+            if not 0 <= d < cases.size:
+                raise ValueError(f"day {d} outside table (0..{cases.size - 1})")
             for k, count in row.items():
-                deaths[d, k] = count
-        return cls(np.asarray(cases, dtype=np.int64), deaths)
+                if k < 0:
+                    raise ValueError(f"negative lag {k} on day {d}")
+                cells.append((d, k, count))
+        day, lag, count = _whole(np.reshape(cells, (-1, 3)), "deaths").T
+        if np.any(count < 0):
+            raise ValueError("counts must be non-negative")
+        width = int(lag.max()) + 1 if lag.size else 1
+        return cls._from_events(cases, np.repeat(day, count), np.repeat(lag, count), width)
 
     @property
     def n_days(self) -> int:
@@ -463,7 +575,7 @@ class EpidemicTable:
 
     @property
     def max_lag(self) -> int:
-        return int(self.deaths.shape[1]) - 1
+        return self._width - 1
 
     @property
     def total_cases(self) -> int:
@@ -471,20 +583,54 @@ class EpidemicTable:
 
     @property
     def total_deaths(self) -> int:
-        return int(self.deaths.sum())
+        return int(self._day.size)
 
-    # Cumulative tables; every query below is O(1) or O(t) thanks to these.
+    @cached_property
+    def deaths(self) -> np.ndarray:
+        """Dense (n_days, max_lag + 1) table: ``deaths[d, k]`` counts cases
+        confirmed on day d that died exactly k days later."""
+        width = self._width
+        cells = np.bincount(self._day * width + self._lag, minlength=self.n_days * width)
+        deaths = cells.reshape(self.n_days, width)
+        deaths.setflags(write=False)
+        return deaths
+
     @cached_property
     def _cum_cases(self) -> np.ndarray:
         return np.cumsum(self.cases)
 
     @cached_property
-    def _cum_lag(self) -> np.ndarray:
-        return np.cumsum(self.deaths, axis=1)
+    def _cum_totals(self) -> np.ndarray:
+        return np.cumsum(self._totals)
 
     @cached_property
-    def _cum_day(self) -> np.ndarray:
-        return np.cumsum(self.deaths, axis=0)
+    def _by_cohort(self) -> _Running:
+        """Each death counted by cohort from its death day on."""
+        return _Running(self._day + self._lag, self._day)
+
+    def _observed(self, t: np.ndarray) -> np.ndarray:
+        """``deaths_by(d, t_i)`` at each of the ascending days t (rows) of
+        the cohorts d = 0..min(t[-1], n_days - 1) (columns). A cohort after
+        t_i has no death by t_i, so it reads 0 in row i."""
+        return self._by_cohort.counts(t, min(int(t[-1]), self.n_days - 1) + 1)
+
+    def _eligible_lags(self, t: np.ndarray, lookback: int) -> np.ndarray:
+        """Deaths at each lag k (columns) that are eligible at each of the
+        ascending days t (rows): cohort d at most min(t_i - lookback,
+        n_days - 1), and dead by t_i, so d <= t_i - k. That is every death
+        from day d + max(k, lookback) on."""
+        held = vars(self).get("_lag_events")
+        if held is None or held[0] != lookback:
+            # Shifted by lookback, as are the days t, so that the first days
+            # stay below n_days + width whatever the lookback.
+            first = self._day + np.maximum(self._lag - lookback, 0)
+            held = lookback, _Running(first, self._lag)
+            vars(self)["_lag_events"] = held  # the last lookback's only
+        return held[1].counts(t - lookback, self._width)
+
+    def _cumulative_final(self, days: np.ndarray) -> np.ndarray:
+        """``cumulative_final_deaths`` at each of the days."""
+        return self._cum_totals[days]
 
     def cumulative_cases(self, t: int) -> int:
         """Total cases confirmed on days 0..t."""
@@ -498,40 +644,28 @@ class EpidemicTable:
             raise ValueError(f"day {d} outside table (0..{self.n_days - 1})")
         if d > t:
             raise ValueError(f"confirmation day {d} is after query day {t}")
-        return int(self._cum_lag[d, min(t - d, self.max_lag)])
+        return int(np.count_nonzero((self._day == d) & (self._lag <= t - d)))
 
     def observed_deaths(self, t: int) -> np.ndarray:
         """Vector of ``deaths_by(d, t)`` for d = 0..min(t, n_days - 1)."""
         if t < 0:
             raise ValueError("t must be non-negative")
-        upto = min(t, self.n_days - 1)
-        d = np.arange(upto + 1)
-        return self._cum_lag[d, np.minimum(t - d, self.max_lag)]
-
-    @cached_property
-    def _cum_final(self) -> np.ndarray:
-        return np.cumsum(self._cum_lag[:, -1])
+        return self._observed(np.array([t]))[0]
 
     def final_deaths(self) -> np.ndarray:
         """Per-day counts of cases with a recorded death at any lag."""
-        return self._cum_lag[:, -1].copy()
+        return self._totals.copy()
 
     def cumulative_final_deaths(self, t: int) -> int:
         """Cases confirmed on days 0..t with a recorded death at any lag."""
         if not 0 <= t < self.n_days:
             raise ValueError(f"day {t} outside table (0..{self.n_days - 1})")
-        return int(self._cum_final[t])
-
-
-def _death_table(day: np.ndarray, lags: np.ndarray, n_days: int) -> np.ndarray:
-    """Dense (n_days, max lag + 1) counts of deaths per (day, lag) cell, from
-    one day and one lag per death."""
-    width = int(lags.max()) + 1 if lags.size else 1
-    return np.bincount(day * width + lags, minlength=n_days * width).reshape(n_days, width)
+        return int(self._cum_totals[t])
 
 
 def aggregate(linelist: LineList) -> EpidemicTable:
-    """Count confirmations per day and deaths per (confirmation day, lag) cell.
+    """Count confirmations per day and hold each death as its confirmation
+    day and lag.
 
     The table spans days 0..max confirmation day, so the total over ``cases``
     equals the number of rows.
@@ -539,6 +673,5 @@ def aggregate(linelist: LineList) -> EpidemicTable:
     confirm, death = linelist.confirm, linelist.death
     n = int(confirm.max()) + 1 if confirm.size else 0
     died = death >= 0
-    lags = death[died] - confirm[died]
-    cases = np.bincount(confirm, minlength=n)
-    return EpidemicTable(cases, _death_table(confirm[died], lags, n))
+    day = confirm[died]
+    return EpidemicTable._from_events(np.bincount(confirm, minlength=n), day, death[died] - day)

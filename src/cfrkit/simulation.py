@@ -23,7 +23,7 @@ import numpy as np
 from .errors import CfrError, ParseError
 from .estimators import DailyRates, DelaySchedule, EstimateSeries
 from .estimators import _Lookback, _series, _shared_terms
-from .linelist import EpidemicTable, _death_table
+from .linelist import EpidemicTable
 from .survival import SurvivalModel
 
 if TYPE_CHECKING:
@@ -179,9 +179,9 @@ def _draw(scenario: Scenario, replicate_index: int) -> tuple[np.ndarray, np.ndar
 
 
 def _table(curve: np.ndarray, n_die: np.ndarray, lags: np.ndarray) -> EpidemicTable:
-    """The epidemic table of one replicate's draws."""
-    day_of = np.repeat(np.arange(curve.size), n_die)
-    return EpidemicTable(curve, _death_table(day_of, lags, curve.size))
+    """The epidemic table of one replicate's draws, whose lags are grouped
+    by confirmation day."""
+    return EpidemicTable._from_events(curve, np.repeat(np.arange(curve.size), n_die), lags)
 
 
 # Threads that draw study replicates. numpy's Generator releases the GIL in
@@ -349,7 +349,9 @@ def run_study(
                 if shared is None:
                     # Every replicate has the scenario's cases, so the terms that
                     # read no deaths are built from the first one, once.
-                    shared = _shared_terms(table, days, alpha, delay, rates_arg, rates_true)
+                    shared = _shared_terms(
+                        table, days, alpha, delay, rates_arg, rates_true, reused=True
+                    )
                 series = _series(table, shared, include_final=True)
             except (CfrError, ValueError) as exc:
                 raise type(exc)(f"{where}: {exc}") from exc

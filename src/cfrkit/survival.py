@@ -379,8 +379,8 @@ def fit_zinb_mle(sample) -> Zinb:
 def _empirical_cdfs(
     table: EpidemicTable, t: np.ndarray, lookback: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical delay CDF at each day of t (rows) over lags 0..max_lag
-    (columns), and the resolved deaths n_obs behind each row.
+    """Empirical delay CDF at each of the ascending days t (rows) over lags
+    0..max_lag (columns), and the resolved deaths n_obs behind each row.
 
     Deaths count when their cohort is eligible at day t: confirmed by
     min(t - lookback, n_days - 1) and, to be dead by t at lag k, by t - k.
@@ -388,11 +388,7 @@ def _empirical_cdfs(
     reaches exactly 1.0 at its largest eligible lag; a row with n_obs == 0
     is all 0. The table needs at least one day.
     """
-    k = np.arange(table.max_lag + 1)
-    day_cap = np.minimum(t - lookback, table.n_days - 1)
-    day_lim = np.minimum(day_cap[:, None], t[:, None] - k)
-    counts = np.where(day_lim >= 0, table._cum_day[np.maximum(day_lim, 0), k], 0)
-    cum = np.cumsum(counts, axis=1)
+    cum = np.cumsum(table._eligible_lags(t, lookback), axis=1)
     n_obs = cum[:, -1]
     return cum / np.maximum(n_obs, 1)[:, None], n_obs
 

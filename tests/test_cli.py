@@ -980,3 +980,76 @@ def test_known_mode_study_loads_scipy_special_only(tmp_path, command):
     study = [command, "--mode", "known", "--replicates", "2", "--arm-days", "60",
              "--symmetric", "--dstar", "40", "--every", "10", "-o", str(tmp_path / "s.csv")]
     assert _fresh_cli_runs(study) == ([0], ["scipy.special"])
+
+
+# ---------------------------------------------------------------------------
+# Memory: warnings shown once, and a long day span on few rows
+
+_LINUX_ONLY = pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="RLIMIT_AS and ru_maxrss in KiB are Linux's"
+)
+
+
+def _child(script: str, timeout: float = 60) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter with Python's default warning
+    filters, importing cfrkit from this checkout. One BLAS thread keeps the
+    address space that an RLIMIT_AS cap counts from growing with the cores."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+    env.update(
+        PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=timeout
+    )
+
+
+@_LINUX_ONLY
+def test_fit_survival_shows_a_runtime_warning_once(tmp_path):
+    """A warning other than AssumptionWarning is shown once, after the
+    command. Shown while warnings were still recorded, it was recorded again
+    and shown again until memory ran out; the 1 GiB address-space cap and
+    the timeout make such a loop fail fast."""
+    path = tmp_path / "ll.csv"
+    # Every lag is 1..5, so the ZINB fit warns that the sample has no zero lag.
+    rows = "".join(f"{d},{d + 1 + d % 5}\n" for d in range(100))
+    path.write_text("confirm_date,death_date\n" + rows)
+    out = tmp_path / "fits.csv"
+    argv = ["fit-survival", str(path), "-o", str(out)]
+    done = _child(
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "import cfrkit.cli\n"
+        f"sys.exit(cfrkit.cli.main({argv!r}))\n"
+    )
+    assert done.returncode == 0, done.stderr
+    assert out.exists() and (tmp_path / "fits_cdf.csv").exists()
+    assert done.stderr.count("RuntimeWarning: no zero lags in sample") == 1, done.stderr
+
+
+@_LINUX_ONLY
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("estimate", "insufficient resolved deaths for empirical fit"),
+        ("fit-survival", "dispersion unidentifiable: all lags equal"),
+    ],
+)
+def test_long_day_span_costs_no_more_than_its_rows(tmp_path, command, message):
+    """Two rows ten years apart: the memory a command takes beyond the
+    import's stays under 50 MB, whatever the span of days."""
+    path = tmp_path / "span.csv"
+    path.write_text("confirm_date,death_date\n0,3652\n3652,\n")
+    argv = [command, str(path), "-o", str(tmp_path / "out.csv")]
+    done = _child(
+        "import resource\n"
+        "import cfrkit.cli\n"
+        "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        f"code = cfrkit.cli.main({argv!r})\n"
+        "print(code, base, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    code, base, peak = map(int, done.stdout.split())
+    assert code == 5
+    assert f"cfrkit: {message}" in done.stderr
+    assert peak < base + 50 * 1024, f"peak {peak} KiB, import {base} KiB"

@@ -829,7 +829,8 @@ def _ref_fit_empirical(table, t, lookback):
         raise EstimationError("insufficient resolved deaths for empirical fit")
     k = np.arange(table.max_lag + 1)
     day_lim = np.minimum(day_cap, t - k)
-    counts = np.where(day_lim >= 0, table._cum_day[np.maximum(day_lim, 0), k], 0)
+    cum_day = np.cumsum(table.deaths, axis=0)
+    counts = np.where(day_lim >= 0, cum_day[np.maximum(day_lim, 0), k], 0)
     total = int(counts.sum())
     if total == 0:
         raise EstimationError("insufficient resolved deaths for empirical fit")
@@ -1256,8 +1257,10 @@ def test_series_memory_is_blockwise():
     # A day far past the table must cost no more than the table's last day.
     n_days = 3653
     table = long_table(n_days, seed=9)
-    # Fill the table's own cached cumulative arrays before measuring.
-    table._cum_lag, table._cum_day, table._cum_final
+    # Fill the table's own caches before measuring: its cumulative sums and
+    # its deaths sorted for the kernel's two event queries (lookback 45).
+    table._cum_cases, table._cum_totals
+    table._observed(np.arange(2)), table._eligible_lags(np.arange(2), 45)
     tracemalloc.start()
     try:
         series = estimate_series(table, [*range(90, n_days), 100_000])

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cfrkit.estimators as est
 import cfrkit.linelist as linelist_module
 from cfrkit import (
     CaseRecord,
@@ -308,6 +309,115 @@ def test_observed_deaths_matches_per_day_queries():
     for t in range(6):
         expected = [table.deaths_by(d, t) for d in range(min(t, 2) + 1)]
         assert table.observed_deaths(t).tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "lag_counts, message",
+    [
+        ({0: {3: 1, -1: 2}}, r"^negative lag -1 on day 0$"),
+        ({-1: {0: 1}}, r"^day -1 outside table \(0\.\.1\)$"),
+        ({2: {0: 1}}, r"^day 2 outside table \(0\.\.1\)$"),
+    ],
+)
+def test_from_sparse_rejects_days_and_lags_outside_the_table(lag_counts, message):
+    with pytest.raises(ValueError, match=message):
+        EpidemicTable.from_sparse([5, 5], lag_counts)
+
+
+@pytest.mark.parametrize(
+    "build, name, value",
+    [
+        (lambda: EpidemicTable(np.array([3.7, 2.0]), np.zeros((2, 1))), "cases", "3.7"),
+        (lambda: EpidemicTable([3, 2], np.array([[1.5], [0.2]])), "deaths", "1.5"),
+        (lambda: EpidemicTable([3, 2], np.array([[np.nan], [0.0]])), "deaths", "nan"),
+        (lambda: EpidemicTable([np.inf], [[0]]), "cases", "inf"),
+        (lambda: EpidemicTable.from_sparse([3, 2], {0: {1: 0.5}}), "deaths", "0.5"),
+        (lambda: LineList([0.5, 2.9], [-1, 3.2]), "confirmation days", "0.5"),
+        (lambda: LineList([0, 2], [-1, 3.2]), "death days", "3.2"),
+    ],
+)
+def test_counts_and_days_must_be_finite_whole_numbers(build, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite whole numbers, got {value}$"):
+        build()
+
+
+def test_whole_floats_are_kept():
+    table = EpidemicTable(np.array([3.0, 2.0]), np.array([[1.0], [0.0]]))
+    assert table.cases.tolist() == [3, 2] and table.deaths.tolist() == [[1], [0]]
+    assert LineList([0.0, 2.0], [-1.0, 3.0]).death.tolist() == [-1, 3]
+
+
+@st.composite
+def _event_queries(draw):
+    """A small table built three ways, ascending days with gaps and past its
+    end, a lookback (0, past the table, or any), and a block size: 1, 7 or
+    the kernel's ``_BLOCK``."""
+    n_days = draw(st.integers(1, 9))
+    width = draw(st.integers(1, 14))  # lags may run past the table's last day
+    cases = draw(st.lists(st.integers(0, 4), min_size=n_days, max_size=n_days))
+    deaths = np.zeros((n_days, width), dtype=np.int64)
+    for d, count in enumerate(cases):  # rows may be empty
+        for k in draw(st.lists(st.integers(0, width - 1), max_size=count)):
+            deaths[d, k] += 1
+    build = draw(st.sampled_from(["dense", "sparse", "aggregate"]))
+    # max_lag: the dense table's last column, else the largest lag of a death.
+    died_at = np.flatnonzero(deaths.any(axis=0))
+    max_lag = width - 1 if build == "dense" else int(died_at.max(initial=0))
+    if build == "dense":
+        table = EpidemicTable(cases, deaths)
+    elif build == "sparse":
+        cells = [{k: int(row[k]) for k in np.flatnonzero(row).tolist()} for row in deaths]
+        table = EpidemicTable.from_sparse(cases, dict(enumerate(cells)))
+    else:
+        lags = [np.repeat(np.arange(width), row).tolist() for row in deaths]
+        records = [CaseRecord(d, d + k) for d in range(n_days) for k in lags[d]]
+        records += [CaseRecord(d) for d in range(n_days) for _ in range(cases[d] - len(lags[d]))]
+        table = aggregate(LineList.from_records(records or [CaseRecord(0)]))
+    days = sorted(set(draw(st.lists(st.integers(0, n_days + 16), min_size=1, max_size=12))))
+    lookback = draw(st.one_of(st.just(0), st.just(n_days + 3), st.integers(0, 20)))
+    block = draw(st.sampled_from([1, 7, est._BLOCK]))
+    return table, deaths, max_lag, np.array(days), lookback, block
+
+
+@given(_event_queries())
+@settings(max_examples=300, deadline=None)
+def test_event_queries_match_the_dense_table(case):
+    """Every query the table answers from its death events equals its
+    definition on the dense (day, lag) table, computed with np.cumsum, in
+    any order of blocks."""
+    table, deaths, max_lag, days, lookback, block = case
+    assert table.max_lag == max_lag
+    n, width = table.n_days, max_lag + 1
+    dense = table.deaths
+    assert dense.shape == (n, width) and np.array_equal(dense, deaths[:n, :width])
+    assert not deaths[:n, width:].any() and not deaths[n:].any()
+    cum_lag, cum_day = np.cumsum(dense, axis=1), np.cumsum(dense, axis=0)
+
+    def grid(t):
+        cols = min(t[-1], n - 1) + 1
+        d = np.arange(cols)
+        lag = np.minimum(np.maximum(t[:, None] - d, 0), width - 1)
+        return np.where(d <= t[:, None], cum_lag[d, lag], 0)
+
+    def lag_counts(t):
+        k = np.arange(width)
+        last = np.minimum(np.minimum(t - lookback, n - 1)[:, None], t[:, None] - k)
+        return np.where(last >= 0, cum_day[np.maximum(last, 0), k], 0)
+
+    # Blocks in order, again one day at a time, then in order once more.
+    for size in (block, 1, block):
+        for i in range(0, days.size, size):
+            t = days[i : i + size]
+            assert np.array_equal(est._cohorts(table, t).deaths, grid(t))
+            assert np.array_equal(table._eligible_lags(t, lookback), lag_counts(t))
+    for t in days.tolist():
+        assert np.array_equal(table.observed_deaths(t), grid(np.array([t]))[0])
+        for d in range(min(t, n - 1) + 1):
+            assert table.deaths_by(d, t) == cum_lag[d, min(t - d, width - 1)]
+        if t < n:
+            assert table.cumulative_final_deaths(t) == dense[: t + 1].sum()
+    assert np.array_equal(table.final_deaths(), dense.sum(axis=1))
+    assert table.total_deaths == dense.sum()
 
 
 # ---------------------------------------------------------------------------
