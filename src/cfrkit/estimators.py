@@ -323,6 +323,36 @@ def _a1_cases_error(t, d) -> EstimationError:
 _BLOCK = 64
 
 
+class _Buffers:
+    """A block's largest (days x cohorts) arrays, kept for the next block of
+    one ``_series`` call: the lags, the deaths grid, floored F, the weights
+    and ``_row_sums``' buffer. Allocated afresh, they would go back to the
+    system after each block and be faulted in again at the next, since
+    glibc trims its heap once the free memory at its top passes twice the
+    largest chunk it has unmapped, here one block array. They are one
+    allocation instead, of ``size`` float64 per array, which raises that
+    bound above them once the first call has freed it. Each array is a view
+    that the next block overwrites, and none leaves ``_series_block``.
+    """
+
+    _NAMES = ("lag", "deaths", "f", "weights", "sums")
+
+    def __init__(self, size: int) -> None:
+        self._rows = np.empty((len(self._NAMES), size))
+
+    def get(self, name: str, shape: tuple[int, int], dtype: type = float) -> np.ndarray:
+        """The uninitialised int64 or float64 array ``name`` of ``shape``."""
+        row = self._rows[self._NAMES.index(name)]
+        return row[: shape[0] * shape[1]].view(dtype).reshape(shape)
+
+
+def _array(
+    work: _Buffers | None, name: str, shape: tuple[int, int], dtype: type = float
+) -> np.ndarray:
+    """``work``'s array ``name`` of ``shape``, or a new one without ``work``."""
+    return np.empty(shape, dtype) if work is None else work.get(name, shape, dtype)
+
+
 def _check(bad: np.ndarray, error: Callable[[int], Exception]) -> None:
     """Raise ``error(i)`` for the first row i flagged in ``bad``."""
     if bad.any():
@@ -346,17 +376,19 @@ class _Cohorts(_Grid):
     deaths: np.ndarray  # deaths_by(d, t), 0 in the padding
 
 
-def _grid(t: np.ndarray, n_days: int) -> _Grid:
+def _grid(t: np.ndarray, n_days: int, work: _Buffers | None = None) -> _Grid:
     """Grid of the ascending days t of a table of n_days >= 1 days."""
     n = np.minimum(t, n_days - 1) + 1
     d = np.arange(int(n[-1]))
-    return _Grid(t, n, d < n[:, None], np.maximum(t[:, None] - d, 0))
+    lag = np.subtract(t[:, None], d, out=_array(work, "lag", (t.size, d.size), np.int64))
+    return _Grid(t, n, d < n[:, None], np.maximum(lag, 0, out=lag))
 
 
-def _cohorts(table: EpidemicTable, t: np.ndarray) -> _Cohorts:
+def _cohorts(table: EpidemicTable, t: np.ndarray, work: _Buffers | None = None) -> _Cohorts:
     """Cohorts of the ascending days t of a table with at least one day."""
-    g = _grid(t, table.n_days)
-    return _Cohorts(g.t, g.n, g.valid, g.lag, table._observed(t))
+    g = _grid(t, table.n_days, work)
+    deaths = table._observed(t, _array(work, "deaths", g.lag.shape, np.int64))
+    return _Cohorts(g.t, g.n, g.valid, g.lag, deaths)
 
 
 @dataclass(frozen=True)
@@ -398,7 +430,9 @@ def _divisor(f: np.ndarray) -> np.ndarray:
     return f if positive.all() else np.where(positive, f, 1.0)
 
 
-def _weights(c: _Cohorts, f: np.ndarray, divisor: np.ndarray) -> np.ndarray:
+def _weights(
+    c: _Cohorts, f: np.ndarray, divisor: np.ndarray, work: _Buffers | None = None
+) -> np.ndarray:
     """Predicted eventual deaths per cohort: deaths_by(d, t) / F_d(t - d).
 
     Cohorts without observed deaths contribute exactly 0 whatever F is, as
@@ -415,7 +449,7 @@ def _weights(c: _Cohorts, f: np.ndarray, divisor: np.ndarray) -> np.ndarray:
                 f"confirmed on day {np.argmax(bad[i])}"
             ),
         )
-    return c.deaths / divisor
+    return np.divide(c.deaths, divisor, out=_array(work, "weights", c.deaths.shape))
 
 
 def _garske_denominators(cases: np.ndarray, raw: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -575,7 +609,7 @@ def _late_checks(
     return checks
 
 
-def _row_sums(x: np.ndarray, n: np.ndarray) -> np.ndarray:
+def _row_sums(x: np.ndarray, n: np.ndarray, work: _Buffers | None = None) -> np.ndarray:
     """x[i, :n[i]].sum() for every day i, each day's own pairwise sum; a
     1-D x is one row shared by every day.
 
@@ -589,7 +623,8 @@ def _row_sums(x: np.ndarray, n: np.ndarray) -> np.ndarray:
     0.0 keeps the end index of a full row inside the buffer.
     """
     rows, width = n.size, x.shape[-1]
-    buf = np.zeros((rows, width + 2))
+    buf = _array(work, "sums", (rows, width + 2))
+    buf[:, 0] = buf[:, -1] = 0.0
     buf[:, 1:-1] = x
     bounds = np.empty((rows, 2), dtype=np.intp)
     bounds[:, 0] = np.arange(0, rows * (width + 2), width + 2)
@@ -992,16 +1027,21 @@ def _shared_terms(
 
 def _series(table: EpidemicTable, shared: _Shared, include_final: bool) -> EstimateSeries:
     """``estimate_series`` of a table whose cases ``shared`` was built from."""
+    t = shared.t
+    # Room for the widest block: its days by its cohorts, plus the two
+    # columns of _row_sums' padding.
+    width = min(int(t[-1]), table.n_days - 1) + 3 if t.size else 0
+    work = _Buffers(min(_BLOCK, t.size) * width)
     blocks = []
-    for i in range(0, shared.t.size, _BLOCK):
-        rows = slice(i, min(i + _BLOCK, shared.t.size))
+    for i in range(0, t.size, _BLOCK):
+        rows = slice(i, min(i + _BLOCK, t.size))
         try:
-            blocks.append(_series_block(table, shared, rows))
+            blocks.append(_series_block(table, shared, rows, work))
         except (EstimationError, ValueError):
             # The first of the earlier days that fails raises its own error;
             # if none does, the block's error is its last day's.
             for j in range(rows.start, rows.stop - 1):
-                _series_block(table, shared, slice(j, j + 1))
+                _series_block(table, shared, slice(j, j + 1), work)
             raise
 
     def column(name: str, dtype: type = float) -> np.ndarray:
@@ -1028,9 +1068,12 @@ def _series(table: EpidemicTable, shared: _Shared, include_final: bool) -> Estim
     )
 
 
-def _series_block(table: EpidemicTable, shared: _Shared, rows: slice) -> dict[str, np.ndarray]:
+def _series_block(
+    table: EpidemicTable, shared: _Shared, rows: slice, work: _Buffers
+) -> dict[str, np.ndarray]:
     """``estimate_series`` columns that read deaths at the days ``rows`` of
-    ``shared.t``, plus ``ok``: whether A1-A3 hold on each day.
+    ``shared.t``, plus ``ok``: whether A1-A3 hold on each day. The block's
+    largest arrays are those of ``work``.
 
     The checks run in the order the per-day computation meets them, those
     that read no deaths from ``shared.checks``: the error is the first
@@ -1039,15 +1082,15 @@ def _series_block(table: EpidemicTable, shared: _Shared, rows: slice) -> dict[st
     """
     t = shared.t[rows]
     delay, rates = shared.delay, shared.rates
-    c = _cohorts(table, t)
+    c = _cohorts(table, t, work)
     width = c.deaths.shape[1]
     raw, floor, min_f0 = delay._fit(table, c)
     if rates is None:
         _check(t < 6, lambda i: _rate_day_error())
     _check(*delay._uncovered(c.n - 1))
-    f = np.maximum(raw, floor)
+    f = np.maximum(raw, floor, out=_array(work, "f", raw.shape))
     divisor = _divisor(f)
-    w = _weights(c, f, divisor)
+    w = _weights(c, f, divisor, work)
     if rates is None:
         p_window, inside, _ = _window_rates(shared.windows, c, w)
         min_p = np.where(inside, p_window, np.inf).min(axis=1)
@@ -1056,7 +1099,8 @@ def _series_block(table: EpidemicTable, shared: _Shared, rows: slice) -> dict[st
         min_p, max_p = shared.min_p[rows], shared.max_p[rows]
     r_t = shared.r_t[rows]
     if shared.v is None:
-        # F or the rates come from this table's deaths.
+        # Not built for a study: F or the rates read this table's deaths,
+        # or this is a single estimate_series call.
         p = _daily_p(p_window, t, width) if rates is None else _rates_grid(rates, width)
         denom, v, a1_cohort = _late_terms(table.cases, c, raw, f, divisor, p, r_t)
         for bad, error in _late_checks(t, denom, a1_cohort, v, delay, rates):
@@ -1068,7 +1112,7 @@ def _series_block(table: EpidemicTable, shared: _Shared, rows: slice) -> dict[st
             _check(bad[rows], lambda i: error(rows.start + i))
 
     dead = c.deaths.sum(axis=1)
-    cfr = _row_sums(w, c.n) / r_t
+    cfr = _row_sums(w, c.n, work) / r_t
     low, high = _interval(cfr, v, shared.z)
     return {
         "cfr_naive": dead / r_t,

@@ -404,11 +404,14 @@ def test_event_queries_match_the_dense_table(case):
         last = np.minimum(np.minimum(t - lookback, n - 1)[:, None], t[:, None] - k)
         return np.where(last >= 0, cum_day[np.maximum(last, 0), k], 0)
 
-    # Blocks in order, again one day at a time, then in order once more.
+    # Blocks in order, again one day at a time, then in order once more; the
+    # grids with new arrays, and in arrays that earlier blocks wrote.
+    work = est._Buffers(12 * 9)  # at most 12 days by 9 cohorts
     for size in (block, 1, block):
         for i in range(0, days.size, size):
             t = days[i : i + size]
             assert np.array_equal(est._cohorts(table, t).deaths, grid(t))
+            assert np.array_equal(est._cohorts(table, t, work).deaths, grid(t))
             assert np.array_equal(table._eligible_lags(t, lookback), lag_counts(t))
     for t in days.tolist():
         assert np.array_equal(table.observed_deaths(t), grid(np.array([t]))[0])
