@@ -29,13 +29,12 @@ import numpy as np
 from . import __version__
 from .errors import AssumptionWarning, CfrError, EstimationError, ParseError
 from .estimators import DelaySchedule, EstimateSeries, estimate_series
-from .linelist import LineList, aggregate, parse_csv
+from .linelist import LineList, _file_records, aggregate, parse_csv
 from .simulation import (
     ESTIMATORS,
     Scenario,
     StepRates,
     StudyResult,
-    _data_rows,
     _first_eval_day,
     load_example_arm,
     read_arm_csv,
@@ -147,9 +146,9 @@ def _parse_delay_spec(spec: str) -> SurvivalModel:
         if kind == "point":
             return point_mass(int(rest))
     except (ValueError, TypeError) as exc:
-        raise argparse.ArgumentTypeError(f"bad delay spec {spec!r}: {exc}") from exc
+        raise argparse.ArgumentTypeError(f"--delay: bad delay spec {spec!r}: {exc}") from exc
     raise argparse.ArgumentTypeError(
-        f"unknown delay family {kind!r} (expected nb, zinb, or point)"
+        f"--delay: unknown delay family {kind!r} (expected nb, zinb, or point)"
     )
 
 
@@ -161,11 +160,10 @@ def _read_params_csv(path: str) -> SurvivalModel:
     is blank or NaN ranks below every row with one; the first such row wins
     among them.
     """
-    with open(path, "r", encoding="utf-8", newline="\n") as handle:
-        rows = _data_rows(handle, path)
-    header = [name.strip() for name in rows[0][1]] if rows else []
+    with open(path, "rb") as handle:
+        header, rows = _file_records(handle, path)
     best: tuple[tuple[bool, float], SurvivalModel] | None = None
-    for line_no, cells in rows[1:]:
+    for line_no, cells in rows:
         row = {name: cell.strip() for name, cell in zip(header, cells)}
         mu_raw, r_raw = row.get("mu"), row.get("r")
         if not mu_raw or not r_raw:

@@ -278,26 +278,67 @@ def _lines(pieces: Iterable[bytes | Iterable[str]]) -> Iterator[str]:
     return chain.from_iterable(texts)
 
 
+def _records(lines: Iterable[str], at: list[int], before: int = 0) -> Iterator[list[str]]:
+    """The cells of each CSV record of the lines that is neither blank nor a
+    comment (a first cell starting with ``#`` after any blanks); while one is
+    out, it starts on line ``before + at[0] + 1``. A quoted cell keeps its
+    blank and ``#`` lines. A ParseError names the line of a comment holding
+    a quoted line break, which would swallow the lines after it, of a record
+    the csv module rejects and of a line that is not UTF-8."""
+    reader = csv.reader(lines)
+    at[0] = 0
+    try:
+        for row in reader:
+            # A first cell from "$" to "\x84" starts with no blank and no "#".
+            if row and "$" <= row[0] < "\x85":
+                yield row
+            elif row and row[0].lstrip().startswith("#"):
+                if any("\n" in cell for cell in row):
+                    raise ParseError(
+                        f"line {before + at[0] + 1}: comment row holds a quoted line break, "
+                        "which would swallow the lines after it"
+                    )
+            elif any(cell.strip() for cell in row):
+                yield row
+            at[0] = reader.line_num  # a (line, cells) pair or an add here cost 4-8%
+    except csv.Error as exc:
+        raise ParseError(f"line {before + at[0] + 1}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"line {before + reader.line_num + 1}: {exc}") from None
+
+
+def _file_records(handle: BinaryIO, path: object) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The stripped header names and the (line, cells) of the later records
+    of a binary CSV file, read as `parse_csv` reads a line list; a
+    ParseError names ``path`` and the line."""
+    at = [0]
+    try:
+        rows = [(at[0] + 1, cells) for cells in _records(map(bytes.decode, handle), at)]
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    return [name.strip() for name in rows[0][1]] if rows else [], rows[1:]
+
+
 def parse_csv(text: str | bytes | BinaryIO | Iterable[str], epoch: date | None = None) -> LineList:
     """Parse a line-list CSV into confirmation and death day columns.
 
     The header must name ``confirm_date`` and ``death_date`` columns. Values
     are ISO-8601 dates (converted against ``epoch`` as day 0) or bare
     non-negative day indices up to ``MAX_DAY``. An empty ``death_date`` means
-    the case has no recorded death. Blank lines and lines starting with ``#``
-    are skipped; a ``#`` line whose quote runs past its end is a ParseError,
-    since the quoted field would swallow the lines after it. The input must
-    be UTF-8.
+    the case has no recorded death. Blank records and records starting with
+    ``#`` are skipped, also before the header; a ``#`` record whose quote
+    runs past its line is a ParseError, since the quoted field would swallow
+    the lines after it. The input must be UTF-8.
 
     The input is read as bytes in blocks cut after a ``\n``: a str is
     encoded, a binary stream is read ``_BLOCK_BYTES`` and the rest of a line
     at a time, and an iterable of str lines is joined ``_CHUNK_LINES`` lines
-    at a time while each line ends in one ``\n``. After a one-line header
-    without a quote, numpy parses each block that `_block_days` takes: one
-    scan finds its commas and line ends, and 8-byte loads read its digit and
-    ISO date cells. The first other block, or other input, goes with the
-    rest to a loop over CSV records, which parses each distinct raw cell
-    once and raises every error.
+    at a time while each line ends in one ``\n``. When the first block holds
+    no quote, numpy parses each block after the header that `_block_days`
+    takes: one scan finds its commas and line ends, and 8-byte loads read
+    its digit and ISO date cells. The first other block, or other input,
+    goes with the rest to a loop over CSV records, which parses each
+    distinct raw cell once and raises every error.
 
     Args:
         text: CSV content as a string, bytes, a binary stream or an
@@ -317,40 +358,41 @@ def parse_csv(text: str | bytes | BinaryIO | Iterable[str], epoch: date | None =
     """
     pieces = _pieces(text)
     first = next(pieces, b"")
-    line = first[: first.find(b"\n") + 1 or None] if isinstance(first, bytes) else None
-    if line is None or b'"' in line:  # a header that may span lines: all to the record loop
-        head, pieces = chain([first], pieces), iter(())
-    else:
-        head, pieces = [line], chain([first[len(line) :]], pieces)
-    stream = _lines(head)
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("line 1: missing header row") from None
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise ParseError(f"line 1: {exc}") from None
+    # A first block with no quote is read by lines up to its header, and
+    # numpy may read the rest; other input all goes to the record loop.
+    quoteless = isinstance(first, bytes) and b'"' not in first
+    head = io.BytesIO(first if quoteless else b"")
+    rest = _lines(pieces if quoteless else chain([first], pieces))
+    at = [0]  # lines before the record out of _records
+    records = _records(chain(map(bytes.decode, head), rest), at)
+    header = next(records, None)
+    if header is None:
+        raise ParseError("line 1: missing header row")
     names = [name.strip() for name in header]
     try:
         cols = confirm_col, death_col = names.index("confirm_date"), names.index("death_date")
     except ValueError:
         raise ParseError(
-            "line 1: header must contain confirm_date and death_date columns"
+            f"line {at[0] + 1}: header must contain confirm_date and death_date columns"
         ) from None
 
     # The case rows, as C ints (days are at most MAX_DAY): half the size of
     # the int64 columns LineList copies them into.
     confirms, deaths = array("i"), array("i")
-    before = reader.line_num  # lines before the next block or record
-    for piece in pieces:
-        parsed = isinstance(piece, bytes) and _block_days(piece, len(header) - 1, cols, epoch)
-        if not parsed:
-            stream = _lines(chain([piece], pieces))
-            break
-        part, newlines = parsed
-        confirms.frombytes(part[0].tobytes())
-        deaths.frombytes(part[1].tobytes())
-        before += newlines
+    before = 0  # lines before the first of the records
+    if 0 < head.tell() < len(first):  # the header ends inside the first block
+        before = first.count(b"\n", 0, head.tell())
+        pieces = chain([first[head.tell() :]], pieces)
+        for piece in pieces:
+            parsed = isinstance(piece, bytes) and _block_days(piece, len(header) - 1, cols, epoch)
+            if not parsed:
+                pieces = chain([piece], pieces)
+                break
+            part, newlines = parsed
+            confirms.frombytes(part[0].tobytes())
+            deaths.frombytes(part[1].tobytes())
+            before += newlines
+        records = _records(_lines(pieces), at, before)
 
     # Raw cell -> day, shared by both columns; blank cells map to -1 (no death).
     days: dict[str, int] = {}
@@ -362,54 +404,30 @@ def parse_csv(text: str | bytes | BinaryIO | Iterable[str], epoch: date | None =
             days[raw] = day
         return day
 
-    def parse_row(row: list[str], line: int) -> tuple[int, int]:
-        """Check and parse one row in full; (-1, -1) for a blank or comment
-        row. ``line`` is the line the row starts on."""
-        if not row or all(not cell.strip() for cell in row):
-            return -1, -1
-        if row[0].lstrip().startswith("#"):
-            if any("\n" in cell for cell in row):
-                raise ParseError(
-                    f"line {line}: comment row holds a quoted line break, "
-                    "which would swallow the lines after it"
-                )
-            return -1, -1
-        confirm_raw = row[confirm_col] if confirm_col < len(row) else ""
-        if not confirm_raw.strip():
-            raise ParseError(f"line {line}: empty confirm_date")
+    more_confirms, more_deaths = [], []  # faster to append to than the arrays
+    for row in records:
+        # Fast path: both cells seen before. A cached confirm day >= 0 comes
+        # from a non-blank cell.
         try:
-            confirm = day_of(confirm_raw, "confirm_date")
-            death = day_of(row[death_col] if death_col < len(row) else "", "death_date")
-        except ParseError as exc:
-            raise ParseError(f"line {line}: {exc}") from None
-        if 0 <= death < confirm:
-            raise ParseError(f"death precedes confirmation at line {line}")
-        return confirm, death
-
-    records = csv.reader(stream)
-    read = 0  # lines of the stream before the next record
-    try:
-        for row in records:
-            # Fast path: both cells seen before and the row is no comment. A
-            # cached confirm day >= 0 comes from a non-blank cell, so the row
-            # is not blank.
+            confirm = days[row[confirm_col]]
+            death = days[row[death_col]]
+        except (KeyError, IndexError):
+            confirm = -1
+        if confirm < 0:  # the record in full
+            confirm_raw = row[confirm_col] if confirm_col < len(row) else ""
+            if not confirm_raw.strip():
+                raise ParseError(f"line {before + at[0] + 1}: empty confirm_date")
             try:
-                confirm = days[row[confirm_col]]
-                death = days[row[death_col]]
-            except (KeyError, IndexError):
-                confirm = -1
-            if confirm < 0 or ("#" in row[0] and row[0].lstrip().startswith("#")):
-                confirm, death = parse_row(row, before + read + 1)
-            elif confirm > death >= 0:
-                raise ParseError(f"death precedes confirmation at line {before + read + 1}")
-            if confirm >= 0:
-                confirms.append(confirm)
-                deaths.append(death)
-            read = records.line_num
-    except csv.Error as exc:
-        raise ParseError(f"line {before + read + 1}: {exc}") from None
-    except UnicodeDecodeError as exc:  # names the line that is not UTF-8
-        raise ParseError(f"line {before + records.line_num + 1}: {exc}") from None
+                confirm = day_of(confirm_raw, "confirm_date")
+                death = day_of(row[death_col] if death_col < len(row) else "", "death_date")
+            except ParseError as exc:
+                raise ParseError(f"line {before + at[0] + 1}: {exc}") from None
+        if 0 <= death < confirm:
+            raise ParseError(f"death precedes confirmation at line {before + at[0] + 1}")
+        more_confirms.append(confirm)
+        more_deaths.append(death)
+    confirms.fromlist(more_confirms)
+    deaths.fromlist(more_deaths)
     return LineList(np.frombuffer(confirms, np.intc), np.frombuffer(deaths, np.intc), epoch)
 
 

@@ -8,7 +8,6 @@ length over replicates on a fixed evaluation grid.
 
 from __future__ import annotations
 
-import csv
 import os
 import threading
 from collections import deque
@@ -16,14 +15,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import CfrError, ParseError
 from .estimators import DailyRates, DelaySchedule, EstimateSeries
 from .estimators import _Lookback, _series, _shared_terms
-from .linelist import EpidemicTable
+from .linelist import EpidemicTable, _file_records
 from .survival import SurvivalModel
 
 if TYPE_CHECKING:
@@ -401,56 +400,26 @@ def run_study(
     )
 
 
-def _data_rows(lines: Iterable[str], source: object) -> list[tuple[int, list[str]]]:
-    """(line number, cells) of each CSV record, header included, skipping
-    blank records and records whose first cell starts with ``#`` after any
-    leading blanks, as line lists do. A record is numbered by its first line. Every line reaches the csv reader, so
-    a quoted cell keeps its blank and ``#`` lines; a ``#`` record holding a
-    quoted line break is a ParseError naming ``source`` and that line, since
-    its quote would swallow the lines after it, and so is a record the csv
-    module rejects. Lines should end at "\n" alone (``newline="\n"``), so
-    that a bare "\r" is such a record rather than a line break."""
-    reader = csv.reader(lines)
-    rows, start = [], 1
-    try:
-        for row in reader:
-            if row and row[0].lstrip().startswith("#"):
-                if any("\n" in cell for cell in row):
-                    raise ParseError(
-                        f"{source}: comment row at line {start} holds a quoted line break, "
-                        "which would swallow the lines after it"
-                    )
-            elif any(cell.strip() for cell in row):
-                rows.append((start, row))
-            start = reader.line_num + 1
-    except csv.Error as exc:
-        raise ParseError(f"{source}: malformed CSV record at line {start} ({exc})") from None
-    return rows
-
-
 def read_arm_csv(path: Path) -> np.ndarray:
     """Daily case counts from the ``cases`` column of a CSV file.
 
-    ``path`` is a ``Path`` or a package resource. Blank records and records
-    starting with ``#`` are skipped. Raises ParseError, naming the file,
-    when the column is missing, and the line too when a count is not a
-    non-negative integer, a ``#`` record holds a quoted line break or a
-    record is not valid CSV (a bare "\r", an oversized cell).
+    ``path`` is a ``Path`` or a package resource, read as a line list is.
+    Raises ParseError, naming the file, when the column is missing, and the
+    line too when a count is not an integer in 0..2**63 - 1, a ``#`` record
+    holds a quoted line break, a line is not UTF-8 or a record is not valid
+    CSV (a bare "\r", an oversized cell).
     """
-    with path.open("r", encoding="utf-8", newline="\n") as handle:
-        rows = _data_rows(handle, path)
-    if not rows:
-        raise ParseError(f"{path}: empty case-curve file")
-    names = [h.strip() for h in rows[0][1]]
-    if "cases" not in names:
+    with path.open("rb") as handle:
+        header, rows = _file_records(handle, path)
+    if "cases" not in header:
         raise ParseError(f"{path}: case-curve file needs a 'cases' column")
-    col = names.index("cases")
+    col = header.index("cases")
     counts = []
-    for line_no, row in rows[1:]:
+    for line_no, row in rows:
         try:
             count = int(row[col])
-            if count < 0:
-                raise ValueError(f"negative count {count}")
+            if not 0 <= count < 1 << 63:
+                raise ValueError(f"count {count} outside 0..2**63 - 1")
         except (ValueError, IndexError) as exc:
             raise ParseError(f"{path}: bad case count at line {line_no} ({exc})") from exc
         counts.append(count)

@@ -132,10 +132,10 @@ class NegBinomial(SurvivalModel):
     r: float
 
     def __post_init__(self) -> None:
-        if not self.mu > 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
-        if not self.r > 0:
-            raise ValueError(f"r must be positive, got {self.r}")
+        if not 0 < self.mu < np.inf:
+            raise ValueError(f"mu must be finite and positive, got {self.mu}")
+        if not 0 < self.r < np.inf:
+            raise ValueError(f"r must be finite and positive, got {self.r}")
 
     @property
     def _success_prob(self) -> float:
@@ -172,7 +172,7 @@ class Zinb(SurvivalModel):
     def __post_init__(self) -> None:
         if not 0.0 <= self.pi < 1.0:
             raise ValueError(f"pi must lie in [0, 1), got {self.pi}")
-        NegBinomial(self.mu, self.r)  # reuse positivity checks
+        NegBinomial(self.mu, self.r)  # reuse its checks of mu and r
 
     @cached_property
     def _nb(self) -> NegBinomial:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 from datetime import date
@@ -14,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfrkit import (
     DelaySchedule,
@@ -448,6 +452,15 @@ def test_exit_bad_delay_spec(tmp_path, capsys):
     assert "delay" in capsys.readouterr().err
 
 
+def test_exit_infinite_delay_parameter(tmp_path, capsys):
+    code = main(
+        ["simulate", "-o", str(tmp_path / "o.csv"), "--delay", "nb:inf,0.9",
+         "--arm-days", "10", "--dstar", "5", "--replicates", "1"]
+    )
+    assert code == 2
+    assert "--delay" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [
@@ -587,7 +600,7 @@ def test_survival_file_multiline_record_names_its_first_line(tmp_path, linelist_
         # The blank and # lines belong to the quoted mu, which is no number.
         ('nb,"10\n\n# note\n",0.9,0,-80.5,25\n', "bad delay model parameters at line 2"),
         # The comment's quote would swallow the nb row.
-        ('# note,"x\nnb,10,0.9,0,-80.5,25\n"\n', "comment row at line 2 holds a quoted line break"),
+        ('# note,"x\nnb,10,0.9,0,-80.5,25\n"\n', "line 2: comment row holds a quoted line break"),
         # An indented comment is skipped, as in a line list; the next row is bad.
         ("  # note,x,0.9,0,-80.5,25\nnb,y,0.9,0,-80.5,25\n",
          "bad delay model parameters at line 3"),
@@ -635,7 +648,32 @@ def test_survival_file_malformed_record_exits_4(tmp_path, linelist_file, capsys,
          "--survival", "file", "--survival-file", str(params)]
     )
     assert code == 4
-    assert f"{params}: malformed CSV record at line {line} (" in capsys.readouterr().err
+    assert f"{params}: line {line}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # A mean that overflows to inf would reach the sampler as p = 0.
+        (b"model,pi,mu,r,loglik,n\nnb,,1e999,0.9,-80.5,25\n",
+         "bad delay model parameters at line 2"),
+        # A byte that is not UTF-8 names its own line.
+        (b"model,pi,mu,r,loglik,n\n# fitted\nnb,,10\xe9,0.9,-80.5,25\n",
+         "line 3: 'utf-8' codec can't decode byte 0xe9"),
+    ],
+    ids=["infinite-mu", "not-utf-8"],
+)
+def test_survival_file_bad_value_names_its_line(tmp_path, linelist_file, capsys, text, message):
+    params = tmp_path / "fit.csv"
+    params.write_bytes(text)
+    out = tmp_path / "est.csv"
+    code = main(
+        ["estimate", str(linelist_file), "-o", str(out), "--epoch", "2020-03-03",
+         "--survival", "file", "--survival-file", str(params)]
+    )
+    assert code == 4
+    assert f"{params}: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -823,7 +861,7 @@ def test_simulate_arm_file_bad_count(tmp_path, capsys):
         # The blank and # lines belong to the quoted count, which is no integer.
         ('cases\n5\n"6\n\n# note\n"\n7\n', "bad case count at line 3"),
         # The comment's quote would swallow the next count.
-        ('cases\n5\n# note,"x\n6\n"\n7\n', "comment row at line 3 holds a quoted line break"),
+        ('cases\n5\n# note,"x\n6\n"\n7\n', "line 3: comment row holds a quoted line break"),
         # An indented comment is skipped, as in a line list; the next count is bad.
         ("cases\n  # note\n5\n-3\n", "bad case count at line 4"),
     ],
@@ -845,7 +883,28 @@ def test_simulate_arm_file_malformed_record_exits_4(tmp_path, capsys, fault):
     arm_file.write_bytes(text.encode())
     out = tmp_path / "o.csv"
     assert main(["simulate", "--arm-file", str(arm_file), "-o", str(out)]) == 4
-    assert f"{arm_file}: malformed CSV record at line {line} (" in capsys.readouterr().err
+    assert f"{arm_file}: line {line}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_arm_file_bad_byte_names_its_line(tmp_path, capsys):
+    # Past the first 8 KB, where a text decoder would name its chunk's start.
+    lines = [b"cases"] + [b"5"] * 3000
+    lines[2501] = b"5\xff"
+    arm_file = tmp_path / "arm.csv"
+    arm_file.write_bytes(b"\n".join(lines) + b"\n")
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--arm-file", str(arm_file), "--replicates", "1", "-o", str(out)]) == 4
+    assert f"{arm_file}: line 2502: 'utf-8' codec can't decode" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_arm_file_count_past_int64_exits_4(tmp_path, capsys):
+    arm_file = tmp_path / "arm.csv"
+    arm_file.write_text("cases\n5\n99999999999999999999\n")
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--arm-file", str(arm_file), "--replicates", "1", "-o", str(out)]) == 4
+    assert f"{arm_file}: bad case count at line 3" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1053,3 +1112,86 @@ def test_long_day_span_costs_no_more_than_its_rows(tmp_path, command, message):
     assert code == 5
     assert f"cfrkit: {message}" in done.stderr
     assert peak < base + 50 * 1024, f"peak {peak} KiB, import {base} KiB"
+
+
+# ---------------------------------------------------------------------------
+# The three CSV inputs under fuzzed text
+
+
+def test_estimate_line_list_with_lines_before_its_header(tmp_path, linelist_file):
+    """A line list exported with a comment and a blank line above its header
+    gives the plain file's estimate, as arm and parameter files do."""
+    commented = tmp_path / "commented.csv"
+    commented.write_text("# exported 2020-10-01 by a line-list tool\n\n" + linelist_file.read_text())
+    outputs = []
+    for path in (linelist_file, commented):
+        out = tmp_path / f"{path.stem}_est.csv"
+        assert main(["estimate", str(path), "-o", str(out), "--epoch", "2020-03-03"]) == 0
+        outputs.append(out.read_bytes().split(b"\n", 1)[1])  # past the meta line
+    assert outputs[0] == outputs[1]
+
+
+_FUZZ_LINELIST = "confirm_date,death_date\n" + "".join(
+    f"{day % 30},{day % 30 + 3}\n" for day in range(60)
+)
+# Each reader's header, and the cfrkit command line that reads a file under it.
+_FUZZ_READERS = {
+    "line list": ("confirm_date,death_date\n", ["estimate", "{file}", "--from", "0"]),
+    "arm file": ("cases\n", ["simulate", "--arm-file", "{file}", "--replicates", "1"]),
+    "parameter file": (
+        "model,pi,mu,r,loglik,n\n",
+        ["estimate", "{linelist}", "--from", "0", "--survival", "file", "--survival-file", "{file}"],
+    ),
+}
+# The exit-4 messages about a whole file rather than one of its records.
+_WHOLE_FILE = ("no case counts found", "no parametric delay model rows found")
+
+
+def _oracle_records(text: str) -> tuple[list[int], int | None]:
+    """The start lines of the records of ``text`` that are neither blank nor
+    a comment, up to the first record that no reader may take, and that
+    record's start line (None if every record may be read): one the csv
+    module rejects, or a comment holding a quoted line break."""
+    reader = csv.reader(io.StringIO(text, newline="\n"))  # lines end at "\n" alone
+    data, line = [], 1
+    try:
+        for row in reader:
+            if row and row[0].lstrip().startswith("#"):
+                if any("\n" in cell for cell in row):
+                    return data, line
+            elif any(cell.strip() for cell in row):
+                data.append(line)
+            line = reader.line_num + 1
+    except csv.Error:
+        return data, line
+    return data, None
+
+
+@given(st.text(alphabet=',"\n\r#-019x ', max_size=60))
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_text_parses_the_same_in_all_three_readers(tmp_path_factory, body):
+    """Each text, under each reader's header, exits 0, 4 or 5. A parse error
+    names the start line of a record that is neither blank nor a comment,
+    or the first record no reader may take, which every reader then
+    reaches: so all three readers skip the same records."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    linelist = folder / "ll.csv"
+    linelist.write_text(_FUZZ_LINELIST)
+    for name, (header, argv) in _FUZZ_READERS.items():
+        text = header + body
+        data, broken = _oracle_records(text)
+        path = folder / "input.csv"
+        path.write_bytes(text.encode())
+        args = [arg.format(file=path, linelist=linelist) for arg in argv]
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([*args, "-o", str(folder / "out.csv")])
+        message = err.getvalue().replace(str(path), "PATH")
+        assert code in (0, 4, 5), (name, text, message)
+        if broken is not None:
+            assert code == 4, (name, text, message)
+        if code != 4 or any(whole in message for whole in _WHOLE_FILE):
+            continue
+        lines = [int(n) for n in re.findall(r"\bline (\d+)\b", message)]
+        assert len(lines) == 1, (name, text, message)
+        assert lines[0] in data or lines[0] == broken, (name, text, message, data, broken)
+        assert 1 <= lines[0] <= text.count("\n") + (not text.endswith("\n"))

@@ -103,6 +103,39 @@ def test_parse_skips_blank_and_comment_lines():
     assert len(parse_csv(text)) == 1
 
 
+@pytest.mark.parametrize("lead", ["# exported 2020-10-01\n\n", "\n  # note\n,,\n", "\r\n#\r\n"])
+def test_parse_skips_blank_and_comment_lines_before_the_header(lead):
+    rows = "1,\n2,5\n3,x\n"
+    with pytest.raises(ParseError, match=f"line {lead.count(chr(10)) + 4}: invalid death_date"):
+        parse_csv(lead + "confirm_date,death_date\n" + rows)
+    ll = parse_csv(lead + "confirm_date,death_date\n" + rows[:-4])
+    assert [(r.confirm_day, r.death_day) for r in ll] == [(1, None), (2, 5)]
+
+
+def test_parse_names_the_header_line_after_comments():
+    with pytest.raises(ParseError, match="line 3: header must contain"):
+        parse_csv("# exported\n\nwhen,outcome\n1,2\n")
+    with pytest.raises(ParseError, match="line 1: missing header row"):
+        parse_csv("# no header\n\n")
+
+
+def test_parse_reads_blocks_after_a_leading_comment(monkeypatch):
+    """The lines before a header with no quote leave the blocks after it to
+    numpy."""
+    taken = []
+    block_days = linelist_module._block_days
+
+    def spy(*args):
+        parsed = block_days(*args)
+        taken.append(parsed is not None)
+        return parsed
+
+    monkeypatch.setattr(linelist_module, "_block_days", spy)
+    text = "# exported 2020-10-01\n\nconfirm_date,death_date\n" + "1,\n2,5\n" * 100
+    ll = parse_csv(io.BytesIO(text.encode()))
+    assert len(ll) == 200 and taken == [True]
+
+
 def test_parse_crlf():
     text = "confirm_date,death_date\r\n1,2\r\n"
     assert [(r.confirm_day, r.death_day) for r in parse_csv(text)] == [(1, 2)]
@@ -517,10 +550,15 @@ def test_aggregate_ignores_row_order(records, rnd):
 # Columnar parse + aggregate against a record-wise oracle
 
 
+def _blank_or_comment(row: list[str]) -> bool:
+    return not any(cell.strip() for cell in row) or row[0].lstrip().startswith("#")
+
+
 def _oracle_parse(text: str, epoch: date) -> list[tuple[int, int | None]]:
     """Record-wise reference parse of valid input: (confirm, death) per row."""
     reader = csv.reader(io.StringIO(text))
-    names = [name.strip() for name in next(reader)]
+    rows = (row for row in reader if not _blank_or_comment(row))
+    names = [name.strip() for name in next(rows)]
     ci, di = names.index("confirm_date"), names.index("death_date")
 
     def day(raw: str) -> int:
@@ -531,9 +569,7 @@ def _oracle_parse(text: str, epoch: date) -> list[tuple[int, int | None]]:
             return (date.fromisoformat(raw) - epoch).days
 
     records = []
-    for row in reader:
-        if not any(cell.strip() for cell in row) or row[0].lstrip().startswith("#"):
-            continue
+    for row in rows:
         death_raw = row[di] if di < len(row) else ""
         records.append((day(row[ci]), day(death_raw) if death_raw.strip() else None))
     return records
@@ -572,15 +608,17 @@ filler_line = st.sampled_from(["", "# comment, with a comma", "  # indented", ",
 
 
 @given(
+    st.lists(filler_line, max_size=3),
     st.permutations(["note", "confirm_date", "death_date"]),
     st.lists(st.one_of(data_row, filler_line), min_size=1, max_size=40),
     st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
     st.sampled_from(["\n", "\r\n"]),
 )
 @settings(max_examples=150)
-def test_columnar_parse_matches_record_oracle(header, lines, quoting, newline):
+def test_columnar_parse_matches_record_oracle(lead, header, lines, quoting, newline):
     buffer = io.StringIO()
     writer = csv.writer(buffer, quoting=quoting, lineterminator=newline)
+    buffer.writelines(line + newline for line in lead)
     writer.writerow(header)
     for line in lines:
         if isinstance(line, str):
@@ -621,37 +659,41 @@ def _record_loop_parse(text, epoch=None) -> LineList:
     line after the reader's line count before it is fetched."""
     stream = io.StringIO(text) if isinstance(text, str) else iter(text)
     reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("line 1: missing header row") from None
-    except csv.Error as exc:
-        raise ParseError(f"line 1: {exc}") from None
+
+    def records():
+        """(line, row) of each record that is neither blank nor a comment."""
+        while True:
+            line = reader.line_num + 1
+            try:
+                row = next(reader)
+            except StopIteration:
+                return
+            except csv.Error as exc:
+                raise ParseError(f"line {line}: {exc}") from None
+            if not any(cell.strip() for cell in row):
+                continue
+            if row[0].lstrip().startswith("#"):
+                if any("\n" in cell for cell in row):
+                    raise ParseError(
+                        f"line {line}: comment row holds a quoted line break, "
+                        "which would swallow the lines after it"
+                    )
+                continue
+            yield line, row
+
+    rows = records()
+    line, header = next(rows, (1, None))
+    if header is None:
+        raise ParseError("line 1: missing header row")
     names = [name.strip() for name in header]
     try:
         ci, di = names.index("confirm_date"), names.index("death_date")
     except ValueError:
         raise ParseError(
-            "line 1: header must contain confirm_date and death_date columns"
+            f"line {line}: header must contain confirm_date and death_date columns"
         ) from None
     confirms, deaths = [], []
-    while True:
-        line = reader.line_num + 1
-        try:
-            row = next(reader)
-        except StopIteration:
-            break
-        except csv.Error as exc:
-            raise ParseError(f"line {line}: {exc}") from None
-        if not any(cell.strip() for cell in row):
-            continue
-        if row[0].lstrip().startswith("#"):
-            if any("\n" in cell for cell in row):
-                raise ParseError(
-                    f"line {line}: comment row holds a quoted line break, "
-                    "which would swallow the lines after it"
-                )
-            continue
+    for line, row in rows:
         confirm_raw = row[ci] if ci < len(row) else ""
         death_raw = row[di] if di < len(row) else ""
         if not confirm_raw.strip():
@@ -744,10 +786,11 @@ def _line_strategies(header: list[str]):
 @st.composite
 def _line_lists(draw):
     """(input, epoch, chunk lines, block bytes, csv field limit) for a
-    parse: lines of the block path, then repeats of a few lines mixed with
-    fresh ones, so blocks and chunks are cut anywhere and switch to the
-    record loop anywhere."""
+    parse: a few blank or comment lines, the header, lines of the block
+    path, then repeats of a few lines mixed with fresh ones, so blocks and
+    chunks are cut anywhere and switch to the record loop anywhere."""
     newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    lead = draw(st.lists(_other_line, max_size=2))
     header = draw(st.permutations(["note", "confirm_date", "death_date"]))
     header = header if draw(st.booleans()) else [name for name in header if name != "note"]
     block_line, line = _line_strategies(header)
@@ -755,7 +798,8 @@ def _line_lists(draw):
     lines = draw(st.lists(block_line, max_size=20))
     lines += draw(st.lists(st.one_of(st.sampled_from(pool), line), max_size=40))
     end = newline if draw(st.booleans()) else ""
-    text = (newline.join([",".join(header), *lines]) + end).replace("{nl}", newline)
+    text = newline.join([*lead, ",".join(header), *lines]) + end
+    text = text.replace("{nl}", newline)
     form = draw(st.sampled_from(["str", "bytes", "lines", "lines without ends"]))
     if form == "bytes":
         text = text.encode()

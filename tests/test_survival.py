@@ -111,6 +111,10 @@ def test_nb_validation_and_scalars():
         NegBinomial(0.0, 1.0)
     with pytest.raises(ValueError):
         NegBinomial(1.0, -2.0)
+    # An infinite mean or dispersion would reach numpy's sampler as p = 0.
+    for mu, r in ((math.inf, 0.9), (10.0, math.inf), (math.nan, 0.9)):
+        with pytest.raises(ValueError, match="finite and positive"):
+            NegBinomial(mu, r)
     model = NegBinomial(3.0, 1.0)
     assert isinstance(model.cdf(4), float)
     assert model.cdf(np.array([0, 1])).shape == (2,)
@@ -163,6 +167,9 @@ def test_zinb_validation():
         Zinb(-0.1, 5.0, 1.0)
     with pytest.raises(ValueError):
         Zinb(0.1, 5.0, 0.0)
+    for mu, r in ((math.inf, 1.0), (5.0, math.inf)):
+        with pytest.raises(ValueError, match="finite and positive"):
+            Zinb(0.1, mu, r)
     assert Zinb(0.0, 5.0, 1.0).cdf(0) == pytest.approx(NegBinomial(5.0, 1.0).cdf(0))
 
 
