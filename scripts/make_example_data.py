@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Regenerate the bundled example data.
 
-Writes two files under src/cfrkit/data/:
+Writes three files under src/cfrkit/data/:
 
 * example_daily_cases.csv: the rising arm (301 days) of an illustrative
   large epidemic, a two-bump Gaussian mixture with a weekly reporting
@@ -9,6 +9,10 @@ Writes two files under src/cfrkit/data/:
 * example_linelist.csv: 1000 synthetic case records with ISO dates
   (epoch 2020-03-03) drawn from the early part of that curve, with
   negative binomial confirmation-to-death delays.
+* example_daily_rates.csv: `illustrative_daily_rates` over 752 days, as
+  many as the default horizon of a study of the mirrored curve, for
+  `cfrkit coverage --rates-file`; written with 17 digits, which read back
+  exactly.
 
 Deterministic; rerunning reproduces the committed files byte for byte.
 """
@@ -28,6 +32,7 @@ from cfrkit.survival import NegBinomial  # noqa: E402
 DATA_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "cfrkit" / "data"
 EPOCH = "2020-03-03"
 N_RECORDS = 1000
+RATE_DAYS = 2 * 301 + 150  # the mirrored arm and the default 150 tail days
 SEED = 20200303
 
 
@@ -69,12 +74,16 @@ def main() -> None:
         f.write("day,cases\n")
         for day, cases in enumerate(arm.tolist()):
             f.write(f"{day},{cases}\n")
+    with open(DATA_DIR / "example_daily_rates.csv", "w", encoding="utf-8") as f:
+        f.write("day,p\n")
+        for day, p in enumerate(illustrative_daily_rates(RATE_DAYS).p.tolist()):
+            f.write(f"{day},{p:.17g}\n")
     rows = make_linelist(arm)
     with open(DATA_DIR / "example_linelist.csv", "w", encoding="utf-8") as f:
         f.write("confirm_date,death_date\n")
         for confirm, death in rows:
             f.write(f"{confirm},{death}\n")
-    print(f"wrote {len(arm)} curve days and {len(rows)} line-list records to {DATA_DIR}")
+    print(f"wrote {len(arm)} curve days, {RATE_DAYS} daily rates and {len(rows)} line-list records to {DATA_DIR}")
 
 
 if __name__ == "__main__":

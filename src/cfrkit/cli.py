@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .errors import AssumptionWarning, CfrError, EstimationError, ParseError
 from .estimators import DelaySchedule, EstimateSeries, estimate_series
-from .linelist import LineList, _file_records, aggregate, parse_csv
+from .linelist import MAX_DAY, LineList, _file_records, aggregate, parse_csv
 from .simulation import (
     ESTIMATORS,
     Scenario,
@@ -38,6 +38,7 @@ from .simulation import (
     _first_eval_day,
     load_example_arm,
     read_arm_csv,
+    read_rates_csv,
     run_study,
 )
 from .survival import (
@@ -130,6 +131,7 @@ def _checked(convert, accept, expected: str):
 _OPEN_UNIT = _checked(float, lambda a: 0.0 < a < 1.0, "a number in (0, 1)")
 _AT_LEAST_ONE = _checked(int, lambda n: n >= 1, "an integer >= 1")
 _AT_LEAST_ZERO = _checked(int, lambda n: n >= 0, "an integer >= 0")
+_DAY = _checked(int, lambda n: 0 <= n <= MAX_DAY, f"a day in 0..{MAX_DAY}")
 _ISO_DATE = _checked(date.fromisoformat, lambda d: True, "an ISO date such as 2020-03-03")
 
 
@@ -144,7 +146,9 @@ def _parse_delay_spec(spec: str) -> SurvivalModel:
             pi, mu, r = (float(x) for x in rest.split(","))
             return Zinb(pi, mu, r)
         if kind == "point":
-            return point_mass(int(rest))
+            if (lag := int(rest)) > MAX_DAY:
+                raise ValueError(f"lag {lag} is past the last day {MAX_DAY}")
+            return point_mass(lag)
     except (ValueError, TypeError) as exc:
         raise argparse.ArgumentTypeError(f"--delay: bad delay spec {spec!r}: {exc}") from exc
     raise argparse.ArgumentTypeError(
@@ -290,21 +294,33 @@ def _cmd_fit_survival(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_STEP = {"c1": 0.1, "c2": 0.05, "dstar": 120}  # the step's flags, which --rates-file replaces
+
+
 def _run_study(args: argparse.Namespace, keep_series: bool = False) -> StudyResult:
     """Run the replicate study of the scenario the flags describe."""
+    given = [f"--{name}" for name in _STEP if getattr(args, name) is not None]
+    if args.rates_file and given:
+        raise argparse.ArgumentTypeError(f"--rates-file conflicts with {', '.join(given)}")
     arm = read_arm_csv(Path(args.arm_file)) if args.arm_file else load_example_arm()
-    if args.arm_days is not None:
-        if not 0 < args.arm_days <= arm.size:
-            raise argparse.ArgumentTypeError(
-                f"--arm-days must lie in 1..{arm.size}"
-            )
-        arm = arm[: args.arm_days]
+    if (args.arm_days or 0) > arm.size:  # argparse checked it is at least 1
+        raise argparse.ArgumentTypeError(f"--arm-days must lie in 1..{arm.size}")
+    arm = arm[: args.arm_days]
     span = arm.size * (2 if args.symmetric else 1)
     horizon = args.horizon if args.horizon is not None else span - 1 + args.tail_days
+    if horizon > MAX_DAY:
+        raise argparse.ArgumentTypeError(f"--tail-days: horizon {horizon} is past day {MAX_DAY}")
+    if args.rates_file:
+        p_spec = read_rates_csv(Path(args.rates_file))
+        if len(p_spec) <= horizon:
+            raise ParseError(f"{args.rates_file}: no rate for day {horizon}, the horizon")
+    else:  # the defaults are set here, so that the meta line records them
+        vars(args).update({k: v for k, v in _STEP.items() if getattr(args, k) is None})
+        p_spec = StepRates(args.c1, args.c2, args.dstar)
     scenario = Scenario(
         rising_arm=arm,
         symmetric=args.symmetric,
-        p_spec=StepRates(args.c1, args.c2, args.dstar),
+        p_spec=p_spec,
         delay=_parse_delay_spec(args.delay),
         horizon=horizon,
         seed=args.seed,
@@ -436,13 +452,13 @@ def _add_scenario_options(sub: argparse.ArgumentParser, default_mode: str) -> No
         action="store_true",
         help="mirror the arm around its peak",
     )
+    sub.add_argument("--c1", type=_OPEN_UNIT, help="daily rate before the step (default 0.1)")
+    sub.add_argument("--c2", type=_OPEN_UNIT, help="daily rate from the step on (default 0.05)")
+    sub.add_argument("--dstar", type=_AT_LEAST_ZERO, help="step day (default 120)")
     sub.add_argument(
-        "--c1", type=_OPEN_UNIT, default=0.1, help="daily rate before the step (default 0.1)"
+        "--rates-file",
+        help="CSV whose 'p' column gives the daily rates of days 0..horizon, in place of the step",
     )
-    sub.add_argument(
-        "--c2", type=_OPEN_UNIT, default=0.05, help="daily rate from the step on (default 0.05)"
-    )
-    sub.add_argument("--dstar", type=_AT_LEAST_ZERO, default=120, help="step day (default 120)")
     sub.add_argument(
         "--delay",
         default="nb:10.79,0.88",
@@ -454,13 +470,13 @@ def _add_scenario_options(sub: argparse.ArgumentParser, default_mode: str) -> No
     )
     sub.add_argument(
         "--horizon",
-        type=_AT_LEAST_ZERO,
+        type=_DAY,
         default=None,
         help="last simulated day (default: curve end + tail days)",
     )
     sub.add_argument(
         "--tail-days",
-        type=_AT_LEAST_ZERO,
+        type=_DAY,
         default=150,
         help="zero-case days appended after the curve when --horizon is absent (default 150)",
     )
@@ -519,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.set_defaults(func=_cmd_fit_survival)
 
     sim = commands.add_parser(
-        "simulate", help="replicate study of a synthetic step-rate scenario"
+        "simulate", help="replicate study of a synthetic scenario"
     )
     _add_scenario_options(sim, default_mode="known")
     sim.add_argument(

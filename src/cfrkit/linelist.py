@@ -21,6 +21,7 @@ __all__ = [
     "LineList",
     "EpidemicTable",
     "MAX_DAY",
+    "MAX_CASES",
     "parse_csv",
     "aggregate",
 ]
@@ -112,6 +113,12 @@ MAX_DAY = 3652
 (2202 for 2020) would otherwise stretch the days that `cfrkit estimate`
 evaluates, and each (days x cohorts) block the estimators hold, to some
 66,000 days."""
+
+MAX_CASES = 1 << 25
+"""Most cases a simulated scenario may hold, about 33.5 million: a study
+peaked at 60-95 bytes per death (draws in flight and the tables built from
+them, on 4M-death studies) and has no more deaths than cases, so it stays
+near 3 GiB even if every case dies. The bundled mirrored curve holds 3.2M."""
 
 
 def _parse_day(raw: str, epoch: date | None, column: str) -> int:
@@ -462,13 +469,14 @@ class _Running:
     A first query of one day, all a study's final-day replicate asks, is
     one ``bincount`` of the events counted by then, whose order it does not
     need. Any other query sorts the events first, once, as keys
-    ``first << shift | bin`` of 32 bits where they fit. A block of ascending
-    days then costs one ``bincount`` over the events first counted within
-    it and one ``cumsum`` down its rows, over the bins those events touch,
-    on top of the counts carried from the previous query if that ended no
-    later, else of none, so a query before the previous one recounts from
-    the first event. Each state is one tuple, replaced whole, so a table
-    may be read from several threads.
+    ``first << shift | bin``: unsigned 32-bit where they fit, else int64,
+    since numpy turns uint64 mixed with int64 into floats. A block of
+    ascending days then costs one ``bincount`` over the events first counted
+    within it and one ``cumsum`` down its rows, over the bins those events
+    touch, on top of the counts carried from the previous query if that
+    ended no later, else of none, so a query before the previous one
+    recounts from the first event. Each state is one tuple, replaced whole,
+    so a table may be read from several threads.
     """
 
     def __init__(self, first: np.ndarray, bins: np.ndarray) -> None:
@@ -492,7 +500,7 @@ class _Running:
                 return out
             days = int(first.max()) + 1 if first.size else 0
             shift = int(bins.max(initial=0)).bit_length()
-            dtype = np.uint32 if days << shift < 1 << 32 else np.uint64
+            dtype = np.uint32 if days << shift < 1 << 32 else np.int64
             keys = first.astype(dtype) << shift | bins.astype(dtype)
             keys.sort()
             self._sorted = keys, shift, days

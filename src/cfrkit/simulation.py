@@ -22,7 +22,7 @@ import numpy as np
 from .errors import CfrError, ParseError
 from .estimators import DailyRates, DelaySchedule, EstimateSeries
 from .estimators import _Lookback, _series, _shared_terms
-from .linelist import EpidemicTable, _file_records
+from .linelist import MAX_CASES, MAX_DAY, EpidemicTable, _file_records
 from .survival import SurvivalModel
 
 if TYPE_CHECKING:
@@ -39,6 +39,7 @@ __all__ = [
     "run_study",
     "load_example_arm",
     "read_arm_csv",
+    "read_rates_csv",
     "illustrative_daily_rates",
     "ESTIMATORS",
 ]
@@ -89,16 +90,17 @@ class Scenario:
             raise ValueError("rising_arm must be a non-empty vector")
         if np.any(arm < 0):
             raise ValueError("rising_arm counts must be non-negative")
-        if arm.sum() == 0:
-            raise ValueError("rising_arm must contain at least one case")
         arm.setflags(write=False)
         object.__setattr__(self, "rising_arm", arm)
-        span = arm.size * (2 if self.symmetric else 1)
+        copies = 2 if self.symmetric else 1
+        span = arm.size * copies
+        if self.horizon > MAX_DAY:
+            raise ValueError(f"horizon {self.horizon} is past the last day {MAX_DAY}")
         if self.horizon + 1 < span:
-            raise ValueError(
-                f"horizon {self.horizon} shorter than the constructed curve "
-                f"({span} days)"
-            )
+            raise ValueError(f"horizon {self.horizon} shorter than the constructed curve ({span} days)")
+        cases = sum(arm.tolist()) * copies  # exact: an int64 sum may wrap
+        if not 0 < cases <= MAX_CASES:
+            raise ValueError(f"the curve must hold at least one case and at most {MAX_CASES}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.replicates < 1:
@@ -400,32 +402,46 @@ def run_study(
     )
 
 
-def read_arm_csv(path: Path) -> np.ndarray:
-    """Daily case counts from the ``cases`` column of a CSV file.
-
-    ``path`` is a ``Path`` or a package resource, read as a line list is.
-    Raises ParseError, naming the file, when the column is missing, and the
-    line too when a count is not an integer in 0..2**63 - 1, a ``#`` record
-    holds a quoted line break, a line is not UTF-8 or a record is not valid
-    CSV (a bare "\r", an oversized cell).
-    """
+def _read_column(path: Path, name: str, convert, most: float, what: str) -> list:
+    """One value per day, ``convert``ed and in 0..``most``, from the ``name``
+    column of a CSV file or package resource, read as a line list is. A
+    ParseError names the file, and the line too when a cell is bad, a ``#``
+    record holds a quoted line break, a line is not UTF-8 or a record is not
+    valid CSV (a bare "\r", an oversized cell); so does one for a missing
+    column, no values or more than MAX_DAY + 1."""
     with path.open("rb") as handle:
         header, rows = _file_records(handle, path)
-    if "cases" not in header:
-        raise ParseError(f"{path}: case-curve file needs a 'cases' column")
-    col = header.index("cases")
-    counts = []
+    if name not in header:
+        raise ParseError(f"{path}: needs a {name!r} column")
+    if len(rows) > MAX_DAY + 1:
+        raise ParseError(f"{path}: {len(rows)} rows, past the days 0..{MAX_DAY}")
+    col = header.index(name)
+    values = []
     for line_no, row in rows:
         try:
-            count = int(row[col])
-            if not 0 <= count < 1 << 63:
-                raise ValueError(f"count {count} outside 0..2**63 - 1")
+            value = convert(row[col])
+            if not 0 <= value <= most:  # and not NaN
+                raise ValueError(f"{value} outside 0..{most}")
         except (ValueError, IndexError) as exc:
-            raise ParseError(f"{path}: bad case count at line {line_no} ({exc})") from exc
-        counts.append(count)
-    if not counts:
-        raise ParseError(f"{path}: no case counts found")
+            raise ParseError(f"{path}: bad {what} at line {line_no} ({exc})") from exc
+        values.append(value)
+    if not values:
+        raise ParseError(f"{path}: no {what}s found")
+    return values
+
+
+def read_arm_csv(path: Path) -> np.ndarray:
+    """Daily case counts from the ``cases`` column of a CSV file, as
+    `_read_column` reads it; a total past MAX_CASES is a ParseError."""
+    counts = _read_column(path, "cases", int, MAX_CASES, "case count")
+    if (total := sum(counts)) > MAX_CASES:
+        raise ParseError(f"{path}: {total} cases, past the {MAX_CASES} a scenario may hold")
     return np.array(counts, dtype=np.int64)
+
+
+def read_rates_csv(path: Path) -> DailyRates:
+    """Daily fatality probabilities from the ``p`` column, as `_read_column` reads it."""
+    return DailyRates(_read_column(path, "p", float, 1, "daily rate"))
 
 
 def load_example_arm() -> np.ndarray:

@@ -20,13 +20,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfrkit import (
+    MAX_CASES,
     DelaySchedule,
     NegBinomial,
     Scenario,
     StepRates,
+    Zinb,
     aggregate,
     estimate_series,
     fit_nb_mle,
+    illustrative_daily_rates,
     parse_csv,
     run_study,
 )
@@ -987,6 +990,92 @@ def test_coverage_schema(tmp_path):
     assert r_t == sorted(r_t)
 
 
+# ---------------------------------------------------------------------------
+# Daily rates from a file (--rates-file)
+
+_RATES = resources.files("cfrkit.data").joinpath("example_daily_rates.csv")
+
+
+def test_bundled_rates_file_holds_the_illustrative_rates_exactly():
+    """752 days, the default horizon of the mirrored bundled arm, each
+    written with 17 digits so that it reads back as the same float."""
+    with _RATES.open() as handle:
+        rows = list(csv.DictReader(handle))
+    assert [int(row["day"]) for row in rows] == list(range(752))
+    assert [float(row["p"]) for row in rows] == illustrative_daily_rates(752).p.tolist()
+
+
+@pytest.mark.parametrize(
+    "command, mode", [("coverage", "known"), ("coverage", "estimated"), ("simulate", "known")]
+)
+def test_rates_file_study_matches_run_study(tmp_path, command, mode):
+    """A study under --rates-file is `run_study` on a Scenario of the file's
+    DailyRates: every coverage column equals its value as a float."""
+    out = tmp_path / "study.csv"
+    argv = [command, "--mode", mode, "--rates-file", str(_RATES), "--delay",
+            "zinb:0.103,12.59,1.2191", "--horizon", "300", "--seed", "11", "--every", "30",
+            "--replicates", "3", "-o", str(out)]
+    assert main(argv) == 0
+    scenario = Scenario(load_example_arm(), False, illustrative_daily_rates(301),
+                        Zinb(0.103, 12.59, 1.2191), horizon=300, seed=11, replicates=3)
+    days = range(0 if mode == "known" else 90, 301, 30)
+    cov = run_study(scenario, mode, eval_days=days).coverage
+    meta, rows = read_output(out)
+    assert f"rates-file={_RATES}" in meta and "c1=" not in meta and "dstar=" not in meta
+    coverage = "mean_coverage" if command == "coverage" else "coverage"
+    names = ["t", "r_t", coverage, "coverage_se", "mean_ci_length"]
+    found = [[float(row[name]) for name in names] for row in rows]
+    expected = zip(cov.days, cov.r_t, cov.coverage, cov.coverage_se, cov.mean_ci_length)
+    assert found == [[float(value) for value in row] for row in expected]
+
+
+# A scenario of 70 days, 0..69: the mirrored 30-day arm and 10 tail days.
+_SHORT_STUDY = ["coverage", "--mode", "known", "--arm-days", "30", "--symmetric",
+                "--tail-days", "10", "--replicates", "1"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p\n" + "0.05\n" * 70, None),
+        ("day,p\n0,0.05\n# note\n1,nan\n", "bad daily rate at line 4 (nan outside 0..1)"),
+        ("p\n0.05\n1.5\n", "bad daily rate at line 3 (1.5 outside 0..1)"),
+        ("p\n0.05\n-0.1\n", "bad daily rate at line 3 (-0.1 outside 0..1)"),
+        ("p\n0.05\ninf\n", "bad daily rate at line 3 (inf outside 0..1)"),
+        ("p\n0.05\nx\n", "bad daily rate at line 3 (could not convert"),
+        ("p\n" + "0.05\n" * 69, "no rate for day 69, the horizon"),
+        ("rate\n0.05\n", "needs a 'p' column"),
+        ("p\n\n# none\n", "no daily rates found"),
+        ("p\n" + "0.05\n" * 3654, "3654 rows, past the days 0..3652"),
+    ],
+    ids=["70-days", "nan", "above-1", "negative", "inf", "not-a-number", "short", "no-column",
+         "empty", "past-last-day"],
+)
+def test_rates_file_errors_name_the_file(tmp_path, capsys, text, message):
+    path = tmp_path / "rates.csv"
+    path.write_text(text)
+    out = tmp_path / "cov.csv"
+    code = main([*_SHORT_STUDY, "--rates-file", str(path), "-o", str(out)])
+    if message is None:
+        assert code == 0 and out.exists()
+        return
+    assert code == 4
+    assert f"cfrkit: {path}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [(["--c1", "0.1"], "--c1"), (["--c2", "0.2"], "--c2"),
+     (["--dstar", "5", "--c1", "0.3"], "--c1, --dstar")],
+)
+def test_rates_file_conflicts_with_step_flags(tmp_path, capsys, flags, named):
+    out = tmp_path / "cov.csv"
+    assert main([*_SHORT_STUDY, "--rates-file", str(_RATES), *flags, "-o", str(out)]) == 2
+    assert f"cfrkit: --rates-file conflicts with {named}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "cfrkit" in capsys.readouterr().out
@@ -1114,8 +1203,78 @@ def test_long_day_span_costs_no_more_than_its_rows(tmp_path, command, message):
     assert peak < base + 50 * 1024, f"peak {peak} KiB, import {base} KiB"
 
 
+def _capped_cli(argv: list[str], gib: int, timeout: float = 60) -> subprocess.CompletedProcess:
+    """``cfrkit.cli.main(argv)`` in a child under a ``gib`` GiB address-space
+    cap, so that a command which allocates what it should not fails fast."""
+    return _child(
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({gib} << 30, {gib} << 30))\n"
+        "import cfrkit.cli\n"
+        f"sys.exit(cfrkit.cli.main({argv!r}))\n",
+        timeout,
+    )
+
+
+@_LINUX_ONLY
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["simulate", "--horizon", "1000000000"], 2,
+         "argument --horizon: expected a day in 0..3652, got '1000000000'"),
+        (["simulate", "--tail-days", "1000000000"], 2,
+         "argument --tail-days: expected a day in 0..3652, got '1000000000'"),
+        (["simulate", "--arm-days", "200", "--symmetric", "--tail-days", "3300"], 2,
+         "cfrkit: --tail-days: horizon 3699 is past day 3652"),
+        (["coverage", "--horizon", "200000000"], 2,
+         "argument --horizon: expected a day in 0..3652, got '200000000'"),
+        (["simulate", "--delay", "point:1000000000"], 2,
+         "cfrkit: --delay: bad delay spec 'point:1000000000': lag 1000000000 is past the last day"),
+        (["simulate", "--arm-file", "{arm}"], 4, "cfrkit: {arm}: 3654 rows, past the days 0..3652"),
+    ],
+    ids=["horizon", "tail-days", "derived-horizon", "coverage-horizon", "point-lag", "arm-file"],
+)
+def test_study_day_span_is_bounded_before_it_is_allocated(tmp_path, argv, code, message):
+    """Each of these asked for 1.5-7.5 GiB, or ran a study of thousands of
+    days; each now stops at MAX_DAY, naming the flag or the file."""
+    arm = tmp_path / "arm.csv"
+    arm.write_text("cases\n" + "1\n" * 3654)
+    argv = [arg.format(arm=arm) for arg in argv] + ["--replicates", "1", "-o", str(tmp_path / "o.csv")]
+    done = _capped_cli(argv, gib=2)
+    assert done.returncode == code, done.stderr
+    assert message.format(arm=arm) in done.stderr
+
+
+@_LINUX_ONLY
+@pytest.mark.parametrize(
+    "count, message",
+    [(10**8, f"bad case count at line 2 (100000000 outside 0..{MAX_CASES})"),
+     (10**6, f"130000000 cases, past the {MAX_CASES} a scenario may hold")],
+    ids=["count", "total"],
+)
+def test_arm_file_cases_are_bounded(tmp_path, count, message):
+    """130 days of 10**8 cases made a replicate's draw ask for 9.31 GiB. An
+    arm file with a count or a total past MAX_CASES exits 4 at once."""
+    arm = tmp_path / "arm.csv"
+    arm.write_text("cases\n" + f"{count}\n" * 130)
+    argv = ["simulate", "--arm-file", str(arm), "--replicates", "1", "-o", str(tmp_path / "o.csv")]
+    done = _capped_cli(argv, gib=3, timeout=20)
+    assert done.returncode == 4, done.stderr
+    assert f"cfrkit: {arm}: {message}" in done.stderr
+
+
+def test_study_with_lags_past_2_16(tmp_path):
+    """Lags from NB(20000, 0.5) run past 2**16, so a table's lag events sort
+    as 64-bit keys, whose counts must stay integers."""
+    out = tmp_path / "cov.csv"
+    argv = ["coverage", "--mode", "estimated", "--delay", "nb:20000,0.5", "--replicates", "1",
+            "--every", "50", "-o", str(out)]
+    assert main(argv) == 0
+    _, rows = read_output(out)
+    assert [int(row["t"]) for row in rows] == list(range(90, 451, 50))
+
+
 # ---------------------------------------------------------------------------
-# The three CSV inputs under fuzzed text
+# The four CSV inputs under fuzzed text
 
 
 def test_estimate_line_list_with_lines_before_its_header(tmp_path, linelist_file):
@@ -1142,6 +1301,12 @@ _FUZZ_READERS = {
         "model,pi,mu,r,loglik,n\n",
         ["estimate", "{linelist}", "--from", "0", "--survival", "file", "--survival-file", "{file}"],
     ),
+    # One day, day 0, so that a single good rate runs the study.
+    "rates file": (
+        "p\n",
+        ["coverage", "--rates-file", "{file}", "--mode", "known", "--arm-days", "1",
+         "--horizon", "0", "--replicates", "1"],
+    ),
 }
 
 
@@ -1167,11 +1332,11 @@ def _oracle_records(text: str) -> tuple[list[int], int | None]:
 
 @given(st.text(alphabet=',"\n\r#-019x ', max_size=60))
 @settings(max_examples=150, deadline=None)
-def test_fuzzed_text_parses_the_same_in_all_three_readers(tmp_path_factory, body):
+def test_fuzzed_text_parses_the_same_in_all_four_readers(tmp_path_factory, body):
     """Each text, under each reader's header, exits 0, 4 or 5. A parse error
     names the start line of a record that is neither blank nor a comment,
     or the first record no reader may take, which every reader then
-    reaches: so all three readers skip the same records."""
+    reaches: so all four readers skip the same records."""
     folder = tmp_path_factory.mktemp("fuzz")
     linelist = folder / "ll.csv"
     linelist.write_text(_FUZZ_LINELIST)
@@ -1187,10 +1352,11 @@ def test_fuzzed_text_parses_the_same_in_all_three_readers(tmp_path_factory, body
         assert code in (0, 4, 5), (name, text, message)
         if broken is not None:
             assert code == 4, (name, text, message)
-        # Two exit-4 messages are about the whole file and name no line.
-        if "no case counts found" in message:
+        # Three exit-4 messages are about the whole file and name no line.
+        empty = "no case counts found" in message or "no daily rates found" in message
+        if empty:
             assert data == [1], (name, text, message, data)  # the header alone
-        if code != 4 or "no case counts found" in message or "no parametric" in message:
+        if code != 4 or empty or "no parametric" in message:
             continue
         lines = [int(n) for n in re.findall(r"\bline (\d+)\b", message)]
         assert len(lines) == 1, (name, text, message)

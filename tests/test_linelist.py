@@ -384,13 +384,18 @@ def test_whole_floats_are_kept():
 def _event_queries(draw):
     """A small table built three ways, ascending days with gaps and past its
     end, a lookback (0, past the table, or any), and a block size: 1, 7 or
-    the kernel's ``_BLOCK``."""
+    the kernel's ``_BLOCK``. Some tables hold lags past 2**16, whose events
+    sort as 64-bit keys."""
     n_days = draw(st.integers(1, 9))
     width = draw(st.integers(1, 14))  # lags may run past the table's last day
+    far = draw(st.sampled_from([None, 1 << 16 | 5]))
+    lags = st.integers(0, width - 1)
+    if far is not None:
+        lags, width = lags | st.just(far), far + 1
     cases = draw(st.lists(st.integers(0, 4), min_size=n_days, max_size=n_days))
     deaths = np.zeros((n_days, width), dtype=np.int64)
     for d, count in enumerate(cases):  # rows may be empty
-        for k in draw(st.lists(st.integers(0, width - 1), max_size=count)):
+        for k in draw(st.lists(lags, max_size=count)):
             deaths[d, k] += 1
     build = draw(st.sampled_from(["dense", "sparse", "aggregate"]))
     # max_lag: the dense table's last column, else the largest lag of a death.
@@ -406,7 +411,10 @@ def _event_queries(draw):
         records = [CaseRecord(d, d + k) for d in range(n_days) for k in lags[d]]
         records += [CaseRecord(d) for d in range(n_days) for _ in range(cases[d] - len(lags[d]))]
         table = aggregate(LineList.from_records(records or [CaseRecord(0)]))
-    days = sorted(set(draw(st.lists(st.integers(0, n_days + 16), min_size=1, max_size=12))))
+    day = st.integers(0, n_days + 16)
+    if far is not None:  # and days that count the far lags
+        day |= st.integers(far, far + n_days + 16)
+    days = sorted(set(draw(st.lists(day, min_size=1, max_size=12))))
     lookback = draw(st.one_of(st.just(0), st.just(n_days + 3), st.integers(0, 20)))
     block = draw(st.sampled_from([1, 7, est._BLOCK]))
     return table, deaths, max_lag, np.array(days), lookback, block

@@ -17,6 +17,8 @@ import pytest
 
 from cfrkit import (
     ESTIMATORS,
+    MAX_CASES,
+    MAX_DAY,
     DailyRates,
     DelaySchedule,
     EstimateSeries,
@@ -98,6 +100,19 @@ def test_scenario_validation():
         small_scenario(seed=-1)
     with pytest.raises(ValueError, match="cover days"):
         small_scenario(p_spec=DailyRates([0.1] * 10))
+
+
+def test_scenario_bounds_its_day_span_and_cases():
+    """A horizon past MAX_DAY, or a curve past MAX_CASES, is refused before
+    the curve is built. The cases are summed exactly: these five counts
+    wrap to 1 as an int64 sum."""
+    with pytest.raises(ValueError, match=f"horizon {MAX_DAY + 1} is past the last day {MAX_DAY}"):
+        small_scenario(horizon=MAX_DAY + 1)
+    step = StepRates(0.1, 0.05, 1)
+    small_scenario(rising_arm=np.array([MAX_CASES // 2]), p_spec=step)  # mirrored: MAX_CASES
+    for arm in ([MAX_CASES // 2 + 1], [1 << 62] * 4 + [1]):
+        with pytest.raises(ValueError, match=f"at least one case and at most {MAX_CASES}"):
+            small_scenario(rising_arm=np.array(arm), p_spec=step)
 
 
 def test_step_rates_validation():
