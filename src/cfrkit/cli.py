@@ -165,7 +165,9 @@ def _read_params_csv(path: str) -> SurvivalModel:
     among them.
     """
     with open(path, "rb") as handle:
-        header, rows = _file_records(handle, path)
+        records = _file_records(handle, path)
+        header = [cell.strip() for cell in next(records, (0, []))[1]]
+        rows = list(records)
     best: tuple[tuple[bool, float], SurvivalModel] | None = None
     for line_no, cells in rows:
         row = {name: cell.strip() for name, cell in zip(header, cells)}
@@ -215,13 +217,18 @@ def _read_linelist(args: argparse.Namespace) -> LineList:
     return linelist
 
 
-def _day_range(start: int, stop: int, last_day: int, every: int = 1) -> range:
-    """Evaluation days start..stop; an empty request is an EstimationError."""
+def _day_range(args: argparse.Namespace, cases: np.ndarray, known: bool) -> range:
+    """Evaluation days of daily ``cases``: from ``--from``, else the default
+    first day, to ``--to`` clipped to the last day, every ``--every`` days
+    where the command has that flag. An empty request is an EstimationError."""
+    last_day = cases.size - 1
+    start = _first_eval_day(cases, known, args.lookback) if args.from_day is None else args.from_day
+    stop = last_day if args.to_day is None else min(args.to_day, last_day)
     if start > stop:
         raise EstimationError(
             f"no evaluation days: requested {start}..{stop} with data ending at {last_day}"
         )
-    return range(start, stop + 1, every)
+    return range(start, stop + 1, getattr(args, "every", 1))
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
@@ -240,13 +247,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         schedule = DelaySchedule(_read_params_csv(args.survival_file))
     # args.survival == "empirical": leave None, estimate_series refits per day.
 
-    last_day = table.n_days - 1
-    first = _first_eval_day(table.cases, known=False, lookback=args.lookback)
-    start = first if args.from_day is None else args.from_day
-    stop = last_day if args.to_day is None else min(args.to_day, last_day)
     series = estimate_series(
         table,
-        _day_range(start, stop, last_day),
+        _day_range(args, table.cases, known=False),
         alpha=args.alpha,
         schedule=schedule,
         lookback=args.lookback,
@@ -326,13 +329,10 @@ def _run_study(args: argparse.Namespace, keep_series: bool = False) -> StudyResu
         seed=args.seed,
         replicates=args.replicates,
     )
-    first = _first_eval_day(scenario.curve, args.mode == "known", args.lookback)
-    start = first if args.from_day is None else args.from_day
-    stop = horizon if args.to_day is None else min(args.to_day, horizon)
     return run_study(
         scenario,
         args.mode,
-        eval_days=_day_range(start, stop, horizon, args.every),
+        eval_days=_day_range(args, scenario.curve, args.mode == "known"),
         alpha=args.alpha,
         lookback=args.lookback,
         keep_series=keep_series,

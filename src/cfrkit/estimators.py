@@ -59,7 +59,7 @@ class DelaySchedule:
     with ``_Lookback``: both answer the private calls below the same way.
     """
 
-    _reads_deaths = False  # F is known, so a study builds it once
+    _reads_deaths = False  # F is known, so a study reuses the terms built from it
 
     def __init__(self, models: SurvivalModel | Sequence[SurvivalModel]):
         if isinstance(models, SurvivalModel):
@@ -130,21 +130,21 @@ class DelaySchedule:
         if days.size:
             self.tabulate(int(days[-1]))
 
-    def _fit(self, table: EpidemicTable, g: _Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _fit(self, table: EpidemicTable, c: _Cohorts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Raw F_d(t - d) from the table, each cohort's floor, and each
         day's least floored F_d(0) over its cohorts.
 
         A cohort past a per-day schedule reads its last model; ``_uncovered``
         checks coverage.
         """
-        self.tabulate(int(g.t[-1]))
+        self.tabulate(int(c.t[-1]))
         cdf, floor = self._table, self._floor
-        min_f0 = _at_days(self._f0_bounds(), g.t)[0]
+        min_f0 = _at_days(self._f0_bounds(), c.t)[0]
         if self.is_constant:
-            return np.take(cdf[0], g.lag), floor, min_f0
-        rows = np.minimum(np.arange(g.lag.shape[1]), len(self._models) - 1)
+            return np.take(cdf[0], c.lag), floor, min_f0
+        rows = np.minimum(np.arange(c.lag.shape[1]), len(self._models) - 1)
         # Flat indices: a 1-D take is faster than a 2-D gather.
-        return np.take(cdf, rows * cdf.shape[1] + g.lag), floor[rows], min_f0
+        return np.take(cdf, rows * cdf.shape[1] + c.lag), floor[rows], min_f0
 
     def _f0_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """For each row t: the least floored F_d(0) over rows d <= t, and
@@ -360,35 +360,24 @@ def _check(bad: np.ndarray, error: Callable[[int], Exception]) -> None:
 
 
 @dataclass(frozen=True)
-class _Grid:
-    """The (days x cohorts) layout of a block of days."""
+class _Cohorts:
+    """The (days x cohorts) layout of a block of days, with a table's
+    observed deaths on it."""
 
     t: np.ndarray  # evaluation days, ascending
     n: np.ndarray  # cohorts of each day
     valid: np.ndarray  # d < n, False in the padding
     lag: np.ndarray  # t - d, 0 in the padding
-
-
-@dataclass(frozen=True)
-class _Cohorts(_Grid):
-    """A block's grid with a table's observed deaths on it."""
-
     deaths: np.ndarray  # deaths_by(d, t), 0 in the padding
-
-
-def _grid(t: np.ndarray, n_days: int, work: _Buffers | None = None) -> _Grid:
-    """Grid of the ascending days t of a table of n_days >= 1 days."""
-    n = np.minimum(t, n_days - 1) + 1
-    d = np.arange(int(n[-1]))
-    lag = np.subtract(t[:, None], d, out=_array(work, "lag", (t.size, d.size), np.int64))
-    return _Grid(t, n, d < n[:, None], np.maximum(lag, 0, out=lag))
 
 
 def _cohorts(table: EpidemicTable, t: np.ndarray, work: _Buffers | None = None) -> _Cohorts:
     """Cohorts of the ascending days t of a table with at least one day."""
-    g = _grid(t, table.n_days, work)
-    deaths = table._observed(t, _array(work, "deaths", g.lag.shape, np.int64))
-    return _Cohorts(g.t, g.n, g.valid, g.lag, deaths)
+    n = np.minimum(t, table.n_days - 1) + 1
+    d = np.arange(int(n[-1]))
+    lag = np.subtract(t[:, None], d, out=_array(work, "lag", (t.size, d.size), np.int64))
+    deaths = table._observed(t, _array(work, "deaths", lag.shape, np.int64))
+    return _Cohorts(t, n, d < n[:, None], np.maximum(lag, 0, out=lag), deaths)
 
 
 @dataclass(frozen=True)
@@ -414,7 +403,7 @@ class _Lookback:
         cdf, n_obs = _empirical_cdfs(table, c.t, self.lookback)
         _check(n_obs == 0, lambda i: EstimationError(_NO_RESOLVED_DEATHS))
         floor = 1.0 / (n_obs + 1)
-        raw = np.take_along_axis(cdf, np.minimum(c.lag, table.max_lag), axis=1)
+        raw = np.take_along_axis(cdf, np.minimum(c.lag, cdf.shape[1] - 1), axis=1)
         return raw, floor[:, None], np.maximum(cdf[:, 0], floor)
 
     def _uncovered(self, days: np.ndarray) -> tuple[np.ndarray, None]:
@@ -574,39 +563,29 @@ def _variance_terms(
 
 def _late_terms(
     cases: np.ndarray,
-    g: _Grid,
+    c: _Cohorts,
     raw: np.ndarray,
     f: np.ndarray,
     divisor: np.ndarray,
     p: np.ndarray,
     r_t: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Garske denominators, V(t), and the first cohort of each day whose
-    cases break A1 (-1 if none), for rates p on the grid's columns."""
-    denom = _garske_denominators(cases, raw, g.n)
-    terms, bad = _variance_terms(cases[: g.lag.shape[1]], p, f, divisor, g.valid)
-    a1_cohort = np.where(bad.any(axis=1), np.argmax(bad, axis=1), -1)
-    return denom, _row_sums(terms, g.n) / (r_t * r_t), a1_cohort
-
-
-def _late_checks(
-    t: np.ndarray,
-    denom: np.ndarray,
-    a1_cohort: np.ndarray,
-    v: np.ndarray,
     delay: DelaySchedule | _Lookback,
     rates: DailyRates | None,
-) -> list[tuple[np.ndarray, Callable[[int], Exception]]]:
-    """(flags, error) of each check on ``_late_terms`` of the days t, in the
-    order the per-day computation meets them; ``error(i)`` is day i's. The
-    rates check applies when they are known."""
-    checks = [(denom <= 0.0, lambda i: _zero_denominator(t[i]))]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Garske denominators and V(t) of the block's days, for rates p on its
+    columns. Raises the checks on them in the order the per-day computation
+    meets them; the rates check applies when they are known."""
+    t = c.t
+    denom = _garske_denominators(cases, raw, c.n)
+    terms, bad = _variance_terms(cases[: c.lag.shape[1]], p, f, divisor, c.valid)
+    v = _row_sums(terms, c.n) / (r_t * r_t)
+    _check(denom <= 0.0, lambda i: _zero_denominator(t[i]))
     if rates is not None:
-        checks.append((t >= len(rates), lambda i: _short_rates(rates, int(t[i]))))
-    checks.append(delay._uncovered(t))
-    checks.append((a1_cohort >= 0, lambda i: _a1_cases_error(t[i], a1_cohort[i])))
-    checks.append((v < 0.0, lambda i: _negative_variance()))
-    return checks
+        _check(t >= len(rates), lambda i: _short_rates(rates, int(t[i])))
+    _check(*delay._uncovered(t))
+    _check(bad.any(axis=1), lambda i: _a1_cases_error(t[i], np.argmax(bad[i])))
+    _check(v < 0.0, lambda i: _negative_variance())
+    return denom, v
 
 
 def _row_sums(x: np.ndarray, n: np.ndarray, work: _Buffers | None = None) -> np.ndarray:
@@ -882,7 +861,7 @@ def estimate_series(
 ) -> EstimateSeries:
     """Evaluate every estimator at every requested day.
 
-    With ``schedule``/``rates`` given they are treated as known and reused
+    With ``schedule``/``rates`` given they are treated as known and used
     at every day. Otherwise the delay CDF is refit empirically at each day
     (``lookback`` rule) and daily rates come from the 7-day window
     estimator, which is the real-data configuration.
@@ -897,16 +876,17 @@ def estimate_series(
     days is re-run one day at a time, and the error is still the one the
     first failing day raises on its own. What reads no deaths (r_t,
     ``cfr_true`` and A2-A3 of known rates) is built first as vectors over
-    the days. ``run_study`` builds these once for all its replicates, and
-    with a known schedule and rates the Garske denominators and V(t) too;
-    a single call builds those in each block, from the grid and F the
-    block builds anyway. The ``cfr_garske`` and ``cfr_garske_mod`` columns
+    the days; ``run_study`` builds these once for all its replicates. With
+    a known schedule and rates the Garske denominators and V(t) read no
+    deaths either: each block builds them from the grid and F it builds
+    anyway and keeps them, so a study's first replicate builds them and its
+    later replicates reuse them. The ``cfr_garske`` and ``cfr_garske_mod`` columns
     hold the same values, the shared delay model's on a constant schedule
     and the per-day variant's otherwise.
     Emits one AssumptionWarning if A1-A3 fail on any evaluated day.
     """
     delay = schedule if schedule is not None else _Lookback(lookback)
-    shared = _shared_terms(table, days, alpha, delay, rates, true_rates, reused=False)
+    shared = _shared_terms(table, days, alpha, delay, rates, true_rates)
     return _series(table, shared, include_final)
 
 
@@ -918,11 +898,12 @@ class _Shared:
     The replicates of a study share their cases, and in known mode their
     schedule and rates too, so ``run_study`` builds this once and each
     replicate's blocks do only the work that reads its deaths. With known
-    rates and a delay whose F reads no deaths, built for a study, that
-    leaves the deaths grid, F, the weights and their sums: ``denom`` and
-    ``v`` are set, and ``checks`` holds every check after the weights'.
-    Otherwise ``checks`` holds only the trailing ``true_rates`` one. No
-    (days x cohorts) array is kept.
+    rates and a delay whose F reads no deaths, the first replicate's blocks
+    also keep their Garske denominators and V(t) in ``late``, keyed by the
+    block's rows, once their checks have passed; later replicates read them
+    there, which leaves them the deaths grid, F, the weights and their sums.
+    ``checks`` holds the trailing ``true_rates`` check. No (days x cohorts)
+    array is kept.
     """
 
     t: np.ndarray  # evaluation days, ascending, each with cases
@@ -934,10 +915,11 @@ class _Shared:
     min_p: np.ndarray | None  # rates known
     max_p: np.ndarray | None  # rates known
     cfr_true: np.ndarray | None
-    denom: np.ndarray | None  # F and rates known, built for a study
-    v: np.ndarray | None  # F and rates known, built for a study
     checks: tuple[tuple[np.ndarray, Callable[[int], Exception]], ...]
     failing: np.ndarray  # some check in ``checks`` flags the day
+    # (denom, v) of each block (rows.start, rows.stop), F and rates known;
+    # written by _series_block alone, on the calling thread.
+    late: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
 
 
 def _rates_grid(rates: DailyRates, width: int) -> np.ndarray:
@@ -959,14 +941,10 @@ def _shared_terms(
     delay: DelaySchedule | _Lookback,
     rates: DailyRates | None,
     true_rates: DailyRates | None,
-    reused: bool,
 ) -> _Shared:
     """``_Shared`` of an ``estimate_series`` call; reads only the table's
     cases. Raises for bad arguments, and records each day's failing checks
-    for the kernel to raise in order. ``reused`` says that many tables with
-    these cases will read it: then, with F and the rates known, the Garske
-    denominators and V(t) are built here, once. Otherwise each block builds
-    them from the grid and F it builds anyway."""
+    for the kernel to raise in order."""
     day_grid = np.unique(np.asarray(days, dtype=np.int64))
     if day_grid.size and day_grid[0] < 0:
         raise ValueError("days must be non-negative")
@@ -983,27 +961,13 @@ def _shared_terms(
     # Running A2-A3 bounds of known rates at each day.
     min_p, max_p = _at_days(_p_bounds(rates.p), t) if rates is not None else (None, None)
 
-    known = reused and not delay._reads_deaths and rates is not None
-    cfr_true, late = [], []
-    for i in range(0, t.size, _BLOCK):
-        block = slice(i, i + _BLOCK)
-        width = int(n[block][-1])
-        if true_rates is not None:
+    cfr_true, checks = [], []
+    if true_rates is not None:
+        for i in range(0, t.size, _BLOCK):
+            block = slice(i, i + _BLOCK)
+            width = int(n[block][-1])
             weighted = table.cases[:width] * _rates_grid(true_rates, width)
             cfr_true.append(_row_sums(weighted, n[block]) / r_t[block])
-        if known:
-            g = _grid(t[block], table.n_days)
-            raw, floor, _ = delay._fit(table, g)
-            f = np.maximum(raw, floor)
-            p = _rates_grid(rates, width)
-            late.append(_late_terms(table.cases, g, raw, f, _divisor(f), p, r_t[block]))
-
-    denom = v = None
-    checks = []
-    if known:
-        denom, v, a1_cohort = (_joined([block[k] for block in late]) for k in range(3))
-        checks = _late_checks(t, denom, a1_cohort, v, delay, rates)
-    if true_rates is not None:
         checks.append((n > len(true_rates), lambda i: _short_rates(true_rates, int(n[i]) - 1)))
     failing = np.zeros(t.size, dtype=bool)
     for bad, _ in checks:
@@ -1018,10 +982,9 @@ def _shared_terms(
         min_p=min_p,
         max_p=max_p,
         cfr_true=_joined(cfr_true) if true_rates is not None else None,
-        denom=denom,
-        v=v,
         checks=tuple(checks),
         failing=failing,
+        late={},
     )
 
 
@@ -1075,8 +1038,9 @@ def _series_block(
     ``shared.t``, plus ``ok``: whether A1-A3 hold on each day. The block's
     largest arrays are those of ``work``.
 
-    The checks run in the order the per-day computation meets them, those
-    that read no deaths from ``shared.checks``: the error is the first
+    The checks run in the order the per-day computation meets them, the
+    trailing ``true_rates`` one from ``shared.checks``, and those on kept
+    late terms not again, as they passed: the error is the first
     failing check's on any day of the block, which need not be the first
     failing day's.
     """
@@ -1098,15 +1062,14 @@ def _series_block(
     else:
         min_p, max_p = shared.min_p[rows], shared.max_p[rows]
     r_t = shared.r_t[rows]
-    if shared.v is None:
-        # Not built for a study: F or the rates read this table's deaths,
-        # or this is a single estimate_series call.
+    late = shared.late.get((rows.start, rows.stop))
+    if late is None:
         p = _daily_p(p_window, t, width) if rates is None else _rates_grid(rates, width)
-        denom, v, a1_cohort = _late_terms(table.cases, c, raw, f, divisor, p, r_t)
-        for bad, error in _late_checks(t, denom, a1_cohort, v, delay, rates):
-            _check(bad, error)
-    else:
-        denom, v = shared.denom[rows], shared.v[rows]
+        late = _late_terms(table.cases, c, raw, f, divisor, p, r_t, delay, rates)
+        if rates is not None and not delay._reads_deaths:
+            # Every table with these cases has the same terms.
+            shared.late[rows.start, rows.stop] = late
+    denom, v = late
     if shared.failing[rows].any():
         for bad, error in shared.checks:
             _check(bad[rows], lambda i: error(rows.start + i))

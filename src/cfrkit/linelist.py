@@ -314,16 +314,16 @@ def _records(lines: Iterable[str], at: list[int], before: int = 0) -> Iterator[l
         raise ParseError(f"line {before + reader.line_num + 1}: {exc}") from None
 
 
-def _file_records(handle: BinaryIO, path: object) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """The stripped header names and the (line, cells) of the later records
-    of a binary CSV file, read as `parse_csv` reads a line list; a
+def _file_records(handle: BinaryIO, path: object) -> Iterator[tuple[int, list[str]]]:
+    """The (line, cells) of each record of a binary CSV file, the header
+    first, read one at a time as `parse_csv` reads a line list; a
     ParseError names ``path`` and the line."""
     at = [0]
     try:
-        rows = [(at[0] + 1, cells) for cells in _records(map(bytes.decode, handle), at)]
+        for cells in _records(map(bytes.decode, handle), at):
+            yield at[0] + 1, cells
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    return [name.strip() for name in rows[0][1]] if rows else [], rows[1:]
 
 
 def parse_csv(text: str | bytes | BinaryIO | Iterable[str], epoch: date | None = None) -> LineList:
@@ -468,20 +468,22 @@ class _Running:
 
     A first query of one day, all a study's final-day replicate asks, is
     one ``bincount`` of the events counted by then, whose order it does not
-    need. Any other query sorts the events first, once, as keys
-    ``first << shift | bin``: unsigned 32-bit where they fit, else int64,
-    since numpy turns uint64 mixed with int64 into floats. A block of
-    ascending days then costs one ``bincount`` over the events first counted
-    within it and one ``cumsum`` down its rows, over the bins those events
-    touch, on top of the counts carried from the previous query if that
-    ended no later, else of none, so a query before the previous one
-    recounts from the first event. Each state is one tuple, replaced whole,
-    so a table may be read from several threads.
+    need. Any other query sorts the events first, once, as unsigned 32-bit
+    keys ``first << shift | bin`` where they fit, else on the first day
+    alone, with the bins in that order: packed int64 keys would wrap once
+    first days and bins pass 2**31. A block of ascending days then costs
+    one ``bincount`` over the events first counted within it and one
+    ``cumsum`` down its rows, over the bins those events touch, on top of
+    the counts carried from the previous query if that ended no later,
+    else of none, so a query before the previous one recounts from the
+    first event. Each state is one tuple, replaced whole, so a table may
+    be read from several threads.
     """
 
     def __init__(self, first: np.ndarray, bins: np.ndarray) -> None:
         self._events = first, bins  # first day >= 0 and bin of each event
-        self._sorted: tuple[np.ndarray, int, int] | None = None  # keys, shift, days
+        # keys, shift, days, and the bins of unpacked keys
+        self._sorted: tuple[np.ndarray, int, int, np.ndarray | None] | None = None
         self._carry = -1, np.zeros(0, np.int64)  # last day counted, and its counts
 
     def counts(self, t: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -500,11 +502,14 @@ class _Running:
                 return out
             days = int(first.max()) + 1 if first.size else 0
             shift = int(bins.max(initial=0)).bit_length()
-            dtype = np.uint32 if days << shift < 1 << 32 else np.int64
-            keys = first.astype(dtype) << shift | bins.astype(dtype)
-            keys.sort()
-            self._sorted = keys, shift, days
-        keys, shift, days = self._sorted
+            if days << shift < 1 << 32:
+                keys = first.astype(np.uint32) << shift | bins.astype(np.uint32)
+                keys.sort()
+                self._sorted = keys, shift, days, None
+            else:
+                order = np.argsort(first)
+                self._sorted = first[order], 0, days, bins[order]
+        keys, shift, days, sorted_bins = self._sorted
         day, carried = self._carry
         if day > t[0]:
             day, carried = -1, carried[:0]
@@ -517,7 +522,10 @@ class _Running:
         out[:, : carried.size] = carried
         out[:, carried.size :] = 0
         if ends[-1] > ends[0]:
-            new = keys[ends[0] : ends[-1]] & (1 << shift) - 1
+            if sorted_bins is None:
+                new = keys[ends[0] : ends[-1]] & (1 << shift) - 1
+            else:
+                new = sorted_bins[ends[0] : ends[-1]]
             lo, span = int(new.min()), int(new.max() - new.min()) + 1
             rows = np.repeat(np.arange(t.size), ends[1:] - ends[:-1])
             step = np.bincount(rows * span + (new - lo), minlength=t.size * span)
@@ -649,11 +657,13 @@ class EpidemicTable:
             out = np.empty((t.size, min(int(t[-1]), self.n_days - 1) + 1), np.int64)
         return self._by_cohort.counts(t, out)
 
-    def _eligible_lags(self, t: np.ndarray, lookback: int) -> np.ndarray:
-        """Deaths at each lag k (columns) that are eligible at each of the
-        ascending days t (rows): cohort d at most min(t_i - lookback,
-        n_days - 1), and dead by t_i, so d <= t_i - k. That is every death
-        from day d + max(k, lookback) on."""
+    def _eligible_lags(self, t: np.ndarray, lookback: int, width: int | None = None) -> np.ndarray:
+        """Deaths at each lag k (columns, ``width``, by default max_lag + 1)
+        that are eligible at each of the ascending days t (rows): cohort d
+        at most min(t_i - lookback, n_days - 1), and dead by t_i, so
+        d <= t_i - k. That is every death from day d + max(k, lookback) on.
+        No lag past t[-1] is eligible by then, so t[-1] + 1 columns hold
+        them all."""
         held = vars(self).get("_lag_events")
         if held is None or held[0] != lookback:
             # Shifted by lookback, as are the days t, so that the first days
@@ -661,7 +671,8 @@ class EpidemicTable:
             first = self._day + np.maximum(self._lag - lookback, 0)
             held = lookback, _Running(first, self._lag)
             vars(self)["_lag_events"] = held  # the last lookback's only
-        return held[1].counts(t - lookback, np.empty((t.size, self._width), np.int64))
+        width = self._width if width is None else width
+        return held[1].counts(t - lookback, np.empty((t.size, width), np.int64))
 
     def _cumulative_final(self, days: np.ndarray) -> np.ndarray:
         """``cumulative_final_deaths`` at each of the days."""

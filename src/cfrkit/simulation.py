@@ -14,6 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -350,9 +351,7 @@ def run_study(
                 if shared is None:
                     # Every replicate has the scenario's cases, so the terms that
                     # read no deaths are built from the first one, once.
-                    shared = _shared_terms(
-                        table, days, alpha, delay, rates_arg, rates_true, reused=True
-                    )
+                    shared = _shared_terms(table, days, alpha, delay, rates_arg, rates_true)
                 series = _series(table, shared, include_final=True)
             except (CfrError, ValueError) as exc:
                 raise type(exc)(f"{where}: {exc}") from exc
@@ -408,13 +407,17 @@ def _read_column(path: Path, name: str, convert, most: float, what: str) -> list
     ParseError names the file, and the line too when a cell is bad, a ``#``
     record holds a quoted line break, a line is not UTF-8 or a record is not
     valid CSV (a bare "\r", an oversized cell); so does one for a missing
-    column, no values or more than MAX_DAY + 1."""
+    column, no values or more than MAX_DAY + 1, whose rows past those are
+    counted, not kept."""
     with path.open("rb") as handle:
-        header, rows = _file_records(handle, path)
+        records = _file_records(handle, path)
+        header = [cell.strip() for cell in next(records, (0, []))[1]]
+        rows = list(islice(records, MAX_DAY + 1))
+        more = sum(1 for _ in records)
     if name not in header:
         raise ParseError(f"{path}: needs a {name!r} column")
-    if len(rows) > MAX_DAY + 1:
-        raise ParseError(f"{path}: {len(rows)} rows, past the days 0..{MAX_DAY}")
+    if more:
+        raise ParseError(f"{path}: {len(rows) + more} rows, past the days 0..{MAX_DAY}")
     col = header.index(name)
     values = []
     for line_no, row in rows:

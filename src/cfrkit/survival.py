@@ -380,7 +380,8 @@ def _empirical_cdfs(
     table: EpidemicTable, t: np.ndarray, lookback: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Empirical delay CDF at each of the ascending days t (rows) over lags
-    0..max_lag (columns), and the resolved deaths n_obs behind each row.
+    0..min(max_lag, t[-1]) (columns), and the resolved deaths n_obs behind
+    each row.
 
     Deaths count when their cohort is eligible at day t: confirmed by
     min(t - lookback, n_days - 1) and, to be dead by t at lag k, by t - k.
@@ -388,7 +389,8 @@ def _empirical_cdfs(
     reaches exactly 1.0 at its largest eligible lag; a row with n_obs == 0
     is all 0. The table needs at least one day.
     """
-    cum = np.cumsum(table._eligible_lags(t, lookback), axis=1)
+    width = min(table.max_lag, int(t[-1])) + 1  # past t[-1], no lag is eligible
+    cum = np.cumsum(table._eligible_lags(t, lookback, width), axis=1)
     n_obs = cum[:, -1]
     return cum / np.maximum(n_obs, 1)[:, None], n_obs
 

@@ -1203,6 +1203,27 @@ def test_long_day_span_costs_no_more_than_its_rows(tmp_path, command, message):
     assert peak < base + 50 * 1024, f"peak {peak} KiB, import {base} KiB"
 
 
+@_LINUX_ONLY
+def test_long_arm_file_is_counted_not_kept(tmp_path):
+    """An arm file of 2,000,000 rows took about 400 MB over the import
+    before its row count was checked; its rows past MAX_DAY + 1 are now
+    counted as they are read, and the message keeps their true number."""
+    arm = tmp_path / "arm.csv"
+    arm.write_text("cases\n" + "1\n" * 2_000_000)
+    argv = ["simulate", "--arm-file", str(arm), "--replicates", "1", "-o", str(tmp_path / "o.csv")]
+    done = _child(
+        "import resource\n"
+        "import cfrkit.cli\n"
+        "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        f"code = cfrkit.cli.main({argv!r})\n"
+        "print(code, base, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    code, base, peak = map(int, done.stdout.split())
+    assert code == 4
+    assert f"cfrkit: {arm}: 2000000 rows, past the days 0..3652" in done.stderr
+    assert peak < base + 50 * 1024, f"peak {peak} KiB, import {base} KiB"
+
+
 def _capped_cli(argv: list[str], gib: int, timeout: float = 60) -> subprocess.CompletedProcess:
     """``cfrkit.cli.main(argv)`` in a child under a ``gib`` GiB address-space
     cap, so that a command which allocates what it should not fails fast."""
@@ -1271,6 +1292,18 @@ def test_study_with_lags_past_2_16(tmp_path):
     assert main(argv) == 0
     _, rows = read_output(out)
     assert [int(row["t"]) for row in rows] == list(range(90, 451, 50))
+
+
+@_LINUX_ONLY
+def test_estimated_study_with_lags_near_2_35_is_bounded(tmp_path):
+    """NB(1e9, 0.5) draws lags near 2**35, and the empirical fit's (days x
+    lags) counts asked for 1.08 TiB. No lag past the last evaluation day is
+    eligible, so the counts stop there, and no death has resolved by then."""
+    argv = ["coverage", "--mode", "estimated", "--delay", "nb:1e9,0.5", "--replicates", "1",
+            "--every", "50", "-o", str(tmp_path / "cov.csv")]
+    done = _capped_cli(argv, gib=2)
+    assert done.returncode == 5, done.stderr
+    assert "insufficient resolved deaths for empirical fit" in done.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -1252,6 +1252,28 @@ def test_series_identical_under_any_block_size(monkeypatch, mode):
 
 
 @pytest.mark.filterwarnings("ignore::cfrkit.AssumptionWarning")
+def test_kept_late_terms_are_keyed_by_the_block_rows():
+    """Known-mode Garske denominators and V(t) are kept per block for the
+    next table with these cases. A block of other rows that shares its
+    first or its last row with a kept one builds its own."""
+    table = long_table(120, seed=5)
+    schedule, rates = DelaySchedule(NegBinomial(10.0, 1.0)), DailyRates([0.05] * 120)
+    days = [60, 70, 80]
+
+    def block(shared, rows):
+        return est._series_block(table, shared, rows, est._Buffers(len(days) * (table.n_days + 2)))
+
+    shared = est._shared_terms(table, days, 0.05, schedule, rates, None)
+    block(shared, slice(0, 3))
+    for rows in (slice(0, 2), slice(1, 3)):
+        fresh = est._shared_terms(table, days, 0.05, schedule, rates, None)
+        got, want = block(shared, rows), block(fresh, rows)
+        for name in want:
+            assert np.array_equal(got[name], want[name]), (rows, name)
+    assert sorted(shared.late) == [(0, 2), (0, 3), (1, 3)]
+
+
+@pytest.mark.filterwarnings("ignore::cfrkit.AssumptionWarning")
 def test_series_memory_is_blockwise():
     # Ten years of days: one dense float (days x days) matrix would be 107 MB.
     # A day far past the table must cost no more than the table's last day.

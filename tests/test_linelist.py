@@ -464,6 +464,20 @@ def test_event_queries_match_the_dense_table(case):
     assert table.total_deaths == dense.sum()
 
 
+def test_running_counts_first_days_and_bins_past_2_35():
+    """Keys packed as first << shift | bin would pass 2**63 here and wrap,
+    and the counts would ask for 512 GiB. The counts equal a brute-force
+    count, block after block and again from the start."""
+    far = 1 << 35
+    first = np.array([0, 3, 2 * far + 4, 2, far, 9, far + 2, 2, far + 7], dtype=np.int64)
+    bins = np.array([2, 0, far + 3, 1, 4, 5, far, 2, 3], dtype=np.int64)
+    running = linelist_module._Running(first, bins)
+    for t in ([0, 2], [3, 9, 12], [1, 2]):
+        t = np.array(t)
+        want = [[np.sum((first <= day) & (bins == b)) for b in range(6)] for day in t]
+        assert running.counts(t, np.empty((t.size, 6), np.int64)).tolist() == want
+
+
 # ---------------------------------------------------------------------------
 # aggregate
 

@@ -398,9 +398,21 @@ def test_run_study_negative_lookback_names_the_replicate():
     assert str(raised.value) == "replicate 0 of scenario seed 7: lookback must be non-negative"
 
 
-def test_run_study_known_builds_deaths_free_terms_once(monkeypatch):
+@pytest.mark.parametrize(
+    "mode, lookback, builds",
+    [
+        ("known", 45, 1),
+        pytest.param(
+            "estimated", 10, 6, marks=pytest.mark.filterwarnings("ignore::cfrkit.AssumptionWarning")
+        ),
+    ],
+    ids=["known", "estimated"],
+)
+def test_run_study_known_builds_deaths_free_terms_once(monkeypatch, mode, lookback, builds):
     """The Garske denominators and the variance terms read no deaths in
-    known mode, so a study builds them once per block, not per replicate."""
+    known mode, so a study builds them once per block, not per replicate.
+    In estimated mode F and the rates read deaths, so each of the six
+    replicates builds them in every block."""
     calls = {"_garske_denominators": 0, "_variance_terms": 0}
     for name in calls:
         original = getattr(est, name)
@@ -414,10 +426,10 @@ def test_run_study_known_builds_deaths_free_terms_once(monkeypatch):
         rising_arm=np.arange(5, 65, 3), horizon=150, p_spec=StepRates(0.1, 0.05, 20),
         replicates=6,
     )
-    result = run_study(sc, "known")
+    result = run_study(sc, mode, lookback=lookback)
     blocks = -(-result.days.size // est._BLOCK)
     assert blocks == 3
-    assert calls == {"_garske_denominators": blocks, "_variance_terms": blocks}
+    assert calls == {"_garske_denominators": blocks * builds, "_variance_terms": blocks * builds}
 
 
 # ---------------------------------------------------------------------------
