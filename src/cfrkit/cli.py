@@ -162,32 +162,35 @@ def _read_params_csv(path: str) -> SurvivalModel:
     Rows without distribution parameters (the empirical entry) are skipped;
     among the rest the highest log-likelihood wins. A row whose log-likelihood
     is blank or NaN ranks below every row with one; the first such row wins
-    among them.
+    among them. Records are read one at a time; one the reader rejects is
+    named before a bad row above it.
     """
+    best: tuple[tuple[bool, float], SurvivalModel] | None = None
+    bad: tuple[int, ValueError] | None = None  # line and error of the first bad row
     with open(path, "rb") as handle:
         records = _file_records(handle, path)
         header = [cell.strip() for cell in next(records, (0, []))[1]]
-        rows = list(records)
-    best: tuple[tuple[bool, float], SurvivalModel] | None = None
-    for line_no, cells in rows:
-        row = {name: cell.strip() for name, cell in zip(header, cells)}
-        mu_raw, r_raw = row.get("mu"), row.get("r")
-        if not mu_raw or not r_raw:
-            continue
-        try:
-            mu, r, pi = float(mu_raw), float(r_raw), float(row.get("pi") or 0.0)
-            if row.get("model") == "zinb" or pi > 0:
-                model: SurvivalModel = Zinb(pi, mu, r)
-            else:
-                model = NegBinomial(mu, r)
-            loglik = float(row.get("loglik") or "nan")
-        except ValueError as exc:
-            raise ParseError(
-                f"{path}: bad delay model parameters at line {line_no} ({exc})"
-            ) from exc
-        rank = (loglik == loglik, loglik)  # NaN != NaN: ranks below every number
-        if best is None or rank > best[0]:
-            best = (rank, model)
+        for line_no, cells in records:
+            row = {name: cell.strip() for name, cell in zip(header, cells)}
+            mu_raw, r_raw = row.get("mu"), row.get("r")
+            if bad or not mu_raw or not r_raw:
+                continue
+            try:
+                mu, r, pi = float(mu_raw), float(r_raw), float(row.get("pi") or 0.0)
+                if row.get("model") == "zinb" or pi > 0:
+                    model: SurvivalModel = Zinb(pi, mu, r)
+                else:
+                    model = NegBinomial(mu, r)
+                loglik = float(row.get("loglik") or "nan")
+            except ValueError as exc:
+                bad = line_no, exc
+                continue
+            rank = (loglik == loglik, loglik)  # NaN != NaN: ranks below every number
+            if best is None or rank > best[0]:
+                best = (rank, model)
+    if bad:
+        line_no, exc = bad
+        raise ParseError(f"{path}: bad delay model parameters at line {line_no} ({exc})") from exc
     if best is None:
         raise ParseError(f"{path}: no parametric delay model rows found")
     return best[1]

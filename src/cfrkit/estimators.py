@@ -45,6 +45,8 @@ __all__ = [
     "estimate_series",
 ]
 
+_Fit = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]  # a delay source's _fit
+
 
 class DelaySchedule:
     """Delay distribution per confirmation day, with its CDF tabulated.
@@ -130,9 +132,9 @@ class DelaySchedule:
         if days.size:
             self.tabulate(int(days[-1]))
 
-    def _fit(self, table: EpidemicTable, c: _Cohorts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Raw F_d(t - d) from the table, each cohort's floor, and each
-        day's least floored F_d(0) over its cohorts.
+    def _fit(self, table: EpidemicTable, c: _Cohorts) -> _Fit:
+        """Raw F_d(t - d) from the table, each cohort's floor, each day's
+        least floored F_d(0) over its cohorts, and n_obs None: no fit.
 
         A cohort past a per-day schedule reads its last model; ``_uncovered``
         checks coverage.
@@ -141,10 +143,10 @@ class DelaySchedule:
         cdf, floor = self._table, self._floor
         min_f0 = _at_days(self._f0_bounds(), c.t)[0]
         if self.is_constant:
-            return np.take(cdf[0], c.lag), floor, min_f0
+            return np.take(cdf[0], c.lag), floor, min_f0, None
         rows = np.minimum(np.arange(c.lag.shape[1]), len(self._models) - 1)
         # Flat indices: a 1-D take is faster than a 2-D gather.
-        return np.take(cdf, rows * cdf.shape[1] + c.lag), floor[rows], min_f0
+        return np.take(cdf, rows * cdf.shape[1] + c.lag), floor[rows], min_f0, None
 
     def _f0_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """For each row t: the least floored F_d(0) over rows d <= t, and
@@ -393,18 +395,18 @@ class _Lookback:
         if t.size and self.lookback < 0:
             raise ValueError("lookback must be non-negative")
 
-    def _fit(self, table: EpidemicTable, c: _Cohorts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _fit(self, table: EpidemicTable, c: _Cohorts) -> _Fit:
         """F of each day's own ``fit_empirical`` table, all days at once.
 
-        Returns raw F, the clamp floor and the floored F_t(0). A row's CDF is
-        1.0 from its largest eligible lag on, which is the fitted table's last
-        entry and the value it reads past its end.
+        Returns raw F, the clamp floor, the floored F_t(0) and the deaths
+        behind each fit, n_obs. A row's CDF is 1.0 from its largest eligible
+        lag on, which is the fitted table's last entry and the value it
+        reads past its end.
         """
         cdf, n_obs = _empirical_cdfs(table, c.t, self.lookback)
-        _check(n_obs == 0, lambda i: EstimationError(_NO_RESOLVED_DEATHS))
         floor = 1.0 / (n_obs + 1)
         raw = np.take_along_axis(cdf, np.minimum(c.lag, cdf.shape[1] - 1), axis=1)
-        return raw, floor[:, None], np.maximum(cdf[:, 0], floor)
+        return raw, floor[:, None], np.maximum(cdf[:, 0], floor), n_obs
 
     def _uncovered(self, days: np.ndarray) -> tuple[np.ndarray, None]:
         """A refit covers every day: nothing is flagged, so no error is built."""
@@ -420,18 +422,18 @@ def _divisor(f: np.ndarray) -> np.ndarray:
 
 
 def _weights(
-    c: _Cohorts, f: np.ndarray, divisor: np.ndarray, work: _Buffers | None = None
+    c: _Cohorts, f: np.ndarray, divisor: np.ndarray, work: _Buffers | None = None, check=_check
 ) -> np.ndarray:
     """Predicted eventual deaths per cohort: deaths_by(d, t) / F_d(t - d).
 
     Cohorts without observed deaths contribute exactly 0 whatever F is, as
     the divisor is positive; one with deaths but zero CDF mass is an A1
-    violation. ``_divisor`` returns F itself only when all of F is positive,
-    and then there is nothing to check.
+    violation, which ``check`` is given. ``_divisor`` returns F itself only
+    when all of F is positive, and then there is nothing to check.
     """
     if divisor is not f:
         bad = (c.deaths > 0) & (f <= 0.0)
-        _check(
+        check(
             bad.any(axis=1),
             lambda i: EstimationError(
                 f"assumption A1 violated: no delay CDF mass by day {c.t[i]} for deaths "
@@ -485,7 +487,7 @@ def _windows(table: EpidemicTable, t: int) -> _Windows:
 
 
 def _window_rates(
-    windows: _Windows, c: _Cohorts, w: np.ndarray
+    windows: _Windows, c: _Cohorts, w: np.ndarray, check=_check
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``p_hat_daily`` window estimates of every day of a block.
 
@@ -495,11 +497,12 @@ def _window_rates(
     the last column stands for every later window of its row. Returns the
     estimates, clipped to [0, 1] and with the fallback windows filled, the
     inside mask and the fallback mask. ``windows`` must cover the block's
-    last day.
+    last day. ``check`` gets the days with no computable window: of days
+    with cases, those with t < 6 alone, which have no window columns.
     """
     size = _window_count(int(c.t[-1]), int(c.n[-1]))
     cut = np.minimum(c.t - 5, size)  # windows of row i: j < cut_i
-    _check(
+    check(
         windows.right[0] >= cut,
         lambda i: EstimationError(f"no cases in any daily-rate window by day {c.t[i]}"),
     )
@@ -561,33 +564,6 @@ def _variance_terms(
     return np.where(active, cp * (1.0 - p * f) / divisor, 0.0), bad
 
 
-def _late_terms(
-    cases: np.ndarray,
-    c: _Cohorts,
-    raw: np.ndarray,
-    f: np.ndarray,
-    divisor: np.ndarray,
-    p: np.ndarray,
-    r_t: np.ndarray,
-    delay: DelaySchedule | _Lookback,
-    rates: DailyRates | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Garske denominators and V(t) of the block's days, for rates p on its
-    columns. Raises the checks on them in the order the per-day computation
-    meets them; the rates check applies when they are known."""
-    t = c.t
-    denom = _garske_denominators(cases, raw, c.n)
-    terms, bad = _variance_terms(cases[: c.lag.shape[1]], p, f, divisor, c.valid)
-    v = _row_sums(terms, c.n) / (r_t * r_t)
-    _check(denom <= 0.0, lambda i: _zero_denominator(t[i]))
-    if rates is not None:
-        _check(t >= len(rates), lambda i: _short_rates(rates, int(t[i])))
-    _check(*delay._uncovered(t))
-    _check(bad.any(axis=1), lambda i: _a1_cases_error(t[i], np.argmax(bad[i])))
-    _check(v < 0.0, lambda i: _negative_variance())
-    return denom, v
-
-
 def _row_sums(x: np.ndarray, n: np.ndarray, work: _Buffers | None = None) -> np.ndarray:
     """x[i, :n[i]].sum() for every day i, each day's own pairwise sum; a
     1-D x is one row shared by every day.
@@ -628,7 +604,7 @@ def _known_day(
     """The kernel at the single day t: cohorts, raw F and floored F."""
     c = _cohorts(table, np.array([t]))
     _check(*schedule._uncovered(c.n - 1))
-    raw, floor, _ = schedule._fit(table, c)
+    raw, floor = schedule._fit(table, c)[:2]
     return c, raw, np.maximum(raw, floor)
 
 
@@ -871,18 +847,17 @@ def estimate_series(
     the variance terms, and A1-A3 as prefix minima and maxima. Each float
     sum is still one reduction per day over that day's own cohorts, so
     every value equals the single-day functions' bit for bit whatever the
-    block size. A block raises at its first failing check, which may belong
-    to a later day than the first failing day; so a failing block of several
-    days is re-run one day at a time, and the error is still the one the
-    first failing day raises on its own. What reads no deaths (r_t,
-    ``cfr_true`` and A2-A3 of known rates) is built first as vectors over
-    the days; ``run_study`` builds these once for all its replicates. With
-    a known schedule and rates the Garske denominators and V(t) read no
-    deaths either: each block builds them from the grid and F it builds
-    anyway and keeps them, so a study's first replicate builds them and its
-    later replicates reuse them. The ``cfr_garske`` and ``cfr_garske_mod`` columns
-    hold the same values, the shared delay model's on a constant schedule
-    and the per-day variant's otherwise.
+    block size. Each block checks all its days at once and raises the error
+    that its first failing day raises on its own; blocks run in day order.
+    What reads no deaths (r_t, ``cfr_true`` and A2-A3 of known rates) is
+    built first as vectors over the days; ``run_study`` builds these once
+    for all its replicates. With a known schedule and rates the Garske
+    denominators and V(t) read no deaths either: each block builds them
+    from the grid and F it builds anyway and keeps them, so a study's first
+    replicate builds them and its later replicates reuse them. The
+    ``cfr_garske`` and ``cfr_garske_mod`` columns hold the same values, the
+    shared delay model's on a constant schedule and the per-day variant's
+    otherwise.
     Emits one AssumptionWarning if A1-A3 fail on any evaluated day.
     """
     delay = schedule if schedule is not None else _Lookback(lookback)
@@ -900,10 +875,9 @@ class _Shared:
     replicate's blocks do only the work that reads its deaths. With known
     rates and a delay whose F reads no deaths, the first replicate's blocks
     also keep their Garske denominators and V(t) in ``late``, keyed by the
-    block's rows, once their checks have passed; later replicates read them
+    block's rows, once all its checks have passed; later replicates read them
     there, which leaves them the deaths grid, F, the weights and their sums.
-    ``checks`` holds the trailing ``true_rates`` check. No (days x cohorts)
-    array is kept.
+    No (days x cohorts) array is kept.
     """
 
     t: np.ndarray  # evaluation days, ascending, each with cases
@@ -914,9 +888,8 @@ class _Shared:
     windows: _Windows | None  # rates estimated
     min_p: np.ndarray | None  # rates known
     max_p: np.ndarray | None  # rates known
+    true_rates: DailyRates | None  # each block checks that they cover its days
     cfr_true: np.ndarray | None
-    checks: tuple[tuple[np.ndarray, Callable[[int], Exception]], ...]
-    failing: np.ndarray  # some check in ``checks`` flags the day
     # (denom, v) of each block (rows.start, rows.stop), F and rates known;
     # written by _series_block alone, on the calling thread.
     late: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
@@ -943,8 +916,7 @@ def _shared_terms(
     true_rates: DailyRates | None,
 ) -> _Shared:
     """``_Shared`` of an ``estimate_series`` call; reads only the table's
-    cases. Raises for bad arguments, and records each day's failing checks
-    for the kernel to raise in order."""
+    cases. Raises for bad arguments; the kernel checks each day."""
     day_grid = np.unique(np.asarray(days, dtype=np.int64))
     if day_grid.size and day_grid[0] < 0:
         raise ValueError("days must be non-negative")
@@ -961,17 +933,13 @@ def _shared_terms(
     # Running A2-A3 bounds of known rates at each day.
     min_p, max_p = _at_days(_p_bounds(rates.p), t) if rates is not None else (None, None)
 
-    cfr_true, checks = [], []
+    cfr_true = []
     if true_rates is not None:
         for i in range(0, t.size, _BLOCK):
             block = slice(i, i + _BLOCK)
             width = int(n[block][-1])
             weighted = table.cases[:width] * _rates_grid(true_rates, width)
             cfr_true.append(_row_sums(weighted, n[block]) / r_t[block])
-        checks.append((n > len(true_rates), lambda i: _short_rates(true_rates, int(n[i]) - 1)))
-    failing = np.zeros(t.size, dtype=bool)
-    for bad, _ in checks:
-        failing |= bad
     return _Shared(
         t=t,
         r_t=r_t,
@@ -981,9 +949,8 @@ def _shared_terms(
         windows=windows,
         min_p=min_p,
         max_p=max_p,
+        true_rates=true_rates,
         cfr_true=_joined(cfr_true) if true_rates is not None else None,
-        checks=tuple(checks),
-        failing=failing,
         late={},
     )
 
@@ -995,17 +962,10 @@ def _series(table: EpidemicTable, shared: _Shared, include_final: bool) -> Estim
     # columns of _row_sums' padding.
     width = min(int(t[-1]), table.n_days - 1) + 3 if t.size else 0
     work = _Buffers(min(_BLOCK, t.size) * width)
-    blocks = []
-    for i in range(0, t.size, _BLOCK):
-        rows = slice(i, min(i + _BLOCK, t.size))
-        try:
-            blocks.append(_series_block(table, shared, rows, work))
-        except (EstimationError, ValueError):
-            # The first of the earlier days that fails raises its own error;
-            # if none does, the block's error is its last day's.
-            for j in range(rows.start, rows.stop - 1):
-                _series_block(table, shared, slice(j, j + 1), work)
-            raise
+    blocks = [
+        _series_block(table, shared, slice(i, min(i + _BLOCK, t.size)), work)
+        for i in range(0, t.size, _BLOCK)
+    ]
 
     def column(name: str, dtype: type = float) -> np.ndarray:
         return _joined([b[name] for b in blocks], dtype)
@@ -1038,25 +998,35 @@ def _series_block(
     ``shared.t``, plus ``ok``: whether A1-A3 hold on each day. The block's
     largest arrays are those of ``work``.
 
-    The checks run in the order the per-day computation meets them, the
-    trailing ``true_rates`` one from ``shared.checks``, and those on kept
-    late terms not again, as they passed: the error is the first
-    failing check's on any day of the block, which need not be the first
-    failing day's.
+    Each check flags the block's days at once, in the order the per-day
+    computation meets them; ``check`` keeps the error of the first day
+    flagged, by the first check that flags it, and the block raises it
+    after its last check, as nothing computed on a flagged day can raise
+    or warn. The checks on kept late terms do not run again: they passed.
     """
     t = shared.t[rows]
-    delay, rates = shared.delay, shared.rates
+    delay, rates, true_rates = shared.delay, shared.rates, shared.true_rates
+    first, error = t.size, None
+
+    def check(bad: np.ndarray, make: Callable[[int], Exception]) -> None:
+        nonlocal first, error
+        if bad[:first].any():
+            first = int(np.argmax(bad))
+            error = make(first)
+
     c = _cohorts(table, t, work)
     width = c.deaths.shape[1]
-    raw, floor, min_f0 = delay._fit(table, c)
+    raw, floor, min_f0, n_obs = delay._fit(table, c)
+    if n_obs is not None:
+        check(n_obs == 0, lambda i: EstimationError(_NO_RESOLVED_DEATHS))
     if rates is None:
-        _check(t < 6, lambda i: _rate_day_error())
-    _check(*delay._uncovered(c.n - 1))
+        check(t < 6, lambda i: _rate_day_error())
+    check(*delay._uncovered(c.n - 1))
     f = np.maximum(raw, floor, out=_array(work, "f", raw.shape))
     divisor = _divisor(f)
-    w = _weights(c, f, divisor, work)
+    w = _weights(c, f, divisor, work, check)
     if rates is None:
-        p_window, inside, _ = _window_rates(shared.windows, c, w)
+        p_window, inside, _ = _window_rates(shared.windows, c, w, check)
         min_p = np.where(inside, p_window, np.inf).min(axis=1)
         max_p = np.where(inside, p_window, -np.inf).max(axis=1)
     else:
@@ -1065,14 +1035,24 @@ def _series_block(
     late = shared.late.get((rows.start, rows.stop))
     if late is None:
         p = _daily_p(p_window, t, width) if rates is None else _rates_grid(rates, width)
-        late = _late_terms(table.cases, c, raw, f, divisor, p, r_t, delay, rates)
-        if rates is not None and not delay._reads_deaths:
-            # Every table with these cases has the same terms.
-            shared.late[rows.start, rows.stop] = late
-    denom, v = late
-    if shared.failing[rows].any():
-        for bad, error in shared.checks:
-            _check(bad[rows], lambda i: error(rows.start + i))
+        denom = _garske_denominators(table.cases, raw, c.n)
+        terms, bad = _variance_terms(table.cases[:width], p, f, divisor, c.valid)
+        v = _row_sums(terms, c.n) / (r_t * r_t)
+        check(denom <= 0.0, lambda i: _zero_denominator(t[i]))
+        if rates is not None:
+            check(t >= len(rates), lambda i: _short_rates(rates, int(t[i])))
+        check(*delay._uncovered(t))
+        check(bad.any(axis=1), lambda i: _a1_cases_error(t[i], np.argmax(bad[i])))
+        check(v < 0.0, lambda i: _negative_variance())
+    else:
+        denom, v = late
+    if true_rates is not None:
+        check(c.n > len(true_rates), lambda i: _short_rates(true_rates, int(c.n[i]) - 1))
+    if error is not None:
+        raise error
+    if late is None and rates is not None and not delay._reads_deaths:
+        # Every table with these cases has the same terms.
+        shared.late[rows.start, rows.stop] = denom, v
 
     dead = c.deaths.sum(axis=1)
     cfr = _row_sums(w, c.n, work) / r_t

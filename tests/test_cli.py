@@ -23,6 +23,7 @@ from cfrkit import (
     MAX_CASES,
     DelaySchedule,
     NegBinomial,
+    ParseError,
     Scenario,
     StepRates,
     Zinb,
@@ -655,6 +656,22 @@ def test_survival_file_malformed_record_exits_4(tmp_path, linelist_file, capsys,
     assert not out.exists()
 
 
+READER_FAULTS = {name: (text.encode(), line) for name, (text, line) in MALFORMED_PARAMS.items()}
+READER_FAULTS["not-utf-8"] = (b"model,mu,r,pi,loglik,n\nnb,10\xe9,0.9,0,-80.5,25\n", 2)
+
+
+@pytest.mark.parametrize("fault", sorted(READER_FAULTS))
+def test_survival_file_malformed_record_wins_over_a_bad_row_above(tmp_path, fault):
+    """The records are read one at a time, and a bad row is named only once
+    the reader has read them all."""
+    text, line = READER_FAULTS[fault]
+    header, rest = text.split(b"\n", 1)
+    params = tmp_path / "fit.csv"
+    params.write_bytes(header + b"\nnb,abc,0.9,0,-80.5,25\n" + rest)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(params))}: line {line + 1}: "):
+        cli._read_params_csv(str(params))
+
+
 @pytest.mark.parametrize(
     "text,message",
     [
@@ -1221,6 +1238,31 @@ def test_long_arm_file_is_counted_not_kept(tmp_path):
     code, base, peak = map(int, done.stdout.split())
     assert code == 4
     assert f"cfrkit: {arm}: 2000000 rows, past the days 0..3652" in done.stderr
+    assert peak < base + 50 * 1024, f"peak {peak} KiB, import {base} KiB"
+
+
+@_LINUX_ONLY
+def test_long_parameter_file_is_read_a_record_at_a_time(tmp_path, linelist_file):
+    """A parameter file of 2,000,000 rows took about 810 MB over the import
+    when its records were listed before the best row was picked; they are
+    now read one at a time. The peak is the child's VmHWM: its ru_maxrss
+    starts at the peak of the process that started it."""
+    params = tmp_path / "fit.csv"
+    rows = "empirical,,,,-90.1,25\n" * 2_000_000
+    params.write_text(f"model,pi,mu,r,loglik,n\n{rows}nb,,10,1,-5,100\n")
+    argv = ["estimate", str(linelist_file), "--epoch", "2020-03-03", "--survival", "file",
+            "--survival-file", str(params), "-o", str(tmp_path / "o.csv")]
+    done = _child(
+        "def peak():\n"
+        "    with open('/proc/self/status') as f:\n"
+        "        return next(int(line.split()[1]) for line in f if line.startswith('VmHWM:'))\n"
+        "import cfrkit.cli\n"
+        "base = peak()\n"
+        f"code = cfrkit.cli.main({argv!r})\n"
+        "print(code, base, peak())\n"
+    )
+    code, base, peak = map(int, done.stdout.split())
+    assert code == 0
     assert peak < base + 50 * 1024, f"peak {peak} KiB, import {base} KiB"
 
 

@@ -1273,6 +1273,24 @@ def test_kept_late_terms_are_keyed_by_the_block_rows():
     assert sorted(shared.late) == [(0, 2), (0, 3), (1, 3)]
 
 
+def test_failing_series_evaluates_each_block_once():
+    """Day 100, the first day past a 100-day schedule, is in the second of
+    two blocks; its error comes from one evaluation of each block, not from
+    re-running the second block one day at a time up to it."""
+    table = long_table(128, seed=5)
+    schedule, rates = DelaySchedule([point_mass(0)] * 100), DailyRates([0.05] * 128)
+    blocks, block = [], est._series_block
+
+    def counted(table, shared, rows, work):
+        blocks.append((rows.start, rows.stop))
+        return block(table, shared, rows, work)
+
+    with mock.patch.object(est, "_series_block", counted):
+        with pytest.raises(ValueError, match=r"^schedule covers days 0\.\.99, got 100$"):
+            estimate_series(table, range(128), schedule=schedule, rates=rates)
+    assert blocks == [(0, 64), (64, 128)]
+
+
 @pytest.mark.filterwarnings("ignore::cfrkit.AssumptionWarning")
 def test_series_memory_is_blockwise():
     # Ten years of days: one dense float (days x days) matrix would be 107 MB.
