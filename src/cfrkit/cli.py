@@ -129,6 +129,8 @@ def _checked(convert, accept, expected: str):
 
 
 _OPEN_UNIT = _checked(float, lambda a: 0.0 < a < 1.0, "a number in (0, 1)")
+# At alpha <= 2**-53, 1 - alpha/2 rounds to 1 and has no normal quantile.
+_ALPHA = _checked(float, lambda a: 2.0**-53 < a < 1.0, "a number in (2**-53, 1)")
 _AT_LEAST_ONE = _checked(int, lambda n: n >= 1, "an integer >= 1")
 _AT_LEAST_ZERO = _checked(int, lambda n: n >= 0, "an integer >= 0")
 _DAY = _checked(int, lambda n: 0 <= n <= MAX_DAY, f"a day in 0..{MAX_DAY}")
@@ -400,7 +402,7 @@ def _add_common_options(sub: argparse.ArgumentParser) -> None:
 
 def _add_day_options(sub: argparse.ArgumentParser) -> None:
     """Interval level and evaluation days, for the subcommands that estimate."""
-    sub.add_argument("--alpha", type=_OPEN_UNIT, default=0.05, help="interval level (default 0.05)")
+    sub.add_argument("--alpha", type=_ALPHA, default=0.05, help="interval level (default 0.05)")
     sub.add_argument(
         "--from",
         dest="from_day",

@@ -127,11 +127,6 @@ class DelaySchedule:
         """Clamp floor of the model of each confirmation day."""
         return self._floor[self._rows(np.asarray(days))]
 
-    def _start(self, days: np.ndarray, t: np.ndarray) -> None:
-        """Tabulate once: no evaluation day reads a lag past the last day."""
-        if days.size:
-            self.tabulate(int(days[-1]))
-
     def _fit(self, table: EpidemicTable, c: _Cohorts) -> _Fit:
         """Raw F_d(t - d) from the table, each cohort's floor, each day's
         least floored F_d(0) over its cohorts, and n_obs None: no fit.
@@ -391,8 +386,8 @@ class _Lookback:
     lookback: int
     _reads_deaths = True
 
-    def _start(self, days: np.ndarray, t: np.ndarray) -> None:
-        if t.size and self.lookback < 0:
+    def __post_init__(self) -> None:
+        if self.lookback < 0:
             raise ValueError("lookback must be non-negative")
 
     def _fit(self, table: EpidemicTable, c: _Cohorts) -> _Fit:
@@ -470,13 +465,13 @@ class _Windows:
     right: np.ndarray  # first window >= j with cases, len(den) if none
 
 
-def _windows(table: EpidemicTable, t: int) -> _Windows:
-    """``_Windows`` of the days up to t, of a table with at least one day."""
-    n_days = table.n_days
+def _windows(cum_cases: np.ndarray, t: int) -> _Windows:
+    """``_Windows`` of the days up to t, from at least one day's cumulative cases."""
+    n_days = cum_cases.size
     size = _window_count(t, min(t, n_days - 1) + 1)
     # Cases before each cohort, held at the total for 7 columns past the end.
     c_prefix = np.zeros(n_days + 8, dtype=np.int64)
-    c_prefix[1 : n_days + 1] = table._cum_cases
+    c_prefix[1 : n_days + 1] = cum_cases
     c_prefix[n_days + 1 :] = c_prefix[n_days]
     den = c_prefix[7 : 7 + size] - c_prefix[:size]
     j = np.arange(size)
@@ -700,7 +695,7 @@ def p_hat_daily(table: EpidemicTable, schedule: DelaySchedule, t: int) -> DailyR
     _require_cases(table, t)
     c, _, f = _known_day(table, schedule, t)
     w = _weights(c, f, _divisor(f))
-    p, _, fallback = _window_rates(_windows(table, t), c, w)
+    p, _, fallback = _window_rates(_windows(table._cum_cases, t), c, w)
     # Window centres past the last column are fallbacks too.
     centres = np.concatenate([np.nonzero(fallback[0])[0] + 3, np.arange(p.shape[1] + 3, t - 2)])
     return DailyRates(_daily_p(p, c.t, t + 1)[0], fallback_days=tuple(centres.tolist()))
@@ -741,6 +736,8 @@ def confidence_interval(cfr: float, variance: float, alpha: float) -> tuple[floa
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
+    if 1.0 - alpha / 2.0 == 1.0:  # alpha <= 2**-53: the quantile would be at 1
+        raise ValueError(f"alpha must exceed 2**-53, where 1 - alpha/2 rounds to 1, got {alpha}")
 
 
 def _interval(cfr, variance, z: float):
@@ -860,8 +857,7 @@ def estimate_series(
     otherwise.
     Emits one AssumptionWarning if A1-A3 fail on any evaluated day.
     """
-    delay = schedule if schedule is not None else _Lookback(lookback)
-    shared = _shared_terms(table, days, alpha, delay, rates, true_rates)
+    shared = _shared_terms(table.cases, days, alpha, schedule, lookback, rates, true_rates)
     return _series(table, shared, include_final)
 
 
@@ -871,13 +867,13 @@ class _Shared:
     vectors over the evaluation days.
 
     The replicates of a study share their cases, and in known mode their
-    schedule and rates too, so ``run_study`` builds this once and each
-    replicate's blocks do only the work that reads its deaths. With known
-    rates and a delay whose F reads no deaths, the first replicate's blocks
-    also keep their Garske denominators and V(t) in ``late``, keyed by the
-    block's rows, once all its checks have passed; later replicates read them
-    there, which leaves them the deaths grid, F, the weights and their sums.
-    No (days x cohorts) array is kept.
+    schedule and rates too, so ``run_study`` builds this once from its case
+    curve, before any draw, and each replicate's blocks do only the work
+    that reads its deaths. With known rates and a delay whose F reads no
+    deaths, the first replicate's blocks also keep their Garske denominators
+    and V(t) in ``late``, keyed by the block's rows, once all its checks have
+    passed; later replicates read them there, which leaves them the deaths
+    grid, F, the weights and their sums. No (days x cohorts) array is kept.
     """
 
     t: np.ndarray  # evaluation days, ascending, each with cases
@@ -908,28 +904,34 @@ def _joined(parts: list[np.ndarray], dtype: type = float) -> np.ndarray:
 
 
 def _shared_terms(
-    table: EpidemicTable,
+    cases: np.ndarray,
     days: Sequence[int],
     alpha: float,
-    delay: DelaySchedule | _Lookback,
+    schedule: DelaySchedule | None,
+    lookback: int,
     rates: DailyRates | None,
     true_rates: DailyRates | None,
 ) -> _Shared:
-    """``_Shared`` of an ``estimate_series`` call; reads only the table's
-    cases. Raises for bad arguments; the kernel checks each day."""
+    """``_Shared`` of an ``estimate_series`` call on a table with these daily
+    ``cases``: F is the schedule's, or refit by the ``lookback`` rule without
+    one. Raises for bad arguments; the kernel checks each day."""
+    delay = schedule if schedule is not None else _Lookback(lookback)
     day_grid = np.unique(np.asarray(days, dtype=np.int64))
     if day_grid.size and day_grid[0] < 0:
         raise ValueError("days must be non-negative")
     _check_alpha(alpha)
     z = normal_quantile(1.0 - alpha / 2.0)
-    if table.n_days:
-        t = day_grid[table._cum_cases[np.minimum(day_grid, table.n_days - 1)] > 0]
+    cum_cases = np.cumsum(cases)
+    if cases.size:
+        t = day_grid[cum_cases[np.minimum(day_grid, cases.size - 1)] > 0]
     else:
         t = day_grid[:0]
-    delay._start(day_grid, t)
-    n = np.minimum(t, table.n_days - 1) + 1
-    r_t = table._cum_cases[n - 1]
-    windows = _windows(table, int(t[-1])) if rates is None and t.size else None
+    if schedule is not None and day_grid.size:
+        # Tabulated once: no evaluation day reads a lag past the last day.
+        schedule.tabulate(int(day_grid[-1]))
+    n = np.minimum(t, cases.size - 1) + 1
+    r_t = cum_cases[n - 1]
+    windows = _windows(cum_cases, int(t[-1])) if rates is None and t.size else None
     # Running A2-A3 bounds of known rates at each day.
     min_p, max_p = _at_days(_p_bounds(rates.p), t) if rates is not None else (None, None)
 
@@ -938,7 +940,7 @@ def _shared_terms(
         for i in range(0, t.size, _BLOCK):
             block = slice(i, i + _BLOCK)
             width = int(n[block][-1])
-            weighted = table.cases[:width] * _rates_grid(true_rates, width)
+            weighted = cases[:width] * _rates_grid(true_rates, width)
             cfr_true.append(_row_sums(weighted, n[block]) / r_t[block])
     return _Shared(
         t=t,

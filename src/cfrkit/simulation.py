@@ -21,9 +21,8 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import CfrError, ParseError
-from .estimators import DailyRates, DelaySchedule, EstimateSeries
-from .estimators import _Lookback, _series, _shared_terms
-from .linelist import MAX_CASES, MAX_DAY, EpidemicTable, _file_records
+from .estimators import DailyRates, DelaySchedule, EstimateSeries, _series, _shared_terms
+from .linelist import MAX_CASES, MAX_DAY, EpidemicTable, _file_records, _whole
 from .survival import SurvivalModel
 
 if TYPE_CHECKING:
@@ -86,7 +85,7 @@ class Scenario:
     replicates: int = 1
 
     def __post_init__(self) -> None:
-        arm = np.array(self.rising_arm, dtype=np.int64, copy=True)
+        arm = _whole(self.rising_arm, "rising_arm counts")
         if arm.ndim != 1 or arm.size == 0:
             raise ValueError("rising_arm must be a non-empty vector")
         if np.any(arm < 0):
@@ -289,7 +288,8 @@ def run_study(
     at every day, mimicking real-time use. The default evaluation grid is
     every day with confirmed cases (known) or every day from 2 * lookback
     (estimated, so the empirical fit has matured). Replicates accumulate in
-    ascending index order, making results independent of scheduling.
+    ascending index order, making results independent of scheduling. The
+    arguments are checked before any replicate is drawn.
     """
     key = mode.lower()
     if key == "known":
@@ -300,7 +300,6 @@ def run_study(
         raise ValueError(f"mode must be known or estimated, got {mode!r}")
 
     curve = scenario.curve
-    cum_cases = np.cumsum(curve)
     if eval_days is None:
         start = _first_eval_day(curve, known, lookback)
         if start > scenario.horizon:
@@ -315,16 +314,17 @@ def run_study(
             raise ValueError("eval_days must be non-empty")
         if days[0] < 0 or days[-1] > scenario.horizon:
             raise ValueError("eval_days must lie within 0..horizon")
-    if np.any(cum_cases[days] == 0):
-        raise ValueError("every evaluation day needs at least one confirmed case")
 
     rates_true = scenario.daily_rates
     # The drawing threads read the curve, the rates and the schedule, and a
     # cached_property need not be thread-safe, so all three are built here.
     schedule = scenario.schedule
-    truth = np.cumsum(curve * rates_true.p)[days] / cum_cases[days]
-    delay = schedule if known else _Lookback(lookback)
-    rates_arg = rates_true if known else None
+    # Every replicate has the scenario's cases, so what reads no deaths is built once.
+    known_schedule, known_rates = (schedule, rates_true) if known else (None, None)
+    shared = _shared_terms(curve, days, alpha, known_schedule, lookback, known_rates, rates_true)
+    if shared.t.size != days.size:
+        raise ValueError("every evaluation day needs at least one confirmed case")
+    truth = np.cumsum(curve * rates_true.p)[days] / shared.r_t
 
     n_days = days.size
     sums = np.zeros((len(ESTIMATORS), n_days))
@@ -336,7 +336,6 @@ def run_study(
     n_reps = scenario.replicates
     pool = _draw_pool()
     draws: deque = deque()
-    shared = None
     try:
         for index in range(n_reps):
             # Keep the draws of the next _DRAW_THREADS replicates in flight
@@ -348,15 +347,9 @@ def run_study(
             where = f"replicate {index} of scenario seed {scenario.seed}"
             try:
                 table = _table(curve, *draws.popleft().result())
-                if shared is None:
-                    # Every replicate has the scenario's cases, so the terms that
-                    # read no deaths are built from the first one, once.
-                    shared = _shared_terms(table, days, alpha, delay, rates_arg, rates_true)
                 series = _series(table, shared, include_final=True)
             except (CfrError, ValueError) as exc:
                 raise type(exc)(f"{where}: {exc}") from exc
-            if len(series) != n_days:
-                raise RuntimeError(f"{where} skipped evaluation days unexpectedly")
             values = np.array([getattr(series, name) for name in ESTIMATORS])
             sums += values
             sumsq += values * values
@@ -386,14 +379,14 @@ def run_study(
     coverage_se = np.sqrt(coverage * (1.0 - coverage) / n_reps)
     summary = CoverageSummary(
         days=days,
-        r_t=cum_cases[days],
+        r_t=shared.r_t,
         coverage=coverage,
         coverage_se=coverage_se,
         mean_ci_length=length_sum / n_reps,
     )
     return StudyResult(
         days=days,
-        r_t=cum_cases[days],
+        r_t=shared.r_t,
         cfr_true=truth,
         coverage=summary,
         replicates=tuple(kept),

@@ -18,7 +18,7 @@ import numpy as np
 # negative binomial CDF and log-pmf, scipy.optimize for the MLE search only.
 
 from .errors import DegenerateSampleError, EstimationError
-from .linelist import EpidemicTable, LineList
+from .linelist import EpidemicTable, LineList, _whole
 
 __all__ = [
     "SurvivalModel",
@@ -210,7 +210,7 @@ class DelaySample(object):
     lags: np.ndarray
 
     def __post_init__(self) -> None:
-        lags = np.array(self.lags, dtype=np.int64, copy=True)
+        lags = _whole(self.lags, "lags")
         if lags.ndim != 1:
             raise ValueError("lags must be one-dimensional")
         if np.any(lags < 0):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -35,6 +36,7 @@ from cfrkit import (
     run_study,
 )
 import cfrkit.cli as cli
+import cfrkit.estimators as estimators
 import cfrkit.linelist as linelist_module
 from cfrkit import load_example_arm, read_arm_csv
 from cfrkit.cli import main
@@ -470,6 +472,8 @@ def test_exit_infinite_delay_parameter(tmp_path, capsys):
     [
         ("simulate", "--every", "0"),
         ("simulate", "--alpha", "0"),
+        ("estimate", "--alpha", "1e-17"),
+        ("coverage", "--alpha", repr(2.0**-53)),
         ("simulate", "--replicates", "0"),
         ("estimate", "--lookback", "-1"),
         ("estimate", "--epoch", "2020-13-01"),
@@ -493,6 +497,19 @@ def test_exit_bad_flag_value(tmp_path, linelist_file, capsys, command, flag, val
     assert main([command, *inputs, "-o", str(out), flag, value]) == 2
     assert f"argument {flag}: " in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_alpha_flag_refuses_what_the_estimators_refuse():
+    """--alpha refuses, as a usage error, each alpha the estimators refuse."""
+    for alpha in (2.0**-53, np.nextafter(2.0**-53, 1.0), 1e-17, 0.05, np.nextafter(1.0, 0.0)):
+        alpha = float(alpha)
+        try:
+            estimators._check_alpha(alpha)
+        except ValueError:
+            with pytest.raises(argparse.ArgumentTypeError):
+                cli._ALPHA(repr(alpha))
+        else:
+            assert cli._ALPHA(repr(alpha)) == alpha
 
 
 def test_exit_survival_file_without_file_mode(tmp_path, linelist_file, capsys):
@@ -1151,7 +1168,7 @@ def test_known_mode_study_loads_scipy_special_only(tmp_path, command):
 # Memory: warnings shown once, and a long day span on few rows
 
 _LINUX_ONLY = pytest.mark.skipif(
-    not sys.platform.startswith("linux"), reason="RLIMIT_AS and ru_maxrss in KiB are Linux's"
+    not sys.platform.startswith("linux"), reason="RLIMIT_AS and /proc/self/status are Linux's"
 )
 
 
@@ -1168,6 +1185,25 @@ def _child(script: str, timeout: float = 60) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=timeout
     )
+
+
+def _peak_over_import(argv: list[str]) -> tuple[str, int, int, int]:
+    """Run ``cfrkit.cli.main(argv)`` in a ``_child``; return its stderr, the
+    command's exit code, and the child's peak resident memory in KiB after
+    the import and after the command. The peak is VmHWM, not ru_maxrss:
+    Linux carries a process's peak ru_maxrss over exec into its child, so
+    under pytest a child's ru_maxrss starts at the pytest process's peak."""
+    done = _child(
+        "def peak():\n"
+        "    with open('/proc/self/status') as f:\n"
+        "        return next(int(line.split()[1]) for line in f if line.startswith('VmHWM:'))\n"
+        "import cfrkit.cli\n"
+        "base = peak()\n"
+        f"code = cfrkit.cli.main({argv!r})\n"
+        "print(code, base, peak())\n"
+    )
+    code, base, peak = map(int, done.stdout.split())
+    return done.stderr, code, base, peak
 
 
 @_LINUX_ONLY
@@ -1207,16 +1243,9 @@ def test_long_day_span_costs_no_more_than_its_rows(tmp_path, command, message):
     path = tmp_path / "span.csv"
     path.write_text("confirm_date,death_date\n0,3652\n3652,\n")
     argv = [command, str(path), "-o", str(tmp_path / "out.csv")]
-    done = _child(
-        "import resource\n"
-        "import cfrkit.cli\n"
-        "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        f"code = cfrkit.cli.main({argv!r})\n"
-        "print(code, base, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
-    )
-    code, base, peak = map(int, done.stdout.split())
+    stderr, code, base, peak = _peak_over_import(argv)
     assert code == 5
-    assert f"cfrkit: {message}" in done.stderr
+    assert f"cfrkit: {message}" in stderr
     assert peak < base + 50 * 1024, f"peak {peak} KiB, import {base} KiB"
 
 
@@ -1228,16 +1257,9 @@ def test_long_arm_file_is_counted_not_kept(tmp_path):
     arm = tmp_path / "arm.csv"
     arm.write_text("cases\n" + "1\n" * 2_000_000)
     argv = ["simulate", "--arm-file", str(arm), "--replicates", "1", "-o", str(tmp_path / "o.csv")]
-    done = _child(
-        "import resource\n"
-        "import cfrkit.cli\n"
-        "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        f"code = cfrkit.cli.main({argv!r})\n"
-        "print(code, base, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
-    )
-    code, base, peak = map(int, done.stdout.split())
+    stderr, code, base, peak = _peak_over_import(argv)
     assert code == 4
-    assert f"cfrkit: {arm}: 2000000 rows, past the days 0..3652" in done.stderr
+    assert f"cfrkit: {arm}: 2000000 rows, past the days 0..3652" in stderr
     assert peak < base + 50 * 1024, f"peak {peak} KiB, import {base} KiB"
 
 
@@ -1245,23 +1267,13 @@ def test_long_arm_file_is_counted_not_kept(tmp_path):
 def test_long_parameter_file_is_read_a_record_at_a_time(tmp_path, linelist_file):
     """A parameter file of 2,000,000 rows took about 810 MB over the import
     when its records were listed before the best row was picked; they are
-    now read one at a time. The peak is the child's VmHWM: its ru_maxrss
-    starts at the peak of the process that started it."""
+    now read one at a time."""
     params = tmp_path / "fit.csv"
     rows = "empirical,,,,-90.1,25\n" * 2_000_000
     params.write_text(f"model,pi,mu,r,loglik,n\n{rows}nb,,10,1,-5,100\n")
     argv = ["estimate", str(linelist_file), "--epoch", "2020-03-03", "--survival", "file",
             "--survival-file", str(params), "-o", str(tmp_path / "o.csv")]
-    done = _child(
-        "def peak():\n"
-        "    with open('/proc/self/status') as f:\n"
-        "        return next(int(line.split()[1]) for line in f if line.startswith('VmHWM:'))\n"
-        "import cfrkit.cli\n"
-        "base = peak()\n"
-        f"code = cfrkit.cli.main({argv!r})\n"
-        "print(code, base, peak())\n"
-    )
-    code, base, peak = map(int, done.stdout.split())
+    _, code, base, peak = _peak_over_import(argv)
     assert code == 0
     assert peak < base + 50 * 1024, f"peak {peak} KiB, import {base} KiB"
 

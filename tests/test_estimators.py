@@ -594,6 +594,21 @@ def test_confidence_interval_domain():
         confidence_interval(0.1, 0.1, 1.0)
 
 
+def test_alpha_without_a_quantile_is_an_argument_error():
+    """At alpha <= 2**-53, 1 - alpha/2 rounds to 1, which has no normal
+    quantile: such an alpha is refused by name, not by the quantile. The
+    next alpha up still gives an interval around the estimate."""
+    table = EpidemicTable([10, 20], np.array([[1, 0], [0, 2]]))
+    for alpha in (1e-17, 2.0**-53):
+        message = f"^alpha must exceed 2\\*\\*-53, where 1 - alpha/2 rounds to 1, got {alpha}$"
+        with pytest.raises(ValueError, match=message):
+            confidence_interval(0.02, 1e-6, alpha)
+        with pytest.raises(ValueError, match=message):
+            estimate_series(table, [1], alpha=alpha, schedule=DelaySchedule(point_mass(0)))
+    low, high = confidence_interval(0.02, 1e-6, np.nextafter(2.0**-53, 1.0))
+    assert 0.0 <= low < 0.02 < high <= 1.0
+
+
 @given(
     st.floats(0.0, 1.5),
     st.floats(0.0, 0.25),
@@ -1210,7 +1225,7 @@ def test_window_rates_match_gather_oracle():
     # Window arrays built for the block's last day, or for a later one as an
     # estimate_series call with later blocks builds them.
     for last in (40, 41, 500):
-        windows = est._windows(table, last)
+        windows = est._windows(table._cum_cases, last)
         with pytest.raises(EstimationError, match="no cases in any daily-rate window by day 6$"):
             est._window_rates(windows, c, w)
         p, inside, fallback = est._window_rates(windows, rest, w[1:])
@@ -1263,10 +1278,10 @@ def test_kept_late_terms_are_keyed_by_the_block_rows():
     def block(shared, rows):
         return est._series_block(table, shared, rows, est._Buffers(len(days) * (table.n_days + 2)))
 
-    shared = est._shared_terms(table, days, 0.05, schedule, rates, None)
+    shared = est._shared_terms(table.cases, days, 0.05, schedule, 45, rates, None)
     block(shared, slice(0, 3))
     for rows in (slice(0, 2), slice(1, 3)):
-        fresh = est._shared_terms(table, days, 0.05, schedule, rates, None)
+        fresh = est._shared_terms(table.cases, days, 0.05, schedule, 45, rates, None)
         got, want = block(shared, rows), block(fresh, rows)
         for name in want:
             assert np.array_equal(got[name], want[name]), (rows, name)

@@ -92,6 +92,11 @@ def test_scenario_validation():
         small_scenario(rising_arm=np.array([0, 0]))
     with pytest.raises(ValueError, match="non-negative"):
         small_scenario(rising_arm=np.array([3, -1]))
+    # Counts must be whole numbers: a fractional one is refused, not truncated.
+    with pytest.raises(ValueError, match=r"^rising_arm counts must be finite whole numbers, got 10\.9$"):
+        small_scenario(rising_arm=[10.9, 20.5])
+    whole = small_scenario(rising_arm=[5.0, 10.0], p_spec=StepRates(0.1, 0.05, 1))
+    assert whole.rising_arm.tolist() == [5, 10]
     with pytest.raises(ValueError, match="support"):
         small_scenario(p_spec=StepRates(0.1, 0.05, 30))
     with pytest.raises(ValueError, match="replicates"):
@@ -409,13 +414,27 @@ def test_run_study_known_deaths_free_error_keeps_its_message(eval_days, message)
     assert str(alone.value) == message
 
 
-def test_run_study_negative_lookback_names_the_replicate():
-    """The lookback is checked once the first replicate's cases are known,
-    so its error carries that replicate's prefix."""
-    sc = small_scenario(seed=7)
+@pytest.mark.parametrize(
+    "mode, kwargs, message",
+    [
+        ("estimated", dict(eval_days=[20], lookback=-1), "lookback must be non-negative"),
+        # The default grid would start at day 2 * lookback = -10.
+        ("estimated", dict(lookback=-5), "lookback must be non-negative"),
+        ("known", dict(alpha=1.5), "alpha must lie in (0, 1)"),
+        ("estimated", dict(eval_days=[20], alpha=0.0), "alpha must lie in (0, 1)"),
+    ],
+    ids=["lookback", "lookback-default-grid", "alpha-known", "alpha-estimated"],
+)
+def test_run_study_bad_argument_fails_before_any_replicate(monkeypatch, mode, kwargs, message):
+    """The study's arguments are checked while its deaths-free terms are
+    built from the case curve, before any replicate is drawn, so their
+    errors name no replicate."""
+    drawn = []
+    monkeypatch.setattr(simulation, "_draw", lambda scenario, index: drawn.append(index))
     with pytest.raises(ValueError) as raised:
-        run_study(sc, "estimated", eval_days=[20], lookback=-1)
-    assert str(raised.value) == "replicate 0 of scenario seed 7: lookback must be non-negative"
+        run_study(small_scenario(seed=7), mode, **kwargs)
+    assert str(raised.value) == message
+    assert drawn == []
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -248,6 +249,20 @@ def test_delay_sample_from_linelist():
 def test_delay_sample_validation():
     with pytest.raises(ValueError):
         DelaySample(np.array([-1, 2]))
+
+
+@pytest.mark.parametrize(
+    "lags, bad", [([1.7, 2.2, 5.9], "1.7"), ([1e30], "1e+30"), ([2, np.nan], "nan")]
+)
+def test_delay_sample_refuses_lags_that_are_no_whole_numbers(lags, bad):
+    """Lags follow the line list's whole-number rule: a fractional one is
+    refused, not truncated, and so is one past int64; whole floats pass."""
+    message = f"^lags must be finite whole numbers, got {re.escape(bad)}$"
+    with pytest.raises(ValueError, match=message):
+        DelaySample(lags)
+    with pytest.raises(ValueError, match=message):
+        fit_nb_mle(lags)
+    assert DelaySample([3.0, 0.0]).lags.tolist() == [3, 0]
 
 
 # ---------------------------------------------------------------------------
