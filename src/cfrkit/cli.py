@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .errors import AssumptionWarning, CfrError, EstimationError, ParseError
 from .estimators import DelaySchedule, EstimateSeries, estimate_series
-from .linelist import MAX_DAY, LineList, _file_records, aggregate, parse_csv
+from .linelist import MAX_DAY, EpidemicTable, _case_days, _file_records, _fold
 from .simulation import (
     ESTIMATORS,
     Scenario,
@@ -208,18 +208,20 @@ def _series_columns(series: EstimateSeries) -> list[tuple[str, np.ndarray]]:
     return [(name, col) for name, col in columns if col is not None]
 
 
-def _read_linelist(args: argparse.Namespace) -> LineList:
-    """Parse the input line list as it streams from the file."""
+def _read_linelist(args: argparse.Namespace) -> tuple[EpidemicTable, np.ndarray]:
+    """The table and the lags, in row order, of the input line list, folded
+    from its day pieces as they stream from the file: no column of every
+    row is held."""
     path = args.input_flag or args.input
     if not path:
         raise argparse.ArgumentTypeError("an input line-list CSV is required")
-    # parse_csv reads the bytes in blocks; a line ends at "\n" alone, so a
-    # bare "\r" is a parse error rather than a line break.
+    # The bytes are read as parse_csv reads them, in blocks; a line ends at
+    # "\n" alone, so a bare "\r" is a parse error rather than a line break.
     with open(path, "rb") as handle:
-        linelist = parse_csv(handle, epoch=args.epoch)
-    if len(linelist) == 0:
+        table, lags = _fold(_case_days(handle, args.epoch))
+    if table.n_days == 0:
         raise EstimationError(f"{path}: the line list has no case rows")
-    return linelist
+    return table, lags
 
 
 def _day_range(args: argparse.Namespace, cases: np.ndarray, known: bool) -> range:
@@ -241,13 +243,12 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         raise argparse.ArgumentTypeError("--survival file needs --survival-file")
     if args.survival_file is not None and args.survival != "file":
         raise argparse.ArgumentTypeError("--survival-file needs --survival file")
-    linelist = _read_linelist(args)
-    table = aggregate(linelist)
+    table, lags = _read_linelist(args)
 
     schedule = None
     if args.survival in ("nb", "zinb"):
         fit = fit_nb_mle if args.survival == "nb" else fit_zinb_mle
-        schedule = DelaySchedule(fit(DelaySample.from_linelist(linelist)))
+        schedule = DelaySchedule(fit(DelaySample(lags)))
     elif args.survival == "file":
         schedule = DelaySchedule(_read_params_csv(args.survival_file))
     # args.survival == "empirical": leave None, estimate_series refits per day.
@@ -265,12 +266,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit_survival(args: argparse.Namespace) -> int:
-    linelist = _read_linelist(args)
-    table = aggregate(linelist)
-    sample = DelaySample.from_linelist(linelist)
+    table, lags = _read_linelist(args)
+    sample = DelaySample(lags)
 
     empirical = fit_empirical(table, table.n_days - 1, lookback=args.lookback)
-    lags = sample.lags
 
     # Empirical log-likelihood over its own eligible support.
     emp_pmf = np.diff(np.concatenate([[0.0], empirical.cdf_table]))

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import io
-from array import array
 from dataclasses import dataclass
 from datetime import date
 from functools import cached_property, lru_cache
@@ -62,6 +61,8 @@ class LineList:
     ``confirm[i]`` is the confirmation day of row i and ``death[i]`` its death
     day, or -1 while the outcome is unresolved. The arrays are int64, copied
     on construction and frozen; iteration yields ``CaseRecord``s in row order.
+    This is the Python API's view of every row; the CLI folds a file into
+    its `EpidemicTable` and lags without one, in O(deaths + days).
     """
 
     confirm: np.ndarray
@@ -148,7 +149,8 @@ _BLOCK_BYTES = 1 << 18
 line. Larger blocks were no faster and raised the peak RSS."""
 
 _CHUNK_LINES = 4096
-"""Lines `parse_csv` joins at a time from an iterable of str lines."""
+"""Lines `parse_csv` joins at a time from an iterable of str lines, and
+records of the record loop in each day piece it yields."""
 
 # A word of n < 8 digits, first digit in the lowest byte, is shifted up by
 # _SHIFT[n] bits and padded with _PAD[n]'s "0"s to 8 digits.
@@ -327,7 +329,10 @@ def _file_records(handle: BinaryIO, path: object) -> Iterator[tuple[int, list[st
 
 
 def parse_csv(text: str | bytes | BinaryIO | Iterable[str], epoch: date | None = None) -> LineList:
-    """Parse a line-list CSV into confirmation and death day columns.
+    """Parse a line-list CSV into confirmation and death day columns, the
+    Python API's view of every row. The CLI folds the same day pieces
+    straight into an `EpidemicTable` and the lags, and so holds
+    O(deaths + days), not O(rows).
 
     The header must name ``confirm_date`` and ``death_date`` columns. Values
     are ISO-8601 dates (converted against ``epoch`` as day 0) or bare
@@ -363,6 +368,17 @@ def parse_csv(text: str | bytes | BinaryIO | Iterable[str], epoch: date | None =
             bare carriage return); messages name the line the offending
             record starts on.
     """
+    days = np.concatenate([np.empty((2, 0), np.intc), *_case_days(text, epoch)], axis=1)
+    return LineList(days[0], days[1], epoch)
+
+
+def _case_days(
+    text: str | bytes | BinaryIO | Iterable[str], epoch: date | None
+) -> Iterator[np.ndarray]:
+    """The (2, n) C-int confirm and death days (-1 for none) of the case rows
+    of a line list, a piece at a time, as `parse_csv` reads them: one piece
+    per block that `_block_days` takes, then one per ``_CHUNK_LINES`` records
+    of the record loop. A ParseError is raised when its line is reached."""
     pieces = _pieces(text)
     first = next(pieces, b"")
     # A first block with no quote is read by lines up to its header, and
@@ -383,9 +399,6 @@ def parse_csv(text: str | bytes | BinaryIO | Iterable[str], epoch: date | None =
             f"line {at[0] + 1}: header must contain confirm_date and death_date columns"
         ) from None
 
-    # The case rows, as C ints (days are at most MAX_DAY): half the size of
-    # the int64 columns LineList copies them into.
-    confirms, deaths = array("i"), array("i")
     before = 0  # lines before the first of the records
     if 0 < head.tell() < len(first):  # the header ends inside the first block
         before = first.count(b"\n", 0, head.tell())
@@ -395,10 +408,8 @@ def parse_csv(text: str | bytes | BinaryIO | Iterable[str], epoch: date | None =
             if not parsed:
                 pieces = chain([piece], pieces)
                 break
-            part, newlines = parsed
-            confirms.frombytes(part[0].tobytes())
-            deaths.frombytes(part[1].tobytes())
-            before += newlines
+            yield parsed[0]
+            before += parsed[1]
         records = _records(_lines(pieces), at, before)
 
     # Raw cell -> day, shared by both columns; blank cells map to -1 (no death).
@@ -411,31 +422,33 @@ def parse_csv(text: str | bytes | BinaryIO | Iterable[str], epoch: date | None =
             days[raw] = day
         return day
 
-    more_confirms, more_deaths = [], []  # faster to append to than the arrays
-    for row in records:
-        # Fast path: both cells seen before. A cached confirm day >= 0 comes
-        # from a non-blank cell.
-        try:
-            confirm = days[row[confirm_col]]
-            death = days[row[death_col]]
-        except (KeyError, IndexError):
-            confirm = -1
-        if confirm < 0:  # the record in full
-            confirm_raw = row[confirm_col] if confirm_col < len(row) else ""
-            if not confirm_raw.strip():
-                raise ParseError(f"line {before + at[0] + 1}: empty confirm_date")
+    chunk = _CHUNK_LINES
+    while True:
+        confirms, deaths = [], []  # faster to append to than arrays
+        for row in islice(records, chunk):
+            # Fast path: both cells seen before. A cached confirm day >= 0
+            # comes from a non-blank cell.
             try:
-                confirm = day_of(confirm_raw, "confirm_date")
-                death = day_of(row[death_col] if death_col < len(row) else "", "death_date")
-            except ParseError as exc:
-                raise ParseError(f"line {before + at[0] + 1}: {exc}") from None
-        if 0 <= death < confirm:
-            raise ParseError(f"death precedes confirmation at line {before + at[0] + 1}")
-        more_confirms.append(confirm)
-        more_deaths.append(death)
-    confirms.fromlist(more_confirms)
-    deaths.fromlist(more_deaths)
-    return LineList(np.frombuffer(confirms, np.intc), np.frombuffer(deaths, np.intc), epoch)
+                confirm = days[row[confirm_col]]
+                death = days[row[death_col]]
+            except (KeyError, IndexError):
+                confirm = -1
+            if confirm < 0:  # the record in full
+                confirm_raw = row[confirm_col] if confirm_col < len(row) else ""
+                if not confirm_raw.strip():
+                    raise ParseError(f"line {before + at[0] + 1}: empty confirm_date")
+                try:
+                    confirm = day_of(confirm_raw, "confirm_date")
+                    death = day_of(row[death_col] if death_col < len(row) else "", "death_date")
+                except ParseError as exc:
+                    raise ParseError(f"line {before + at[0] + 1}: {exc}") from None
+            if 0 <= death < confirm:
+                raise ParseError(f"death precedes confirmation at line {before + at[0] + 1}")
+            confirms.append(confirm)
+            deaths.append(death)
+        yield np.array([confirms, deaths], np.intc)
+        if len(confirms) < chunk:  # the records ran out
+            return
 
 
 def _whole(values, name: str) -> np.ndarray:
@@ -723,10 +736,24 @@ def aggregate(linelist: LineList) -> EpidemicTable:
     day and lag.
 
     The table spans days 0..max confirmation day, so the total over ``cases``
-    equals the number of rows.
+    equals the number of rows. It is `_fold` over the line list as one
+    piece, the fold that the CLI runs over a file's pieces.
     """
-    confirm, death = linelist.confirm, linelist.death
-    n = int(confirm.max()) + 1 if confirm.size else 0
-    died = death >= 0
-    day = confirm[died]
-    return EpidemicTable._from_events(np.bincount(confirm, minlength=n), day, death[died] - day)
+    return _fold([(linelist.confirm, linelist.death)])[0]
+
+
+def _fold(pieces: Iterable[Sequence[np.ndarray]]) -> tuple[EpidemicTable, np.ndarray]:
+    """The table of the (confirm, death) day pieces of a line list, and the
+    int64 lag of each death in row order, holding O(deaths + days + one
+    piece): confirmations are counted per day as each piece comes."""
+    cases, days, lags = np.zeros(0, np.int64), [], []
+    for confirm, death in pieces:
+        counts = np.bincount(confirm, minlength=cases.size)
+        counts[: cases.size] += cases
+        cases = counts
+        died = death >= 0
+        days.append(confirm[died])
+        lags.append(death[died] - days[-1])
+    day = np.concatenate([np.zeros(0, np.int64), *days])
+    lag = np.concatenate([np.zeros(0, np.int64), *lags])
+    return EpidemicTable._from_events(cases, day, lag), lag

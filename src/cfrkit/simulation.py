@@ -49,6 +49,12 @@ __all__ = [
 ESTIMATORS = ("cfr_naive", "cfr", "cfr_garske", "cfr_garske_mod", "cfr_final")
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a ValueError names ``name`` if it is no whole
+    number. A Python int is kept as it is, also past 2**63, as a seed may be."""
+    return value if isinstance(value, int) else int(_whole(value, name))
+
+
 @dataclass(frozen=True)
 class StepRates:
     """Daily fatality probability c1 through day d_star - 1, c2 from d_star on."""
@@ -58,6 +64,7 @@ class StepRates:
     d_star: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "d_star", _integer(self.d_star, "d_star"))
         for name, value in (("c1", self.c1), ("c2", self.c2)):
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie strictly in (0, 1), got {value}")
@@ -85,6 +92,8 @@ class Scenario:
     replicates: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("horizon", "seed", "replicates"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         arm = _whole(self.rising_arm, "rising_arm counts")
         if arm.ndim != 1 or arm.size == 0:
             raise ValueError("rising_arm must be a non-empty vector")

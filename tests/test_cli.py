@@ -11,7 +11,7 @@ import os
 import re
 import subprocess
 import sys
-from datetime import date
+from datetime import date, timedelta
 from importlib import resources
 from pathlib import Path
 
@@ -1276,6 +1276,34 @@ def test_long_parameter_file_is_read_a_record_at_a_time(tmp_path, linelist_file)
     _, code, base, peak = _peak_over_import(argv)
     assert code == 0
     assert peak < base + 50 * 1024, f"peak {peak} KiB, import {base} KiB"
+
+
+@_LINUX_ONLY
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain-lf", "quoted-crlf"])
+def test_estimate_memory_does_not_grow_with_rows(tmp_path, quoted):
+    """`cfrkit estimate` folds a line list's day pieces into the table as
+    they are read, so it holds O(deaths + days + one block), not a column
+    of every row: 600,000 rows over 200 days peak within 4 MB of 6,000. The
+    quoted CRLF copy takes the record loop, which flushes every
+    ``_CHUNK_LINES`` records."""
+    line = '"{}","{}","{}"\r\n' if quoted else "{},{},{}\n"
+    epoch = date(2020, 3, 3)
+    dates = [str(epoch + timedelta(days)) for days in range(213)]
+    grown = []
+    for rows in (6_000, 600_000):
+        path = tmp_path / f"ll_{rows}.csv"
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(line.format("region", "confirm_date", "death_date"))
+            # Every 50th case dies, 0..12 days after its confirmation.
+            handle.writelines(
+                line.format("north", dates[i % 200], "" if i % 50 else dates[i % 200 + i % 13])
+                for i in range(rows)
+            )
+        argv = ["estimate", str(path), "--epoch", str(epoch), "-o", str(tmp_path / f"{rows}.csv")]
+        _, code, base, peak = _peak_over_import(argv)
+        assert code == 0
+        grown.append(peak - base)
+    assert grown[1] < grown[0] + 4 * 1024, f"grew {grown[1]} KiB at 600k rows, {grown[0]} at 6k"
 
 
 def _capped_cli(argv: list[str], gib: int, timeout: float = 60) -> subprocess.CompletedProcess:

@@ -837,12 +837,34 @@ def _line_lists(draw):
     return text, epoch, chunk, block, limit
 
 
+def _fold_outcome(fold, data, epoch):
+    """The cases, dense deaths and lags of a fold of ``data``, or the
+    message of its ParseError."""
+    try:
+        table, lags = fold(data, epoch)
+    except ParseError as exc:
+        return str(exc)
+    assert lags.dtype == np.int64
+    return table.cases.tolist(), table.deaths.tolist(), lags.tolist()
+
+
+def _stream_fold(data, epoch):
+    return linelist_module._fold(linelist_module._case_days(data, epoch))
+
+
+def _list_fold(data, epoch):
+    linelist = parse_csv(data, epoch=epoch)
+    return aggregate(linelist), linelist.lags
+
+
 @given(_line_lists())
 @settings(max_examples=500, deadline=None)
 def test_chunked_parse_matches_record_loop(case):
     """The days, or the error message, equal those of the record loop, for
     every block and chunk size, so each path and each switch between them
-    agree."""
+    agree. Folding the day pieces as they stream, as the CLI does, gives
+    the table and the lags, in row order, of ``aggregate(parse_csv(...))``,
+    or its error, with pieces and record-loop flushes crossed anywhere."""
     data, epoch, chunk, block, limit = case
     old_limit = csv.field_size_limit(limit) if limit else None
     try:
@@ -850,9 +872,27 @@ def test_chunked_parse_matches_record_loop(case):
             mp.setattr(linelist_module, "_CHUNK_LINES", chunk)
             mp.setattr(linelist_module, "_BLOCK_BYTES", block)
             _assert_parse_matches_record_loop(data, epoch)
+            assert _fold_outcome(_stream_fold, data, epoch) == _fold_outcome(_list_fold, data, epoch)
     finally:
         if old_limit is not None:
             csv.field_size_limit(old_limit)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_streamed_fold_crosses_record_loop_flushes(chunk, monkeypatch):
+    """A quoted file goes to the record loop from its header on, which
+    yields a piece every ``chunk`` records; the fold of those pieces keeps
+    the lags in row order and counts each day once."""
+    monkeypatch.setattr(linelist_module, "_CHUNK_LINES", chunk)
+    rows = [(d % 9, d % 9 + d % 4 if d % 3 else None) for d in range(40)]
+    text = '"confirm_date","death_date"\r\n' + "".join(
+        f'"{c}","{"" if d is None else d}"\r\n' for c, d in rows
+    )
+    pieces = list(linelist_module._case_days(text, None))
+    assert [piece.shape[1] for piece in pieces] == [chunk] * (40 // chunk) + [40 % chunk]
+    table, lags = linelist_module._fold(pieces)
+    assert table.cases.tolist() == np.bincount([c for c, _ in rows]).tolist()
+    assert lags.tolist() == [d - c for c, d in rows if d is not None]
 
 
 @pytest.mark.parametrize(

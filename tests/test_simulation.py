@@ -129,6 +129,27 @@ def test_step_rates_validation():
         StepRates(0.1, 0.05, -1)
 
 
+@pytest.mark.parametrize("name", ["replicates", "seed", "horizon"])
+def test_scenario_counts_must_be_whole_numbers(name):
+    """A fractional count was accepted, and then failed in run_study or
+    build_curve with a TypeError; a whole float is kept as an int."""
+    with pytest.raises(ValueError, match=rf"^{name} must be finite whole numbers, got 40\.5$"):
+        small_scenario(**{name: 40.5})
+    scenario = small_scenario(**{name: np.float64(40.0)})
+    assert type(getattr(scenario, name)) is int and getattr(scenario, name) == 40
+
+
+def test_scenario_keeps_a_seed_past_2_63():
+    assert small_scenario(seed=1 << 70).seed == 1 << 70
+
+
+def test_step_day_must_be_a_whole_number():
+    """StepRates(0.1, 0.05, 5.5) put the step at day 6."""
+    with pytest.raises(ValueError, match=r"^d_star must be finite whole numbers, got 5\.5$"):
+        StepRates(0.1, 0.05, 5.5)
+    assert type(StepRates(0.1, 0.05, np.int64(5)).d_star) is int
+
+
 def test_daily_rates_from_step():
     sc = small_scenario()
     p = sc.daily_rates.p
