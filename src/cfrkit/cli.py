@@ -317,11 +317,18 @@ def _run_study(args: argparse.Namespace, keep_series: bool = False) -> StudyResu
     horizon = args.horizon if args.horizon is not None else span - 1 + args.tail_days
     if horizon > MAX_DAY:
         raise argparse.ArgumentTypeError(f"--tail-days: horizon {horizon} is past day {MAX_DAY}")
+    if horizon + 1 < span:  # only --horizon puts it there
+        raise argparse.ArgumentTypeError(f"--horizon: {horizon} cuts the {span}-day curve short")
     if args.rates_file:
         p_spec = read_rates_csv(Path(args.rates_file))
         if len(p_spec) <= horizon:
             raise ParseError(f"{args.rates_file}: no rate for day {horizon}, the horizon")
     else:  # the defaults are set here, so that the meta line records them
+        cased = np.flatnonzero(np.concatenate([arm, arm[::-1]]) if args.symmetric else arm)
+        if args.dstar is not None and cased.size and args.dstar > cased[-1]:
+            raise argparse.ArgumentTypeError(
+                f"--dstar: {args.dstar} is past day {cased[-1]}, the curve's last with cases"
+            )
         vars(args).update({k: v for k, v in _STEP.items() if getattr(args, k) is None})
         p_spec = StepRates(args.c1, args.c2, args.dstar)
     scenario = Scenario(

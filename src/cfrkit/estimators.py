@@ -23,8 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import AssumptionWarning, EstimationError
-from .linelist import EpidemicTable
-from .survival import _NO_RESOLVED_DEATHS, SurvivalModel, _empirical_cdfs
+from .linelist import MAX_DAY, EpidemicTable
+from .survival import _NO_RESOLVED_DEATHS, SurvivalModel, _clamp_floor, _empirical_cdfs
 
 __all__ = [
     "DelaySchedule",
@@ -53,12 +53,13 @@ class DelaySchedule:
 
     Built either from a single model shared by every day, or from one model
     per day (index = confirmation day) when the delay shifts over time.
-    Estimators read F from one (models x lags) table of raw ``cdf`` values at
-    lags 0..K, one row for a constant schedule. The table grows when a lag
-    beyond K is requested, with one ``cdf`` call per model, and is never
-    rebuilt. A per-day schedule covers days 0..len(models) - 1; a constant
-    one covers every day. It is one of the block kernel's two delay sources,
-    with ``_Lookback``: both answer the private calls below the same way.
+    F of day d at lag k is ``schedule.model_for(d).cdf(k)``; estimators read
+    it from one (models x lags) table of raw ``cdf`` values at lags 0..K, one
+    row for a constant schedule, which grows to a requested lag of at most
+    ``MAX_DAY`` with one ``cdf`` call per model and is never rebuilt. A
+    per-day schedule covers days 0..len(models) - 1; a constant one covers
+    every day. It is one of the block kernel's two delay sources, with
+    ``_Lookback``: both answer the private calls below the same way.
     """
 
     _reads_deaths = False  # F is known, so a study reuses the terms built from it
@@ -84,48 +85,31 @@ class DelaySchedule:
 
     def model_for(self, d: int) -> SurvivalModel:
         """Delay model of cases confirmed on day d."""
-        return self._models[self._rows(np.asarray(d))]
-
-    def _coverage_error(self, day: int) -> ValueError:
-        return ValueError(f"schedule covers days 0..{self._days - 1}, got {day}")
+        if d < 0:
+            raise ValueError("day must be non-negative")
+        _check(*self._uncovered(np.array([d])))
+        return self._models[min(d, len(self._models) - 1)]
 
     def _uncovered(self, days: np.ndarray) -> tuple[np.ndarray, Callable[[int], Exception]]:
         """(flags, error) of the check that the schedule covers each day."""
-        return days >= self._days, lambda i: self._coverage_error(int(days[i]))
+        return days >= self._days, lambda i: ValueError(
+            f"schedule covers days 0..{self._days - 1}, got {int(days[i])}"
+        )
 
     def tabulate(self, k_max: int) -> None:
-        """Extend the table to cover lags 0..k_max.
+        """Extend the table to cover lags 0..k_max, at most ``MAX_DAY``.
 
         The extent at least doubles, so lags requested in ascending order
         cost a logarithmic number of ``cdf`` calls.
         """
+        if k_max > MAX_DAY:  # the table would take 8 bytes a model per day
+            raise ValueError(f"day {k_max} is past the last day {MAX_DAY}")
         have = self._table.shape[1]
         if k_max < have:
             return
         lags = np.arange(have, max(k_max + 1, 2 * have))
         new = np.array([np.asarray(model.cdf(lags), dtype=float) for model in self._models])
         self._table = np.concatenate([self._table, new], axis=1)
-
-    def _rows(self, days: np.ndarray) -> np.ndarray:
-        """Table row of each confirmation day."""
-        if days.size and int(days.min()) < 0:
-            raise ValueError("day must be non-negative")
-        if days.size and int(days.max()) >= self._days:
-            raise self._coverage_error(int(days.max()))
-        return np.minimum(days, len(self._models) - 1)
-
-    def cdf(self, days, lags) -> np.ndarray:
-        """Raw F_d(k) for paired non-negative confirmation days d and lags k."""
-        days, lags = np.asarray(days), np.asarray(lags)
-        if lags.size:
-            if int(lags.min()) < 0:
-                raise ValueError("lags must be non-negative")
-            self.tabulate(int(lags.max()))
-        return self._table[self._rows(days), lags]
-
-    def floor(self, days) -> np.ndarray:
-        """Clamp floor of the model of each confirmation day."""
-        return self._floor[self._rows(np.asarray(days))]
 
     def _fit(self, table: EpidemicTable, c: _Cohorts) -> _Fit:
         """Raw F_d(t - d) from the table, each cohort's floor, each day's
@@ -254,24 +238,16 @@ def normal_quantile(q: float) -> float:
 # Shared helpers
 
 
-def _upto(table: EpidemicTable, t: int) -> int:
+def _cases_by(table: EpidemicTable, t: int) -> tuple[int, int]:
+    """(upto, r_t) of day t: its last cohort, min(t, n_days - 1), and the
+    cases confirmed by t, which must be some."""
     if t < 0:
         raise ValueError("t must be non-negative")
-    return min(t, table.n_days - 1)
-
-
-def _cases_through(table: EpidemicTable, t: int) -> int:
-    upto = _upto(table, t)
-    if upto < 0:
-        return 0
-    return int(table._cum_cases[upto])
-
-
-def _require_cases(table: EpidemicTable, t: int) -> int:
-    r_t = _cases_through(table, t)
+    upto = min(t, table.n_days - 1)
+    r_t = int(table._cum_cases[upto]) if upto >= 0 else 0  # upto < 0: a table with no days
     if r_t == 0:
         raise EstimationError(f"no cases confirmed by day {t}")
-    return r_t
+    return upto, r_t
 
 
 def _short_rates(rates: DailyRates, upto: int) -> ValueError:
@@ -399,7 +375,7 @@ class _Lookback:
         reads past its end.
         """
         cdf, n_obs = _empirical_cdfs(table, c.t, self.lookback)
-        floor = 1.0 / (n_obs + 1)
+        floor = _clamp_floor(n_obs)
         raw = np.take_along_axis(cdf, np.minimum(c.lag, cdf.shape[1] - 1), axis=1)
         return raw, floor[:, None], np.maximum(cdf[:, 0], floor), n_obs
 
@@ -609,8 +585,7 @@ def _known_day(
 
 def cfr_true(table: EpidemicTable, rates: DailyRates, t: int) -> float:
     """Case-weighted mean of the true daily fatality probabilities by day t."""
-    r_t = _require_cases(table, t)
-    upto = _upto(table, t)
+    upto, r_t = _cases_by(table, t)
     p = _rates_upto(rates, upto)
     return float((table.cases[: upto + 1] * p).sum() / r_t)
 
@@ -621,7 +596,7 @@ def cfr_naive(table: EpidemicTable, t: int) -> float:
     Underestimates while deaths still accrue; converges only once every
     cohort has resolved.
     """
-    r_t = _require_cases(table, t)
+    _, r_t = _cases_by(table, t)
     return float(table.observed_deaths(t).sum() / r_t)
 
 
@@ -631,8 +606,8 @@ def cfr_final(table: EpidemicTable, t: int) -> float:
     Uses each case's final outcome, so it is only computable in hindsight
     (or in simulations); real-time data cannot provide it.
     """
-    r_t = _require_cases(table, t)
-    return float(table.cumulative_final_deaths(_upto(table, t)) / r_t)
+    upto, r_t = _cases_by(table, t)
+    return float(table.cumulative_final_deaths(upto) / r_t)
 
 
 def cfr_proposed(table: EpidemicTable, schedule: DelaySchedule, t: int) -> float:
@@ -644,7 +619,7 @@ def cfr_proposed(table: EpidemicTable, schedule: DelaySchedule, t: int) -> float
     Unbiased at every t provided each F_d(0) > 0 (assumption A1). Can exceed
     1 in small samples; values are reported unclipped.
     """
-    r_t = _require_cases(table, t)
+    _, r_t = _cases_by(table, t)
     c, _, f = _known_day(table, schedule, t)
     w = _weights(c, f, _divisor(f))
     return float(w[0].sum() / r_t)
@@ -668,7 +643,7 @@ def cfr_garske_mod(table: EpidemicTable, schedule: DelaySchedule, t: int) -> flo
     own F_d; still biased toward a case-and-delay-weighted mean of the daily
     rates rather than the case-weighted mean when rates vary.
     """
-    _require_cases(table, t)
+    _cases_by(table, t)
     c, raw, _ = _known_day(table, schedule, t)
     (denom,) = _garske_denominators(table.cases, raw, c.n)
     if denom <= 0.0:
@@ -692,7 +667,7 @@ def p_hat_daily(table: EpidemicTable, schedule: DelaySchedule, t: int) -> DailyR
     """
     if t < 6:
         raise _rate_day_error()
-    _require_cases(table, t)
+    _cases_by(table, t)
     c, _, f = _known_day(table, schedule, t)
     w = _weights(c, f, _divisor(f))
     p, _, fallback = _window_rates(_windows(table._cum_cases, t), c, w)
@@ -709,8 +684,7 @@ def variance_cfr(
     V = sum_d c_d p_d (1 - p_d F_d(t - d)) / F_d(t - d) / r_t**2. Days with
     c_d p_d = 0 contribute nothing and need no CDF mass.
     """
-    r_t = _require_cases(table, t)
-    upto = _upto(table, t)
+    upto, r_t = _cases_by(table, t)
     p = _rates_upto(rates, upto)
     c, _, f = _known_day(table, schedule, t)
     terms, bad = _variance_terms(table.cases[: upto + 1], p, f, _divisor(f), c.valid)
@@ -922,15 +896,12 @@ def _shared_terms(
     _check_alpha(alpha)
     z = normal_quantile(1.0 - alpha / 2.0)
     cum_cases = np.cumsum(cases)
-    if cases.size:
-        t = day_grid[cum_cases[np.minimum(day_grid, cases.size - 1)] > 0]
-    else:
-        t = day_grid[:0]
+    n = np.minimum(day_grid, cases.size - 1) + 1  # cohorts of each day, 0 with no days
+    r_t = np.append(0, cum_cases)[n]  # cases confirmed by each day
+    t, n, r_t = day_grid[r_t > 0], n[r_t > 0], r_t[r_t > 0]
     if schedule is not None and day_grid.size:
         # Tabulated once: no evaluation day reads a lag past the last day.
         schedule.tabulate(int(day_grid[-1]))
-    n = np.minimum(t, cases.size - 1) + 1
-    r_t = cum_cases[n - 1]
     windows = _windows(cum_cases, int(t[-1])) if rates is None and t.size else None
     # Running A2-A3 bounds of known rates at each day.
     min_p, max_p = _at_days(_p_bounds(rates.p), t) if rates is not None else (None, None)
@@ -1065,6 +1036,6 @@ def _series_block(
         "ci_low": low,
         "ci_high": high,
         "cfr_garske": dead / denom,
-        "cfr_final": table._cumulative_final(c.n - 1) / r_t,
+        "cfr_final": table._cum_totals[c.n - 1] / r_t,
         "ok": (min_f0 > 0.0) & (min_p > 0.0) & (max_p < 1.0),
     }

@@ -345,12 +345,12 @@ def parse_csv(text: str | bytes | BinaryIO | Iterable[str], epoch: date | None =
     The input is read as bytes in blocks cut after a ``\n``: a str is
     encoded, a binary stream is read ``_BLOCK_BYTES`` and the rest of a line
     at a time, and an iterable of str lines is joined ``_CHUNK_LINES`` lines
-    at a time while each line ends in one ``\n``. When the first block holds
-    no quote, numpy parses each block after the header that `_block_days`
-    takes: one scan finds its commas and line ends, and 8-byte loads read
-    its digit and ISO date cells. The first other block, or other input,
-    goes with the rest to a loop over CSV records, which parses each
-    distinct raw cell once and raises every error.
+    at a time while each line ends in one ``\n``. The header is read from
+    the first block's lines, and numpy parses each block after it that
+    `_block_days` takes: one scan finds its commas and line ends, and 8-byte
+    loads read its digit and ISO date cells. The first other block, a header
+    past the first block or other input goes with the rest to a CSV record
+    loop, which parses each distinct raw cell once and raises every error.
 
     Args:
         text: CSV content as a string, bytes, a binary stream or an
@@ -381,13 +381,13 @@ def _case_days(
     of the record loop. A ParseError is raised when its line is reached."""
     pieces = _pieces(text)
     first = next(pieces, b"")
-    # A first block with no quote is read by lines up to its header, and
-    # numpy may read the rest; other input all goes to the record loop.
-    quoteless = isinstance(first, bytes) and b'"' not in first
-    head = io.BytesIO(first if quoteless else b"")
-    rest = _lines(pieces if quoteless else chain([first], pieces))
+    # A first block of bytes is read by lines up to its header, and numpy
+    # may read the blocks after it; other input all goes to the record loop.
+    if not isinstance(first, bytes):
+        pieces, first = chain([first], pieces), b""
+    head = io.BytesIO(first)
     at = [0]  # lines before the record out of _records
-    records = _records(chain(map(bytes.decode, head), rest), at)
+    records = _records(chain(map(bytes.decode, head), _lines(pieces)), at)
     header = next(records, None)
     if header is None:
         raise ParseError("line 1: missing header row")
@@ -686,10 +686,6 @@ class EpidemicTable:
             vars(self)["_lag_events"] = held  # the last lookback's only
         width = self._width if width is None else width
         return held[1].counts(t - lookback, np.empty((t.size, width), np.int64))
-
-    def _cumulative_final(self, days: np.ndarray) -> np.ndarray:
-        """``cumulative_final_deaths`` at each of the days."""
-        return self._cum_totals[days]
 
     def cumulative_cases(self, t: int) -> int:
         """Total cases confirmed on days 0..t."""

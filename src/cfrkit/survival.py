@@ -54,6 +54,11 @@ _NM_OPTIONS = {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 20_000, "maxfev": 20_0
 _NM_STALL = 200
 
 
+def _clamp_floor(n_obs):
+    """F substituted for a zero CDF value of a fit from n_obs deaths: 1/(n_obs + 1)."""
+    return 1.0 / (n_obs + 1)
+
+
 def _lag_array(k) -> np.ndarray:
     arr = np.asarray(k)
     if np.any(arr < 0):
@@ -105,9 +110,7 @@ class Empirical(SurvivalModel):
     @property
     def floor(self) -> float:  # type: ignore[override]
         """Clamp value 1/(n_obs + 1) for zero CDF entries of fitted tables."""
-        if self.n_obs is None:
-            return 0.0
-        return 1.0 / (self.n_obs + 1)
+        return 0.0 if self.n_obs is None else _clamp_floor(self.n_obs)
 
     def cdf(self, k):
         arr = _lag_array(k)
@@ -387,7 +390,7 @@ def _empirical_cdfs(
     min(t - lookback, n_days - 1) and, to be dead by t at lag k, by t - k.
     Each row is its integer cumulative counts over its integer total, so it
     reaches exactly 1.0 at its largest eligible lag; a row with n_obs == 0
-    is all 0. The table needs at least one day.
+    is all 0, as is every row of a table with no days.
     """
     width = min(table.max_lag, int(t[-1])) + 1  # past t[-1], no lag is eligible
     cum = np.cumsum(table._eligible_lags(t, lookback, width), axis=1)
@@ -412,8 +415,6 @@ def fit_empirical(table: EpidemicTable, t: int, lookback: int = 45) -> Empirical
         raise ValueError("t must be non-negative")
     if lookback < 0:
         raise ValueError("lookback must be non-negative")
-    if min(t - lookback, table.n_days - 1) < 0:
-        raise EstimationError(_NO_RESOLVED_DEATHS)
     (cdf,), (total,) = _empirical_cdfs(table, np.array([t]), lookback)
     if total == 0:
         raise EstimationError(_NO_RESOLVED_DEATHS)

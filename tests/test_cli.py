@@ -512,6 +512,35 @@ def test_alpha_flag_refuses_what_the_estimators_refuse():
             assert cli._ALPHA(repr(alpha)) == alpha
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--horizon", "10"], "cfrkit: --horizon: 10 cuts the 301-day curve short\n"),
+        (["--dstar", "1000", "--arm-days", "50"],
+         "cfrkit: --dstar: 1000 is past day 49, the curve's last with cases\n"),
+        (["--dstar", "100", "--arm-days", "50", "--symmetric"],
+         "cfrkit: --dstar: 100 is past day 99, the curve's last with cases\n"),
+    ],
+    ids=["horizon", "dstar", "dstar-symmetric"],
+)
+@pytest.mark.parametrize("command", ["simulate", "coverage"])
+def test_exit_flag_outside_the_scenario(tmp_path, capsys, command, flags, message):
+    """A horizon before the curve's end, or a step day after its last case,
+    exits 2 naming the flag, as an out-of-range flag value does."""
+    out = tmp_path / "o.csv"
+    assert main([command, *flags, "--replicates", "1", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+def test_default_step_day_past_the_curve_exits_5(tmp_path, capsys):
+    """Only a --dstar that was given is a usage error: the default step day,
+    120, past a 50-day curve is the scenario's own error."""
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--arm-days", "50", "--replicates", "1", "-o", str(out)]) == 5
+    assert capsys.readouterr().err == "cfrkit: d_star falls outside the case-curve support\n"
+
+
 def test_exit_survival_file_without_file_mode(tmp_path, linelist_file, capsys):
     out = tmp_path / "o.csv"
     argv = ["estimate", str(linelist_file), "-o", str(out), "--epoch", "2020-03-03"]

@@ -17,6 +17,7 @@ from scipy import stats
 
 from cfrkit import estimators as est
 from cfrkit import (
+    MAX_DAY,
     AssumptionWarning,
     DailyRates,
     DelaySchedule,
@@ -144,13 +145,17 @@ def fitted_clamped_empirical() -> Empirical:
 
 
 def assert_table_matches_scalar_cdf(schedule, n_days, models_for_day):
+    """The raw F and floors that the kernel reads for each single day t are
+    each cohort's own model's ``cdf(t - d)`` and ``floor``."""
+    table = EpidemicTable.from_sparse([1] * n_days, {})
     # Ascending t grows the table past its first extent, past n_days - 1 too.
     for t in range(n_days + 40):
-        days = np.arange(min(t, n_days - 1) + 1)
-        expected = [models_for_day(int(d)).cdf(int(t - d)) for d in days]
-        assert schedule.cdf(days, t - days).tolist() == expected
-    floors = [models_for_day(int(d)).floor for d in range(n_days)]
-    assert np.broadcast_to(schedule.floor(np.arange(n_days)), n_days).tolist() == floors
+        c = est._cohorts(table, np.array([t]))
+        raw, floor = schedule._fit(table, c)[:2]
+        models = [models_for_day(d) for d in range(int(c.n[0]))]
+        assert raw[0].tolist() == [model.cdf(t - d) for d, model in enumerate(models)]
+        floors = np.broadcast_to(floor, raw.shape[1:]).tolist()
+        assert floors == [model.floor for model in models]
 
 
 @pytest.mark.parametrize(
@@ -181,17 +186,34 @@ def test_per_day_schedule_table_is_scalar_cdf():
     assert [schedule.model_for(d) for d in range(5)] == models
     rates = DailyRates(np.full(6, 0.1))
     for past_end in (
-        lambda: schedule.cdf([5], [0]),
         lambda: schedule.model_for(5),
-        lambda: schedule.floor([5]),
         lambda: validate_assumptions(rates, schedule, 5),
     ):
         with pytest.raises(ValueError, match=r"schedule covers days 0\.\.4, got 5"):
             past_end()
     constant = DelaySchedule(models[0])
     assert constant.model_for(10**6) is models[0]
-    assert constant.cdf([10**6], [3]).tolist() == [models[0].cdf(3)]
-    assert constant.floor([10**6]).tolist() == [models[0].floor]
+
+
+@pytest.mark.filterwarnings("ignore::cfrkit.AssumptionWarning")
+def test_schedule_refuses_a_day_past_max_day():
+    """A known schedule's table would grow to the evaluation day: at 10**9
+    that asked for 7.45 GiB. A day past MAX_DAY is refused before it grows;
+    estimated mode tabulates nothing and still evaluates such a day."""
+    table = EpidemicTable.from_sparse([5] * 60, {d: {1: 1, 3: 1} for d in range(50)})
+    schedule = DelaySchedule(NegBinomial(10.0, 1.0))
+    rates = DailyRates(np.full(60, 0.1))
+    assert cfr_proposed(table, schedule, MAX_DAY) == pytest.approx(100 / 300)
+    # MAX_DAY + 1 first: without the check it is cheap, where 10**9 is not.
+    for day in (MAX_DAY + 1, 10**9):
+        message = rf"^day {day} is past the last day {MAX_DAY}$"
+        with pytest.raises(ValueError, match=message):
+            estimate_series(table, [day], schedule=schedule, rates=rates)
+        with pytest.raises(ValueError, match=message):
+            cfr_proposed(table, schedule, day)
+    assert schedule._table.shape[1] <= 2 * (MAX_DAY + 1)
+    series = estimate_series(table, [MAX_DAY + 1], lookback=10)
+    assert series.cfr.tolist() == [pytest.approx(100 / 300)]
 
 
 def test_series_tabulates_cdf_once(monkeypatch):
@@ -241,6 +263,25 @@ def test_cfr_proposed_hand():
     assert cfr_proposed(table, schedule, 0) == pytest.approx(2 / 0.4 / 10)
     # By t=2 the second support point has passed: F(2) = 1.
     assert cfr_proposed(table, schedule, 2) == pytest.approx(0.2)
+
+
+def test_table_with_no_days():
+    """A table with no days has no cases by any day: the single-day
+    estimators raise, and a series skips every day, in either mode."""
+    table = EpidemicTable.from_sparse([], {})
+    for op in (
+        lambda: cfr_naive(table, 3),
+        lambda: cfr_final(table, 3),
+        lambda: cfr_proposed(table, DelaySchedule(point_mass(0)), 3),
+    ):
+        with pytest.raises(EstimationError, match=r"^no cases confirmed by day 3$"):
+            op()
+    known = dict(schedule=DelaySchedule(point_mass(0)), rates=DailyRates([0.1]))
+    for kwargs in (known, {}):
+        series = estimate_series(table, [0, 3, 50], include_final=True, **kwargs)
+        assert len(series) == 0
+        assert series.t.dtype == series.r_t.dtype == np.int64
+        assert series.cfr.size == series.cfr_final.size == series.ci_low.size == 0
 
 
 def test_no_cases_errors():
@@ -855,10 +896,16 @@ def _ref_fit_empirical(table, t, lookback):
     return Empirical(cdf, n_obs=total)
 
 
+def _ref_models(schedule, last):
+    """Delay models of days 0..last; an uncovered day names ``last``."""
+    schedule.model_for(last)
+    return [schedule.model_for(d) for d in range(last + 1)]
+
+
 def _ref_f_values(schedule, t, upto):
-    days = np.arange(upto + 1)
-    raw = schedule.cdf(days, t - days)
-    return raw, np.maximum(raw, schedule.floor(days))
+    models = _ref_models(schedule, upto)
+    raw = np.array([model.cdf(t - d) for d, model in enumerate(models)], dtype=float)
+    return raw, np.maximum(raw, [model.floor for model in models])
 
 
 def _ref_death_weights(deaths, f, t):
@@ -935,9 +982,7 @@ def _ref_all_ok(rates, schedule, t):
     if t < 0:
         raise ValueError("t must be non-negative")
     p = _ref_rates_upto(rates, t)
-    days = np.arange(t + 1)
-    raw = schedule.cdf(days, np.zeros_like(days))
-    min_f0 = float(np.maximum(raw, schedule.floor(days)).min())
+    min_f0 = min(max(model.cdf(0), model.floor) for model in _ref_models(schedule, t))
     return min_f0 > 0.0 and float(p.min()) > 0.0 and float(p.max()) < 1.0
 
 

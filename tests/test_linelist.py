@@ -136,6 +136,28 @@ def test_parse_reads_blocks_after_a_leading_comment(monkeypatch):
     assert len(ll) == 200 and taken == [True]
 
 
+def test_parse_reads_blocks_after_a_quoted_header(monkeypatch):
+    """A header quoted as R's write.csv quotes it, over unquoted rows,
+    leaves the blocks after it to numpy; a quoted line break in the header
+    still counts in the line a bad row names."""
+    taken = []
+    block_days = linelist_module._block_days
+
+    def spy(*args):
+        parsed = block_days(*args)
+        taken.append(parsed is not None)
+        return parsed
+
+    monkeypatch.setattr(linelist_module, "_block_days", spy)
+    text = '"confirm_date","death_date"\n' + "1,\n2,5\n" * 100
+    ll = parse_csv(io.BytesIO(text.encode()))
+    assert len(ll) == 200 and taken == [True]
+    text = '"confirm_date","death_date","note\nmore"\n' + "1,,a\n2,5,b\n" * 3 + "3,1,c\n"
+    with pytest.raises(ParseError, match=r"^death precedes confirmation at line 9$"):
+        parse_csv(io.BytesIO(text.encode()))
+    assert taken == [True, False]
+
+
 def test_parse_crlf():
     text = "confirm_date,death_date\r\n1,2\r\n"
     assert [(r.confirm_day, r.death_day) for r in parse_csv(text)] == [(1, 2)]

@@ -458,6 +458,18 @@ def test_run_study_bad_argument_fails_before_any_replicate(monkeypatch, mode, kw
     assert drawn == []
 
 
+@pytest.mark.parametrize("mode", ["known", "estimated"])
+def test_run_study_refuses_an_evaluation_day_without_cases(monkeypatch, mode):
+    """A requested day by which no case is confirmed is refused before any
+    draw, as it would be skipped from every replicate's series."""
+    drawn = []
+    monkeypatch.setattr(simulation, "_draw", lambda scenario, index: drawn.append(index))
+    sc = small_scenario(rising_arm=np.array([0, 10, 20, 40, 60]))
+    with pytest.raises(ValueError, match="^every evaluation day needs at least one confirmed case$"):
+        run_study(sc, mode, eval_days=[0, 3])
+    assert drawn == []
+
+
 @pytest.mark.parametrize(
     "mode, lookback, builds",
     [
