@@ -212,6 +212,7 @@ def normal_quantile(q: float) -> float:
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile argument must lie in (0, 1), got {q}")
     a, b, c, d = _NQ_A, _NQ_B, _NQ_C, _NQ_D
+    sign, p = 1.0, q
     if _NQ_SPLIT <= q <= 1.0 - _NQ_SPLIT:
         u = q - 0.5
         v = u * u
@@ -221,17 +222,19 @@ def normal_quantile(q: float) -> float:
             / (((((b[0] * v + b[1]) * v + b[2]) * v + b[3]) * v + b[4]) * v + 1.0)
         )
     else:
-        # Tail expansion at the nearer tail mass; the upper tail mirrors the lower.
-        u = math.sqrt(-2.0 * math.log(min(q, 1.0 - q)))
+        # Tail expansion at the nearer tail mass. The upper tail is polished
+        # as the lower one at 1 - q, which is exact for q > 1/2, and mirrored:
+        # its CDF error near 1 would lose digits to cancellation.
+        if q > 0.5:
+            sign, p = -1.0, 1.0 - q
+        u = math.sqrt(-2.0 * math.log(p))
         x = (((((c[0] * u + c[1]) * u + c[2]) * u + c[3]) * u + c[4]) * u + c[5]) / (
             (((d[0] * u + d[1]) * u + d[2]) * u + d[3]) * u + 1.0
         )
-        if q > 0.5:
-            x = -x
     # Halley refinement: e is the CDF error at x.
-    e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - q
+    e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
     u = e * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-    return x - u / (1.0 + x * u / 2.0)
+    return sign * (x - u / (1.0 + x * u / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +342,6 @@ class _Cohorts:
 
     t: np.ndarray  # evaluation days, ascending
     n: np.ndarray  # cohorts of each day
-    valid: np.ndarray  # d < n, False in the padding
     lag: np.ndarray  # t - d, 0 in the padding
     deaths: np.ndarray  # deaths_by(d, t), 0 in the padding
 
@@ -350,7 +352,7 @@ def _cohorts(table: EpidemicTable, t: np.ndarray, work: _Buffers | None = None) 
     d = np.arange(int(n[-1]))
     lag = np.subtract(t[:, None], d, out=_array(work, "lag", (t.size, d.size), np.int64))
     deaths = table._observed(t, _array(work, "deaths", lag.shape, np.int64))
-    return _Cohorts(t, n, d < n[:, None], np.maximum(lag, 0, out=lag), deaths)
+    return _Cohorts(t, n, np.maximum(lag, 0, out=lag), deaths)
 
 
 @dataclass(frozen=True)
@@ -522,16 +524,19 @@ def _variance_terms(
     p: np.ndarray,
     f: np.ndarray,
     divisor: np.ndarray,
-    valid: np.ndarray,
+    n: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Terms c_d p_d (1 - p_d F_d(t - d)) / F_d(t - d) of ``variance_cfr``,
-    and the cells that break A1: cohorts with c_d p_d > 0 but no CDF mass.
+    and the cells that break A1: cohorts d < n with c_d p_d > 0 but no CDF
+    mass.
 
     Cohorts with c_d p_d = 0 contribute nothing and need no CDF mass.
     """
     cp = cases * p
     active = cp > 0
-    bad = active & (f <= 0.0) & valid
+    bad = active & (f <= 0.0)
+    if bad.any():  # rare, so the padding d >= n is masked only then
+        bad &= np.arange(f.shape[1]) < n[:, None]
     return np.where(active, cp * (1.0 - p * f) / divisor, 0.0), bad
 
 
@@ -687,7 +692,7 @@ def variance_cfr(
     upto, r_t = _cases_by(table, t)
     p = _rates_upto(rates, upto)
     c, _, f = _known_day(table, schedule, t)
-    terms, bad = _variance_terms(table.cases[: upto + 1], p, f, _divisor(f), c.valid)
+    terms, bad = _variance_terms(table.cases[: upto + 1], p, f, _divisor(f), c.n)
     if bad.any():
         raise _a1_cases_error(t, np.argmax(bad[0]))
     return float(terms[0].sum() / r_t**2)
@@ -1009,7 +1014,7 @@ def _series_block(
     if late is None:
         p = _daily_p(p_window, t, width) if rates is None else _rates_grid(rates, width)
         denom = _garske_denominators(table.cases, raw, c.n)
-        terms, bad = _variance_terms(table.cases[:width], p, f, divisor, c.valid)
+        terms, bad = _variance_terms(table.cases[:width], p, f, divisor, c.n)
         v = _row_sums(terms, c.n) / (r_t * r_t)
         check(denom <= 0.0, lambda i: _zero_denominator(t[i]))
         if rates is not None:

@@ -123,6 +123,8 @@ class Scenario:
                 raise ValueError("daily rates must cover days 0..horizon")
         else:
             raise TypeError("p_spec must be DailyRates or StepRates")
+        if isinstance(self.delay, DelaySchedule):
+            self.delay.model_for(self.horizon)  # a per-day schedule must cover 0..horizon
 
     @cached_property
     def curve(self) -> np.ndarray:
@@ -163,17 +165,11 @@ def simulate_replicate(scenario: Scenario, replicate_index: int) -> EpidemicTabl
     Each day's death count is Binomial(c_d, p_d); each death gets an i.i.d.
     delay from the day's model. The stream is seeded with
     SeedSequence(entropy=seed, spawn_key=(replicate_index,)), so replicates
-    are independent and reproducible in any order or in parallel.
+    are independent and reproducible in any order or in parallel. A study
+    runs this on its drawing threads.
     """
     if replicate_index < 0:
         raise ValueError("replicate_index must be non-negative")
-    return _table(scenario.curve, *_draw(scenario, replicate_index))
-
-
-def _draw(scenario: Scenario, replicate_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Replicate ``replicate_index``'s random draws: the daily death counts
-    and every death's delay, day by day. This is all of a replicate that
-    touches its stream, so it may run on any thread."""
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=scenario.seed, spawn_key=(int(replicate_index),))
     )
@@ -185,12 +181,7 @@ def _draw(scenario: Scenario, replicate_index: int) -> tuple[np.ndarray, np.ndar
     else:
         parts = [schedule.model_for(d).sample(int(n_die[d]), rng) for d in range(curve.size)]
         lags = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-    return n_die, lags
-
-
-def _table(curve: np.ndarray, n_die: np.ndarray, lags: np.ndarray) -> EpidemicTable:
-    """The epidemic table of one replicate's draws, whose lags are grouped
-    by confirmation day."""
+    # The lags are grouped by confirmation day.
     return EpidemicTable._from_events(curve, np.repeat(np.arange(curve.size), n_die), lags)
 
 
@@ -347,15 +338,15 @@ def run_study(
     draws: deque = deque()
     try:
         for index in range(n_reps):
-            # Keep the draws of the next _DRAW_THREADS replicates in flight
-            # while this one is estimated; results are taken in index order.
+            # Keep the next _DRAW_THREADS replicates in flight while this one
+            # is estimated; their tables are taken in index order.
             for ahead in range(index + len(draws), min(index + _DRAW_THREADS + 1, n_reps)):
-                draws.append(pool.submit(_draw, scenario, ahead))
+                draws.append(pool.submit(simulate_replicate, scenario, ahead))
             # simulate_replicate(scenario, index) reproduces a failing replicate
             # alone, and estimate_series on its table gives the same series.
             where = f"replicate {index} of scenario seed {scenario.seed}"
             try:
-                table = _table(curve, *draws.popleft().result())
+                table = draws.popleft().result()
                 series = _series(table, shared, include_final=True)
             except (CfrError, ValueError) as exc:
                 raise type(exc)(f"{where}: {exc}") from exc

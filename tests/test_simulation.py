@@ -105,6 +105,10 @@ def test_scenario_validation():
         small_scenario(seed=-1)
     with pytest.raises(ValueError, match="cover days"):
         small_scenario(p_spec=DailyRates([0.1] * 10))
+    # A per-day schedule short of the horizon is refused here too, not in
+    # the first draw with a message that names replicate 0.
+    with pytest.raises(ValueError, match=r"^schedule covers days 0\.\.39, got 40$"):
+        small_scenario(delay=DelaySchedule([NegBinomial(4.0, 1.0)] * 40))
 
 
 def test_scenario_bounds_its_day_span_and_cases():
@@ -451,7 +455,7 @@ def test_run_study_bad_argument_fails_before_any_replicate(monkeypatch, mode, kw
     built from the case curve, before any replicate is drawn, so their
     errors name no replicate."""
     drawn = []
-    monkeypatch.setattr(simulation, "_draw", lambda scenario, index: drawn.append(index))
+    monkeypatch.setattr(simulation, "simulate_replicate", lambda scenario, index: drawn.append(index))
     with pytest.raises(ValueError) as raised:
         run_study(small_scenario(seed=7), mode, **kwargs)
     assert str(raised.value) == message
@@ -463,7 +467,7 @@ def test_run_study_refuses_an_evaluation_day_without_cases(monkeypatch, mode):
     """A requested day by which no case is confirmed is refused before any
     draw, as it would be skipped from every replicate's series."""
     drawn = []
-    monkeypatch.setattr(simulation, "_draw", lambda scenario, index: drawn.append(index))
+    monkeypatch.setattr(simulation, "simulate_replicate", lambda scenario, index: drawn.append(index))
     sc = small_scenario(rising_arm=np.array([0, 10, 20, 40, 60]))
     with pytest.raises(ValueError, match="^every evaluation day needs at least one confirmed case$"):
         run_study(sc, mode, eval_days=[0, 3])
