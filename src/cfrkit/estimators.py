@@ -111,7 +111,7 @@ class DelaySchedule:
         new = np.array([np.asarray(model.cdf(lags), dtype=float) for model in self._models])
         self._table = np.concatenate([self._table, new], axis=1)
 
-    def _fit(self, table: EpidemicTable, c: _Cohorts) -> _Fit:
+    def _fit(self, table: EpidemicTable, c: _Cohorts, work: _Buffers | None = None) -> _Fit:
         """Raw F_d(t - d) from the table, each cohort's floor, each day's
         least floored F_d(0) over its cohorts, and n_obs None: no fit.
 
@@ -121,11 +121,14 @@ class DelaySchedule:
         self.tabulate(int(c.t[-1]))
         cdf, floor = self._table, self._floor
         min_f0 = _at_days(self._f0_bounds(), c.t)[0]
+        # mode="clip" writes to ``raw`` unbuffered; the lags are in range.
+        raw = _array(work, "raw", c.lag.shape)
         if self.is_constant:
-            return np.take(cdf[0], c.lag), floor, min_f0, None
+            return np.take(cdf[0], c.lag, out=raw, mode="clip"), floor, min_f0, None
         rows = np.minimum(np.arange(c.lag.shape[1]), len(self._models) - 1)
         # Flat indices: a 1-D take is faster than a 2-D gather.
-        return np.take(cdf, rows * cdf.shape[1] + c.lag), floor[rows], min_f0, None
+        at = np.add(rows * cdf.shape[1], c.lag, out=_array(work, "scratch", c.lag.shape, np.int64))
+        return np.take(cdf, at, out=raw, mode="clip"), floor[rows], min_f0, None
 
     def _f0_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """For each row t: the least floored F_d(0) over rows d <= t, and
@@ -293,25 +296,29 @@ def _a1_cases_error(t, d) -> EstimationError:
 # length, so a sum over zero-padded rows would round differently.
 
 # Days per block; memory is O(_BLOCK x n_days), never n_days**2. On the
-# 466-day benchmark grid (study-estimated, 4 runs each, 2-core host) 64 ran
-# at a median 49.5 replicates/s and 45.5 MB peak RSS, 32 at 45.4 and 44.0,
-# 128 at 44.9 and 49.0; 256 and more ran slower.
+# 466-day benchmark grid (2-core host, 10 s runs at seeds 801-805, medians
+# of replicates/s and peak RSS): study-estimated ran at 62.9 and 46.3 MB
+# with 64, 56.2 and 45.3 MB with 32, 67.2 and 48.3 MB with 128;
+# study-known at 95.8 and 63.0 MB, 86.8 and 63.2 MB, 99.9 and 64.4 MB.
+# 128 is faster on both but holds 1.3-2.0 MB more, so 64 stays.
 _BLOCK = 64
 
 
 class _Buffers:
-    """A block's largest (days x cohorts) arrays, kept for the next block of
-    one ``_series`` call: the lags, the deaths grid, floored F, the weights
-    and ``_row_sums``' buffer. Allocated afresh, they would go back to the
-    system after each block and be faulted in again at the next, since
-    glibc trims its heap once the free memory at its top passes twice the
-    largest chunk it has unmapped, here one block array. They are one
-    allocation instead, of ``size`` float64 per array, which raises that
-    bound above them once the first call has freed it. Each array is a view
-    that the next block overwrites, and none leaves ``_series_block``.
+    """A block's (days x cohorts) arrays, kept for the next block of one
+    ``_series`` call. Allocated afresh, they would go back to the system
+    after each block and be faulted in again at the next, since glibc trims
+    its heap once the free memory at its top passes twice the largest chunk
+    it has unmapped, here one block array; where it does not trim, arrays
+    that grow from one block to the next leave holes below the heap's top.
+    They are one allocation instead, of ``size`` float64 per array, which
+    raises that bound above them once the first call has freed it. Each
+    array is a view that the next block overwrites, and none leaves
+    ``_series_block``. ``scratch`` never leaves the function that fills
+    it: the F gather's indices, the window prefix sums, ``_row_sums``.
     """
 
-    _NAMES = ("lag", "deaths", "f", "weights", "sums")
+    _NAMES = ("lag", "deaths", "raw", "f", "weights", "windows", "daily", "scratch")
 
     def __init__(self, size: int) -> None:
         self._rows = np.empty((len(self._NAMES), size))
@@ -368,7 +375,7 @@ class _Lookback:
         if self.lookback < 0:
             raise ValueError("lookback must be non-negative")
 
-    def _fit(self, table: EpidemicTable, c: _Cohorts) -> _Fit:
+    def _fit(self, table: EpidemicTable, c: _Cohorts, work: _Buffers | None = None) -> _Fit:
         """F of each day's own ``fit_empirical`` table, all days at once.
 
         Returns raw F, the clamp floor, the floored F_t(0) and the deaths
@@ -378,7 +385,10 @@ class _Lookback:
         """
         cdf, n_obs = _empirical_cdfs(table, c.t, self.lookback)
         floor = _clamp_floor(n_obs)
-        raw = np.take_along_axis(cdf, np.minimum(c.lag, cdf.shape[1] - 1), axis=1)
+        # Flat indices: a 1-D take is faster than a 2-D gather.
+        at = np.minimum(c.lag, cdf.shape[1] - 1, out=_array(work, "scratch", c.lag.shape, np.int64))
+        at += np.arange(0, cdf.size, cdf.shape[1])[:, None]
+        raw = np.take(cdf, at, out=_array(work, "raw", at.shape), mode="clip")
         return raw, floor[:, None], np.maximum(cdf[:, 0], floor), n_obs
 
     def _uncovered(self, days: np.ndarray) -> tuple[np.ndarray, None]:
@@ -423,7 +433,7 @@ def _garske_denominators(cases: np.ndarray, raw: np.ndarray, n: np.ndarray) -> n
     pairwise one, so ``_row_sums`` cannot stand in for it.
     """
     cases = cases[: raw.shape[1]].astype(float)  # what int64 @ float64 casts to
-    return np.array([cases[:k] @ row[:k] for row, k in zip(raw, n.tolist())])
+    return np.array([np.dot(cases[:k], row[:k]) for row, k in zip(raw, n.tolist())])
 
 
 def _window_count(t: int, n: int) -> int:
@@ -460,7 +470,7 @@ def _windows(cum_cases: np.ndarray, t: int) -> _Windows:
 
 
 def _window_rates(
-    windows: _Windows, c: _Cohorts, w: np.ndarray, check=_check
+    windows: _Windows, c: _Cohorts, w: np.ndarray, check=_check, work: _Buffers | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``p_hat_daily`` window estimates of every day of a block.
 
@@ -483,34 +493,39 @@ def _window_rates(
     # Padding weights are exactly 0, so each row's prefix holds its total
     # from column n_i on, which is the value a window cut at n_i reads.
     rows, width = w.shape
-    w_prefix = np.empty((rows, width + 8))
+    w_prefix = _array(work, "scratch", (rows, width + 1))
     w_prefix[:, 0] = 0.0
-    np.cumsum(w, axis=1, out=w_prefix[:, 1 : width + 1])
-    w_prefix[:, width + 1 :] = w_prefix[:, width : width + 1]
-    num = w_prefix[:, 7 : 7 + size] - w_prefix[:, :size]
+    np.cumsum(w, axis=1, out=w_prefix[:, 1:])
+    p = _array(work, "windows", (rows, size))
+    m = min(max(width - 6, 0), size)  # windows that end in the row; the rest read its total
+    np.subtract(w_prefix[:, 7 : 7 + m], w_prefix[:, :m], out=p[:, :m])
+    np.subtract(w_prefix[:, width:], w_prefix[:, m:size], out=p[:, m:])
     den = windows.den[:size]
-
-    computable = inside & (den > 0)
-    p = np.divide(num, den, out=np.zeros(num.shape), where=computable)
+    empty = den == 0  # divided by 1 here, then filled or zeroed below
+    np.divide(p, np.where(empty, 1, den), out=p)
     np.clip(p, 0.0, 1.0, out=p)
-    fallback = inside & ~computable
-    if fallback.any():
-        # Nearest computable window of the same day, the earlier one on ties.
-        day, j = np.nonzero(fallback)
-        left = windows.left[j]
-        right = windows.right[j]
-        use_left = (left >= 0) & ((right >= cut[day]) | (j - left <= right - j))
-        p[day, j] = p[day, np.where(use_left, left, right)]
-    return p, inside, fallback
+    # Each empty window takes the nearest computable window of the same
+    # day, the earlier one on ties, and ``left`` on the days whose windows
+    # stop before ``right``. An empty window with no computable one before
+    # it has cells only on days that ``check`` flagged, where ``right`` may
+    # lie past the block's columns. Cells outside a day's windows are
+    # zeroed after.
+    j = np.flatnonzero(empty)
+    if j.size:
+        left, right = windows.left[j], windows.right[j]
+        near = np.minimum(np.where((left >= 0) & (j - left <= right - j), left, right), size - 1)
+        p[:, j] = np.where((left >= 0) & (right >= cut[:, None]), p[:, left], p[:, near])
+    np.multiply(p, inside, out=p)
+    return p, inside, inside & empty
 
 
-def _daily_p(p: np.ndarray, t: np.ndarray, width: int) -> np.ndarray:
+def _daily_p(p: np.ndarray, t: np.ndarray, width: int, work: _Buffers | None = None) -> np.ndarray:
     """Rates of days 0..width - 1 from the window estimates: days before
     the first window centre take its value, days after the last take the
     last."""
     rows, size = p.shape
     last = np.minimum(np.maximum(t - 6, 0), size - 1)
-    daily = np.empty((rows, width))
+    daily = _array(work, "daily", (rows, width))
     daily[:, :3] = p[:, :1]
     body = daily[:, 3 : 3 + size]
     body[...] = p[:, : body.shape[1]]
@@ -554,13 +569,33 @@ def _row_sums(x: np.ndarray, n: np.ndarray, work: _Buffers | None = None) -> np.
     0.0 keeps the end index of a full row inside the buffer.
     """
     rows, width = n.size, x.shape[-1]
-    buf = _array(work, "sums", (rows, width + 2))
+    buf = _array(work, "scratch", (rows, width + 2))
     buf[:, 0] = buf[:, -1] = 0.0
     buf[:, 1:-1] = x
     bounds = np.empty((rows, 2), dtype=np.intp)
     bounds[:, 0] = np.arange(0, rows * (width + 2), width + 2)
     bounds[:, 1] = bounds[:, 0] + n + 1
     return np.add.reduceat(buf.ravel(), bounds.ravel())[::2]
+
+
+def _window_bounds(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least and largest window estimate of each day t over its own windows,
+    the prefix j < t - 5 of its row of p; +inf and -inf for a day without
+    windows, as a reduction over an empty row gives.
+
+    One ``reduceat`` each over the rows laid out as [prefix, rest]; the
+    ``rest`` segments are dropped, and a last full row runs to the end.
+    """
+    rows, size = p.shape
+    ends = np.clip(t - 5, 0, size)
+    at = np.empty((rows, 2), dtype=np.intp)
+    at[:, 0] = np.arange(0, p.size, size)
+    at[:, 1] = at[:, 0] + ends
+    at = at.ravel()[: -1 if at[-1, 1] == p.size else None]
+    flat = p.ravel()
+    lo, hi = np.minimum.reduceat(flat, at)[::2], np.maximum.reduceat(flat, at)[::2]
+    lo[ends == 0], hi[ends == 0] = np.inf, -np.inf  # reduceat reads one cell there
+    return lo, hi
 
 
 def _p_bounds(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -994,7 +1029,7 @@ def _series_block(
 
     c = _cohorts(table, t, work)
     width = c.deaths.shape[1]
-    raw, floor, min_f0, n_obs = delay._fit(table, c)
+    raw, floor, min_f0, n_obs = delay._fit(table, c, work)
     if n_obs is not None:
         check(n_obs == 0, lambda i: EstimationError(_NO_RESOLVED_DEATHS))
     if rates is None:
@@ -1004,18 +1039,17 @@ def _series_block(
     divisor = _divisor(f)
     w = _weights(c, f, divisor, work, check)
     if rates is None:
-        p_window, inside, _ = _window_rates(shared.windows, c, w, check)
-        min_p = np.where(inside, p_window, np.inf).min(axis=1)
-        max_p = np.where(inside, p_window, -np.inf).max(axis=1)
+        p_window = _window_rates(shared.windows, c, w, check, work)[0]
+        min_p, max_p = _window_bounds(p_window, t)
     else:
         min_p, max_p = shared.min_p[rows], shared.max_p[rows]
     r_t = shared.r_t[rows]
     late = shared.late.get((rows.start, rows.stop))
     if late is None:
-        p = _daily_p(p_window, t, width) if rates is None else _rates_grid(rates, width)
+        p = _daily_p(p_window, t, width, work) if rates is None else _rates_grid(rates, width)
         denom = _garske_denominators(table.cases, raw, c.n)
         terms, bad = _variance_terms(table.cases[:width], p, f, divisor, c.n)
-        v = _row_sums(terms, c.n) / (r_t * r_t)
+        v = _row_sums(terms, c.n, work) / (r_t * r_t)
         check(denom <= 0.0, lambda i: _zero_denominator(t[i]))
         if rates is not None:
             check(t >= len(rates), lambda i: _short_rates(rates, int(t[i])))

@@ -125,6 +125,8 @@ class Scenario:
             raise TypeError("p_spec must be DailyRates or StepRates")
         if isinstance(self.delay, DelaySchedule):
             self.delay.model_for(self.horizon)  # a per-day schedule must cover 0..horizon
+        elif not isinstance(self.delay, SurvivalModel):
+            raise TypeError("delay must be a SurvivalModel or a DelaySchedule")
 
     @cached_property
     def curve(self) -> np.ndarray:

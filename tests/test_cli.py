@@ -198,6 +198,10 @@ def test_estimate_golden_digest(tmp_path, linelist_file, monkeypatch, extra, dig
     assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() == digest
 
 
+# A 26-day arm whose cases stop for 10 days.
+GAP_ARM = [2, 3, 4, 5, 6, 8, 10, 12] + [0] * 10 + [14, 16, 18, 20, 22, 24, 26, 28]
+
+
 # SHA-256 of the other subcommands' outputs, recorded before the flags and
 # the study runner were shared between subcommands. The point-mass delay
 # keeps scipy's CDF out of the simulated outputs, and the empirical CDF table
@@ -228,11 +232,30 @@ def test_estimate_golden_digest(tmp_path, linelist_file, monkeypatch, extra, dig
             ["fit-survival", "linelist.csv", "--epoch", "2020-03-03", "-o", "fit.csv"],
             {"fit_cdf.csv": "62ee56bafd2cef65d759e379e66a02d3dfb797ee9a00d481575624723a722bc9"},
         ),
+        # Recorded before the estimated-mode kernel was rewritten to make
+        # fewer passes. GAP_ARM's 10-day gap gives fallback windows, its few
+        # early cases give clamped empirical F on 45 days. The NB delay is
+        # only sampled, by numpy; F is refit from the deaths.
+        (
+            ["simulate", "--mode", "estimated", "--per-replicate-dir", "reps", "--arm-file",
+             "arm.csv", "--symmetric", "--dstar", "20", "--delay", "nb:6,1.5", "--lookback",
+             "10", "--replicates", "3", "--seed", "5", "-o", "simulate.csv"],
+            {
+                "simulate.csv": "4e00f42844fdfccc2eca25414d516c365d7ba6d0c6a9d55d55411b287d534f54",
+                "reps/replicate_0000.csv":
+                    "8c734d258b0b39cad88d1d34bebdb52fa042a53de0660873c8b6fe063a76ad1e",
+                "reps/replicate_0001.csv":
+                    "865e5e570d852ee54b88dcdabf68def2cd293a2c14501969593acb5d7b7273f8",
+                "reps/replicate_0002.csv":
+                    "f5e8c3286c5144d77505ccd3e73efd12fcffb7f159e5948cf311529ee6c25404",
+            },
+        ),
     ],
-    ids=["simulate", "coverage", "fit_survival_cdf"],
+    ids=["simulate", "coverage", "fit_survival_cdf", "simulate_estimated"],
 )
 def test_subcommand_golden_digest(tmp_path, linelist_file, monkeypatch, argv, digests):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "arm.csv").write_text("cases\n" + "\n".join(map(str, GAP_ARM)) + "\n")
     assert main(argv) == 0
     found = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests}
     assert found == digests

@@ -1299,6 +1299,15 @@ def test_window_rates_match_gather_oracle():
         assert np.array_equal(est._daily_p(p, t[1:], w.shape[1]), want_daily)
 
 
+def test_window_bounds_read_each_days_own_windows():
+    # Day 5 has no window, day 7 the first two, days 8 and 9 the whole row,
+    # the last one to the end of p.
+    p = np.array([[0.9, 0.1, 0.4], [0.2, 0.5, 0.1], [0.3, 0.7, 0.6], [0.8, 0.4, 0.2]])
+    lo, hi = est._window_bounds(p, np.array([5, 7, 8, 9]))
+    assert lo.tolist() == [np.inf, 0.2, 0.3, 0.2]
+    assert hi.tolist() == [-np.inf, 0.5, 0.7, 0.8]
+
+
 def long_table(n_days: int, seed: int) -> EpidemicTable:
     """Daily cases with some empty days and deaths at lags 0..40."""
     rng = np.random.default_rng(seed)

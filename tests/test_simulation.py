@@ -109,6 +109,10 @@ def test_scenario_validation():
     # the first draw with a message that names replicate 0.
     with pytest.raises(ValueError, match=r"^schedule covers days 0\.\.39, got 40$"):
         small_scenario(delay=DelaySchedule([NegBinomial(4.0, 1.0)] * 40))
+    # A delay of another type is refused by name, not in the first draw.
+    for delay in ("nb", [NegBinomial(4.0, 1.0)] * 50, None):
+        with pytest.raises(TypeError, match=r"^delay must be a SurvivalModel or a DelaySchedule$"):
+            small_scenario(delay=delay)
 
 
 def test_scenario_bounds_its_day_span_and_cases():
