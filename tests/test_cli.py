@@ -564,6 +564,22 @@ def test_default_step_day_past_the_curve_exits_5(tmp_path, capsys):
     assert capsys.readouterr().err == "cfrkit: d_star falls outside the case-curve support\n"
 
 
+@pytest.mark.parametrize("arm_file", [False, True], ids=["example-arm", "arm-file"])
+@pytest.mark.parametrize("command", ["simulate", "coverage"])
+def test_exit_arm_days_past_the_arm(tmp_path, capsys, command, arm_file):
+    """--arm-days past the arm's last day exits 2 naming the arm's length."""
+    out = tmp_path / "o.csv"
+    argv = [command, "--arm-days", "302", "--replicates", "1", "-o", str(out)]
+    days = 301
+    if arm_file:
+        (tmp_path / "arm.csv").write_text("cases\n5\n10\n20\n")
+        argv += ["--arm-file", str(tmp_path / "arm.csv")]
+        days = 3
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"cfrkit: --arm-days must lie in 1..{days}\n"
+    assert not out.exists()
+
+
 def test_exit_survival_file_without_file_mode(tmp_path, linelist_file, capsys):
     out = tmp_path / "o.csv"
     argv = ["estimate", str(linelist_file), "-o", str(out), "--epoch", "2020-03-03"]
@@ -1418,8 +1434,9 @@ def test_arm_file_cases_are_bounded(tmp_path, count, message):
 
 
 def test_study_with_lags_past_2_16(tmp_path):
-    """Lags from NB(20000, 0.5) run past 2**16, so a table's lag events sort
-    as 64-bit keys, whose counts must stay integers."""
+    """Lags from NB(20000, 0.5) run past 2**16, so a table's lag events do
+    not fit 32-bit packed keys and take the argsort path, whose counts must
+    stay integers."""
     out = tmp_path / "cov.csv"
     argv = ["coverage", "--mode", "estimated", "--delay", "nb:20000,0.5", "--replicates", "1",
             "--every", "50", "-o", str(out)]

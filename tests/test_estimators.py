@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -251,6 +251,28 @@ def test_series_tabulates_cdf_once(monkeypatch):
     )
     assert len(series) == 200
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: DelaySchedule([]), ValueError, "per-day schedule needs at least one model"),
+        (lambda: DelaySchedule([object()]), TypeError,
+         "schedule entries must be SurvivalModel instances"),
+        (lambda: DelaySchedule(point_mass(0)).model_for(-1), ValueError, "day must be non-negative"),
+        (lambda: DailyRates([]), ValueError, "p must be a non-empty vector"),
+        (lambda: DailyRates([0.1, np.nan]), ValueError, "p must be finite"),
+        (lambda: DailyRates([0.1, 1.5]), ValueError, r"p values must lie in \[0, 1\]"),
+        (lambda: cfr_naive(EpidemicTable([1], [[0]]), -1), ValueError, "t must be non-negative"),
+        (lambda: validate_assumptions(DailyRates([0.1]), DelaySchedule(point_mass(0)), -1),
+         ValueError, "t must be non-negative"),
+    ],
+    ids=["empty-schedule", "schedule-entry", "model-for-negative-day", "empty-rates",
+         "rates-not-finite", "rates-past-1", "cfr-naive-negative-t", "validate-negative-t"],
+)
+def test_input_checks_raise_their_messages(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -1139,8 +1161,23 @@ def series_cases(draw):
     return table, days, kwargs
 
 
+def _fallback_past_the_cut():
+    """Cases on days 10-11 and 25 only. Day 23's last windows, 16 and 17,
+    hold no cases, and their nearest computable window in the whole table,
+    19, lies past the day's cut, so they take window 11: window 19 holds
+    none of day 23's cases, and would read 0 and warn."""
+    cases = np.zeros(28, dtype=np.int64)
+    cases[[10, 11, 25]] = [6, 4, 9]
+    deaths = np.zeros((28, 4), dtype=np.int64)
+    deaths[10, 1], deaths[11, [0, 3]], deaths[25, 2] = 2, [1, 1], 5
+    kwargs = dict(schedule=DelaySchedule(two_point(0.4, 3)), rates=None, lookback=45,
+                  include_final=False, true_rates=None, alpha=0.05)
+    return EpidemicTable(cases, deaths), [12, 16, 17, 21, 23], kwargs
+
+
 @settings(max_examples=400, deadline=None)
 @given(case=series_cases(), block=st.sampled_from([1, 3, est._BLOCK]))
+@example(case=_fallback_past_the_cut(), block=est._BLOCK)
 def test_series_kernel_matches_day_by_day_loop(case, block):
     table, days, kwargs = case
     want, want_warned, want_error = run_series(reference_series, table, days, **kwargs)

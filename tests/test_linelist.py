@@ -8,7 +8,7 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cfrkit.estimators as est
@@ -316,6 +316,26 @@ def test_table_validation():
         EpidemicTable([1], [[2]])
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: EpidemicTable([1, 1], [1, 0]), ValueError, "deaths must be two-dimensional"),
+        (lambda: EpidemicTable([1], [[-1]]), ValueError, "counts must be non-negative"),
+        (lambda: EpidemicTable.from_sparse([2], {0: {1: -1}}), ValueError,
+         "counts must be non-negative"),
+        (lambda: setattr(EpidemicTable([1], [[0]]), "cases", [2]), AttributeError,
+         "EpidemicTable is immutable: cannot set 'cases'"),
+        (lambda: EpidemicTable([1], [[0]]).observed_deaths(-1), ValueError,
+         "t must be non-negative"),
+    ],
+    ids=["deaths-1d", "deaths-negative", "sparse-count-negative", "set-attribute",
+         "observed-negative-t"],
+)
+def test_input_checks_raise_their_messages(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 def test_table_is_immutable_and_copies_input():
     src = np.array([3, 2], dtype=np.int64)
     table = EpidemicTable(src, np.zeros((2, 1), dtype=np.int64))
@@ -406,8 +426,8 @@ def test_whole_floats_are_kept():
 def _event_queries(draw):
     """A small table built three ways, ascending days with gaps and past its
     end, a lookback (0, past the table, or any), and a block size: 1, 7 or
-    the kernel's ``_BLOCK``. Some tables hold lags past 2**16, whose events
-    sort as 64-bit keys."""
+    the kernel's ``_BLOCK``. Some tables hold lags past 2**16, whose lag
+    events do not fit 32-bit packed keys and take the argsort path."""
     n_days = draw(st.integers(1, 9))
     width = draw(st.integers(1, 14))  # lags may run past the table's last day
     far = draw(st.sampled_from([None, 1 << 16 | 5]))
@@ -486,18 +506,58 @@ def test_event_queries_match_the_dense_table(case):
     assert table.total_deaths == dense.sum()
 
 
-def test_running_counts_first_days_and_bins_past_2_35():
-    """Keys packed as first << shift | bin would pass 2**63 here and wrap,
-    and the counts would ask for 512 GiB. The counts equal a brute-force
-    count, block after block and again from the start."""
-    far = 1 << 35
-    first = np.array([0, 3, 2 * far + 4, 2, far, 9, far + 2, 2, far + 7], dtype=np.int64)
-    bins = np.array([2, 0, far + 3, 1, 4, 5, far, 2, 3], dtype=np.int64)
+@st.composite
+def _running_queries(draw):
+    """Events and blocks of ascending query days for ``_Running``, each
+    block with the width its counts need. First days run from 0 and, unless
+    ``far`` is 0, from ``far``: 2**28 keeps the 32-bit packed keys, 2**32
+    and 2**35 pass them and take the argsort path, as do bins past 2**32,
+    whose events count only after every query day. Days run below 0, and
+    the first block comes again last, so a block may start before the
+    carried day."""
+    far = draw(st.sampled_from([0, 1 << 28, 1 << 32, 1 << 35]))
+    near = st.integers(0, 12)
+    first_day = near | near.map(lambda d: far + d) if far else near
+    events = draw(st.lists(st.tuples(first_day, st.integers(0, 6)), max_size=40))
+    last = far + 16
+    if draw(st.booleans()):
+        wide = st.tuples(st.integers(last + 1, last + 9), st.integers(1 << 32, (1 << 32) + 9))
+        events += draw(st.lists(wide, min_size=1, max_size=3))
+    first, bins = np.array(events, dtype=np.int64).reshape(-1, 2).T
+    day = st.integers(-5, 16)
+    if far:
+        day |= st.integers(far - 5, last)
+    blocks = draw(st.lists(st.sets(day, min_size=1, max_size=6), min_size=1, max_size=4))
+    blocks = [sorted(block) for block in blocks + blocks[:1]]
+    # Each block's width is the bins counted by its last day, plus a spare
+    # column or two, so it grows with the last day as counts() requires.
+    spare = draw(st.integers(0, 2))
+    widths = [int(bins[first <= t[-1]].max(initial=-1)) + 1 + spare for t in blocks]
+    return first, bins, list(zip(blocks, widths))
+
+
+_FAR = 1 << 35
+
+
+@given(_running_queries())
+@example(
+    (
+        np.array([0, 3, 2 * _FAR + 4, 2, _FAR, 9, _FAR + 2, 2, _FAR + 7], dtype=np.int64),
+        np.array([2, 0, _FAR + 3, 1, 4, 5, _FAR, 2, 3], dtype=np.int64),
+        [([0, 2], 6), ([3, 9, 12], 6), ([1, 2], 6)],
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_running_counts_first_days_and_bins_past_2_35(case):
+    """The counts equal a brute-force count, block after block, in either
+    sorted layout. In the hand example keys packed as first << shift | bin
+    would pass 2**63 and wrap, and the counts would ask for 512 GiB."""
+    first, bins, blocks = case
     running = linelist_module._Running(first, bins)
-    for t in ([0, 2], [3, 9, 12], [1, 2]):
-        t = np.array(t)
-        want = [[np.sum((first <= day) & (bins == b)) for b in range(6)] for day in t]
-        assert running.counts(t, np.empty((t.size, 6), np.int64)).tolist() == want
+    for t, width in blocks:
+        t = np.array(t, dtype=np.int64)
+        want = [[np.sum((first <= day) & (bins == b)) for b in range(width)] for day in t]
+        assert running.counts(t, np.empty((t.size, width), np.int64)).tolist() == want
 
 
 # ---------------------------------------------------------------------------

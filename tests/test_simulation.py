@@ -158,6 +158,20 @@ def test_step_day_must_be_a_whole_number():
     assert type(StepRates(0.1, 0.05, np.int64(5)).d_star) is int
 
 
+@pytest.mark.parametrize(
+    "overrides, error, message",
+    [
+        (dict(rising_arm=np.array([], dtype=np.int64)), ValueError,
+         "rising_arm must be a non-empty vector"),
+        (dict(p_spec=0.1), TypeError, "p_spec must be DailyRates or StepRates"),
+    ],
+    ids=["empty-arm", "p-spec-type"],
+)
+def test_input_checks_raise_their_messages(overrides, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        small_scenario(**overrides)
+
+
 def test_daily_rates_from_step():
     sc = small_scenario()
     p = sc.daily_rates.p

@@ -265,6 +265,24 @@ def test_delay_sample_refuses_lags_that_are_no_whole_numbers(lags, bad):
     assert DelaySample([3.0, 0.0]).lags.tolist() == [3, 0]
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Empirical([0.5, np.nan, 1.0]), "cdf_table must be finite"),
+        (lambda: Empirical([0.5, 1.0], n_obs=-1), "n_obs must be non-negative"),
+        (lambda: DelaySample(np.zeros((2, 2))), "lags must be one-dimensional"),
+        (lambda: fit_empirical(EpidemicTable([1], [[1]]), -1), "t must be non-negative"),
+        (lambda: fit_empirical(EpidemicTable([1], [[1]]), 0, lookback=-1),
+         "lookback must be non-negative"),
+    ],
+    ids=["empirical-not-finite", "empirical-n-obs", "sample-2d", "fit-negative-t",
+         "fit-negative-lookback"],
+)
+def test_input_checks_raise_their_messages(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # Log-likelihoods (oracle: scipy logpmf summed observation by observation)
 
