@@ -414,8 +414,8 @@ def _add_day_options(sub: argparse.ArgumentParser) -> None:
         dest="from_day",
         type=_AT_LEAST_ZERO,
         default=None,
-        help="first evaluation day (default 2 * lookback, or the first day with cases "
-        "in a known-mode study)",
+        help="first evaluation day (default max(2 * lookback, 6), or the first day "
+        "with cases in a known-mode study)",
     )
     sub.add_argument(
         "--to",

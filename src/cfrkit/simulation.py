@@ -12,7 +12,6 @@ import os
 import threading
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from importlib import resources
 from itertools import islice
 from pathlib import Path
@@ -81,6 +80,10 @@ class Scenario:
     ``horizon``. ``p_spec`` is either explicit per-day rates or a step.
     ``delay`` is a single model or a per-day schedule. ``seed`` and
     ``replicates`` pin down the whole study.
+
+    Construction builds three plain attributes, not fields, so that any
+    thread may read them: ``curve`` (`build_curve`), ``daily_rates`` over
+    days 0..horizon and ``schedule``, ``delay`` as a `DelaySchedule`.
     """
 
     rising_arm: np.ndarray
@@ -114,38 +117,30 @@ class Scenario:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
+        curve = build_curve(self)
         if isinstance(self.p_spec, StepRates):
-            support = np.nonzero(self.curve)[0]
-            if support.size and self.p_spec.d_star > int(support[-1]):
+            step = self.p_spec
+            support = np.nonzero(curve)[0]
+            if support.size and step.d_star > int(support[-1]):
                 raise ValueError("d_star falls outside the case-curve support")
+            d = np.arange(self.horizon + 1)
+            rates = DailyRates(np.where(d < step.d_star, step.c1, step.c2))
         elif isinstance(self.p_spec, DailyRates):
             if len(self.p_spec) < self.horizon + 1:
                 raise ValueError("daily rates must cover days 0..horizon")
+            rates = DailyRates(self.p_spec.p[: self.horizon + 1])
         else:
             raise TypeError("p_spec must be DailyRates or StepRates")
         if isinstance(self.delay, DelaySchedule):
             self.delay.model_for(self.horizon)  # a per-day schedule must cover 0..horizon
-        elif not isinstance(self.delay, SurvivalModel):
+            schedule = self.delay
+        elif isinstance(self.delay, SurvivalModel):
+            schedule = DelaySchedule(self.delay)
+        else:
             raise TypeError("delay must be a SurvivalModel or a DelaySchedule")
-
-    @cached_property
-    def curve(self) -> np.ndarray:
-        return build_curve(self)
-
-    @cached_property
-    def daily_rates(self) -> DailyRates:
-        """Rates over days 0..horizon, whichever way p_spec was given."""
-        if isinstance(self.p_spec, DailyRates):
-            return DailyRates(self.p_spec.p[: self.horizon + 1])
-        step = self.p_spec
-        d = np.arange(self.horizon + 1)
-        return DailyRates(np.where(d < step.d_star, step.c1, step.c2))
-
-    @cached_property
-    def schedule(self) -> DelaySchedule:
-        if isinstance(self.delay, DelaySchedule):
-            return self.delay
-        return DelaySchedule(self.delay)
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "daily_rates", rates)
+        object.__setattr__(self, "schedule", schedule)
 
 
 def build_curve(scenario: Scenario) -> np.ndarray:
@@ -269,8 +264,9 @@ class StudyResult(object):
 
 def _first_eval_day(curve: np.ndarray, known: bool, lookback: int) -> int:
     """First day of the default evaluation grid: the first day with cases in
-    known mode, else 2 * lookback, so that the empirical delay fit has matured."""
-    return int(np.flatnonzero(curve)[0]) if known else 2 * lookback
+    known mode, else max(2 * lookback, 6), so that the empirical delay fit has
+    matured and the window rate estimator has the six days it needs."""
+    return int(np.flatnonzero(curve)[0]) if known else max(2 * lookback, 6)
 
 
 def run_study(
@@ -288,8 +284,9 @@ def run_study(
     with the generating delay model and daily rates, isolating estimator
     properties; "estimated" refits the empirical delay CDF and window rates
     at every day, mimicking real-time use. The default evaluation grid is
-    every day with confirmed cases (known) or every day from 2 * lookback
-    (estimated, so the empirical fit has matured). Replicates accumulate in
+    every day with confirmed cases (known) or every day from
+    max(2 * lookback, 6) (estimated, so the empirical fit has matured and
+    the window rates can be estimated). Replicates accumulate in
     ascending index order, making results independent of scheduling. The
     arguments are checked before any replicate is drawn.
     """
@@ -318,11 +315,8 @@ def run_study(
             raise ValueError("eval_days must lie within 0..horizon")
 
     rates_true = scenario.daily_rates
-    # The drawing threads read the curve, the rates and the schedule, and a
-    # cached_property need not be thread-safe, so all three are built here.
-    schedule = scenario.schedule
     # Every replicate has the scenario's cases, so what reads no deaths is built once.
-    known_schedule, known_rates = (schedule, rates_true) if known else (None, None)
+    known_schedule, known_rates = (scenario.schedule, rates_true) if known else (None, None)
     shared = _shared_terms(curve, days, alpha, known_schedule, lookback, known_rates, rates_true)
     if shared.t.size != days.size:
         raise ValueError("every evaluation day needs at least one confirmed case")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -166,7 +165,8 @@ class NegBinomial(SurvivalModel):
 
 @dataclass(frozen=True)
 class Zinb(SurvivalModel):
-    """Zero-inflated negative binomial: extra point mass pi at lag 0."""
+    """Zero-inflated negative binomial: extra point mass pi at lag 0. Its
+    NegBinomial(mu, r) is ``_nb``, a plain attribute that no field lists."""
 
     pi: float
     mu: float
@@ -175,11 +175,7 @@ class Zinb(SurvivalModel):
     def __post_init__(self) -> None:
         if not 0.0 <= self.pi < 1.0:
             raise ValueError(f"pi must lie in [0, 1), got {self.pi}")
-        NegBinomial(self.mu, self.r)  # reuse its checks of mu and r
-
-    @cached_property
-    def _nb(self) -> NegBinomial:
-        return NegBinomial(self.mu, self.r)
+        object.__setattr__(self, "_nb", NegBinomial(self.mu, self.r))  # which checks mu and r
 
     def cdf(self, k):
         return self.pi + (1.0 - self.pi) * self._nb.cdf(k)

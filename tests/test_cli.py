@@ -446,6 +446,23 @@ def test_exit_empty_study_grid(tmp_path, capsys):
         run_study(scenario, "estimated")
 
 
+@pytest.mark.parametrize("lookback, first", [(0, 6), (1, 6), (2, 6), (4, 8)])
+def test_estimate_default_grid_starts_at_day_6_or_later(tmp_path, linelist_file, lookback, first):
+    """The default first day is max(2 * lookback, 6): the window rate
+    estimator needs t >= 6."""
+    out = tmp_path / "est.csv"
+    argv = ["estimate", str(linelist_file), "--epoch", "2020-03-03", "--lookback", str(lookback)]
+    assert main([*argv, "-o", str(out)]) == 0
+    assert read_output(out)[1][0]["t"] == str(first)
+
+
+def test_estimated_coverage_at_a_short_lookback(tmp_path):
+    out = tmp_path / "cov.csv"
+    args = ["--arm-days", "60", "--symmetric", "--dstar", "40", "--every", "20", "--lookback", "2"]
+    assert main(["coverage", *args, "--replicates", "2", "-o", str(out)]) == 0
+    assert read_output(out)[1][0]["t"] == "6"
+
+
 def test_study_to_day_clips_to_horizon(tmp_path):
     args = ["simulate", "--arm-days", "40", "--symmetric", "--dstar", "30", "--replicates", "3"]
     clipped, full = tmp_path / "clipped.csv", tmp_path / "full.csv"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import dataclasses
 import os
 import subprocess
 import sys
@@ -185,6 +186,29 @@ def test_daily_rates_passthrough_sliced():
     sc = small_scenario(p_spec=rates)
     assert len(sc.daily_rates) == 41
     assert sc.daily_rates.p == pytest.approx(rates.p[:41])
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        dict(p_spec=DailyRates(np.linspace(0.2, 0.1, 60))),
+        dict(delay=DelaySchedule([point_mass(0)] * 41)),
+    ],
+    ids=["step-rates", "daily-rates", "delay-schedule"],
+)
+def test_scenario_builds_its_derived_values_at_construction(overrides):
+    """Drawing threads read these three values, so none is built on first use."""
+    sc = small_scenario(**overrides)
+    assert {"curve", "daily_rates", "schedule"} <= vars(sc).keys()
+    assert [f.name for f in dataclasses.fields(sc)] == [
+        "rising_arm", "symmetric", "p_spec", "delay", "horizon", "seed", "replicates",
+    ]
+    assert np.array_equal(sc.curve, build_curve(sc))
+    if isinstance(sc.delay, DelaySchedule):
+        assert sc.schedule is sc.delay
+    else:
+        assert sc.schedule.model_for(0) is sc.delay
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +485,7 @@ def test_run_study_known_deaths_free_error_keeps_its_message(eval_days, message)
     "mode, kwargs, message",
     [
         ("estimated", dict(eval_days=[20], lookback=-1), "lookback must be non-negative"),
-        # The default grid would start at day 2 * lookback = -10.
+        # The default grid would start at day max(2 * lookback, 6) = 6.
         ("estimated", dict(lookback=-5), "lookback must be non-negative"),
         ("known", dict(alpha=1.5), "alpha must lie in (0, 1)"),
         ("estimated", dict(eval_days=[20], alpha=0.0), "alpha must lie in (0, 1)"),
@@ -685,6 +709,13 @@ def test_run_study_mode_validation_and_grids():
         run_study(sc, "known", eval_days=[])
     result = run_study(sc, "known")
     assert result.days.tolist() == list(range(0, 41))
+
+
+@pytest.mark.filterwarnings("ignore::cfrkit.AssumptionWarning")
+def test_run_study_estimated_default_grid_starts_at_day_6():
+    """The window rate estimator needs t >= 6, so a lookback below 3 does
+    not move the default grid before day 6."""
+    assert run_study(small_scenario(replicates=1), "estimated", lookback=1).days[0] == 6
 
 
 def test_run_study_estimated_mode_smoke():

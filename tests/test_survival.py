@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 import warnings
@@ -172,6 +173,16 @@ def test_zinb_validation():
         with pytest.raises(ValueError, match="finite and positive"):
             Zinb(0.1, mu, r)
     assert Zinb(0.0, 5.0, 1.0).cdf(0) == pytest.approx(NegBinomial(5.0, 1.0).cdf(0))
+
+
+def test_zinb_builds_its_negative_binomial_once_outside_its_fields():
+    z = Zinb(0.1, 5.0, 1.0)
+    assert "_nb" in vars(z)
+    assert z._nb == NegBinomial(5.0, 1.0)
+    assert z == Zinb(0.1, 5.0, 1.0)
+    assert hash(z) == hash(Zinb(0.1, 5.0, 1.0))
+    assert repr(z) == "Zinb(pi=0.1, mu=5.0, r=1.0)"
+    assert dataclasses.astuple(z) == (0.1, 5.0, 1.0)
 
 
 def test_zinb_sampler_zero_mass():
