@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import AssumptionWarning, EstimationError
-from .linelist import MAX_DAY, EpidemicTable
+from .linelist import MAX_DAY, EpidemicTable, _whole
 from .survival import _NO_RESOLVED_DEATHS, SurvivalModel, _clamp_floor, _empirical_cdfs
 
 __all__ = [
@@ -930,7 +930,7 @@ def _shared_terms(
     ``cases``: F is the schedule's, or refit by the ``lookback`` rule without
     one. Raises for bad arguments; the kernel checks each day."""
     delay = schedule if schedule is not None else _Lookback(lookback)
-    day_grid = np.unique(np.asarray(days, dtype=np.int64))
+    day_grid = np.unique(_whole(days, "days"))
     if day_grid.size and day_grid[0] < 0:
         raise ValueError("days must be non-negative")
     _check_alpha(alpha)

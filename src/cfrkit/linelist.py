@@ -464,13 +464,12 @@ def _whole(values, name: str) -> np.ndarray:
 
 
 def _day_counts(cases) -> np.ndarray:
-    """Daily case counts as a frozen int64 copy."""
+    """Daily case counts as an int64 copy."""
     cases = _whole(cases, "cases")
     if cases.ndim != 1:
         raise ValueError("cases must be one-dimensional")
     if np.any(cases < 0):
         raise ValueError("counts must be non-negative")
-    cases.setflags(write=False)
     return cases
 
 
@@ -549,11 +548,12 @@ class EpidemicTable:
     ``cases[d]`` counts cases confirmed on day d. Each death is held as one
     event, its confirmation day d and its lag k (days from confirmation to
     death), beside each day's death total, which may be less than
-    ``cases[d]``: the remainder survived or is unresolved. ``deaths[d, k]``,
-    the dense (day, lag) table of counts, is built from the events on first
-    access. The estimators never build it: they count the events per block
-    of evaluation days, so their memory is O(deaths + block x days). The
-    table is immutable and its arrays are frozen copies.
+    ``cases[d]``: the remainder survived or is unresolved. The running
+    totals are built with the table, the dense (day, lag) table of counts
+    ``deaths[d, k]`` and the cohort counter of ``observed_deaths`` on first
+    access; the estimators count the events per block of evaluation days,
+    so their memory is O(deaths + block x days). The table is immutable and
+    its arrays frozen: ``cases`` is a copy, or a scenario's shared curve.
     """
 
     def __init__(self, cases, deaths) -> None:
@@ -571,23 +571,25 @@ class EpidemicTable:
 
     @classmethod
     def _from_events(
-        cls, cases, day: np.ndarray, lag: np.ndarray, width: int | None = None
+        cls, cases: np.ndarray, day: np.ndarray, lag: np.ndarray, width: int | None = None
     ) -> "EpidemicTable":
-        """A table from one confirmation day and one lag per death, which the
-        caller has checked: days index ``cases`` and lags are non-negative.
-        ``max_lag`` is ``width - 1``, by default the largest lag."""
+        """A table from inputs the caller checked: non-negative int64 daily
+        ``cases``, kept and frozen, and one confirmation day and one lag per
+        death; days index ``cases`` and lags are non-negative. ``max_lag``
+        is ``width - 1``, by default the largest lag."""
         table = cls.__new__(cls)
-        table._set(_day_counts(cases), day, lag, width)
+        table._set(cases, day, lag, width)
         return table
 
     def _set(self, cases: np.ndarray, day: np.ndarray, lag: np.ndarray, width: int | None):
         totals = np.bincount(day, minlength=cases.size)
         if np.any(totals > cases):
             raise ValueError("more deaths than confirmed cases on some day")
-        if width is None:
-            width = int(lag.max()) + 1 if lag.size else 1
-        totals.setflags(write=False)
-        vars(self).update(cases=cases, _day=day, _lag=lag, _totals=totals, _width=max(width, 1))
+        width = int(lag.max(initial=0)) + 1 if width is None else width
+        derived = dict(_totals=totals, _cum_cases=np.cumsum(cases), _cum_totals=np.cumsum(totals))
+        for array in (cases, *derived.values()):
+            array.setflags(write=False)
+        vars(self).update(derived, cases=cases, _day=day, _lag=lag, _width=max(width, 1))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"EpidemicTable is immutable: cannot set {name!r}")
@@ -644,14 +646,6 @@ class EpidemicTable:
         return deaths
 
     @cached_property
-    def _cum_cases(self) -> np.ndarray:
-        return np.cumsum(self.cases)
-
-    @cached_property
-    def _cum_totals(self) -> np.ndarray:
-        return np.cumsum(self._totals)
-
-    @cached_property
     def _by_cohort(self) -> _Running:
         """Each death counted by cohort from its death day on."""
         return _Running(self._day + self._lag, self._day)
@@ -693,11 +687,12 @@ class EpidemicTable:
 
         Costs what ``observed_deaths(t)`` costs.
         """
+        t = _whole([t], "t")
         if not 0 <= d < self.n_days:
             raise ValueError(f"day {d} outside table (0..{self.n_days - 1})")
-        if d > t:
-            raise ValueError(f"confirmation day {d} is after query day {t}")
-        return int(self._observed(np.array([t]))[0, d])
+        if d > t[0]:
+            raise ValueError(f"confirmation day {d} is after query day {t[0]}")
+        return int(self._observed(t)[0, d])
 
     def observed_deaths(self, t: int) -> np.ndarray:
         """Vector of ``deaths_by(d, t)`` for d = 0..min(t, n_days - 1).
@@ -707,9 +702,10 @@ class EpidemicTable:
         next: a query no earlier than the previous one costs O(n_days) plus
         the deaths first seen since, an earlier one O(n_days + deaths).
         """
-        if t < 0:
+        t = _whole([t], "t")
+        if t[0] < 0:
             raise ValueError("t must be non-negative")
-        return self._observed(np.array([t]))[0]
+        return self._observed(t)[0]
 
     def final_deaths(self) -> np.ndarray:
         """Per-day counts of cases with a recorded death at any lag."""

@@ -82,8 +82,8 @@ class Scenario:
     ``replicates`` pin down the whole study.
 
     Construction builds three plain attributes, not fields, so that any
-    thread may read them: ``curve`` (`build_curve`), ``daily_rates`` over
-    days 0..horizon and ``schedule``, ``delay`` as a `DelaySchedule`.
+    thread may read them: ``curve`` (`build_curve`, read-only), ``daily_rates``
+    over days 0..horizon and ``schedule``, ``delay`` as a `DelaySchedule`.
     """
 
     rising_arm: np.ndarray
@@ -144,7 +144,7 @@ class Scenario:
 
 
 def build_curve(scenario: Scenario) -> np.ndarray:
-    """Daily case counts over days 0..horizon.
+    """Daily case counts over days 0..horizon, as a read-only array.
 
     The rising arm, mirrored around the peak when symmetric, then zero-case
     days out to the horizon so late cohorts can resolve.
@@ -153,6 +153,7 @@ def build_curve(scenario: Scenario) -> np.ndarray:
     curve = np.concatenate([arm, arm[::-1]]) if scenario.symmetric else arm
     out = np.zeros(scenario.horizon + 1, dtype=np.int64)
     out[: curve.size] = curve
+    out.setflags(write=False)
     return out
 
 
@@ -172,12 +173,11 @@ def simulate_replicate(scenario: Scenario, replicate_index: int) -> EpidemicTabl
     )
     curve = scenario.curve
     n_die = rng.binomial(curve, scenario.daily_rates.p)
-    schedule = scenario.schedule
-    if schedule.is_constant:
-        lags = schedule.model_for(0).sample(int(n_die.sum()), rng)
-    else:
-        parts = [schedule.model_for(d).sample(int(n_die[d]), rng) for d in range(curve.size)]
-        lags = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    models = scenario.schedule._models
+    if scenario.schedule.is_constant:
+        lags = models[0].sample(int(n_die.sum()), rng)
+    else:  # the Scenario checked that the models cover days 0..horizon
+        lags = np.concatenate([m.sample(n, rng) for m, n in zip(models, n_die.tolist())])
     # The lags are grouped by confirmation day.
     return EpidemicTable._from_events(curve, np.repeat(np.arange(curve.size), n_die), lags)
 
@@ -308,7 +308,7 @@ def run_study(
             )
         days = np.arange(start, scenario.horizon + 1, dtype=np.int64)
     else:
-        days = np.unique(np.asarray(eval_days, dtype=np.int64))
+        days = np.unique(_whole(eval_days, "eval_days"))
         if days.size == 0:
             raise ValueError("eval_days must be non-empty")
         if days[0] < 0 or days[-1] > scenario.horizon:

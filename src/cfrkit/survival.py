@@ -366,7 +366,7 @@ def fit_zinb_mle(sample) -> Zinb:
     r0 = mu0 / denom if denom > 0 else 100.0
     x0 = np.array(
         [
-            np.clip(pi0, 0.01, 0.9),
+            pi0,
             np.clip(mu0, *_MU_BOUNDS),
             np.clip(r0, *_R_BOUNDS),
         ]

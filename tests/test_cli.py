@@ -1207,14 +1207,14 @@ def test_version_flag(capsys):
 _SCIPY_MODULES = ("scipy.stats", "scipy.optimize", "scipy.special")
 
 
-def _fresh_cli_runs(*argvs):
+def _fresh_cli_runs(*argvs, modules=_SCIPY_MODULES):
     """Run ``cli.main`` on each argv in a fresh interpreter that imports cfrkit
-    from this checkout; return the exit codes and the scipy modules loaded."""
+    from this checkout; return the exit codes and which of ``modules`` loaded."""
     script = (
         "import sys\n"
         "import cfrkit, cfrkit.cli\n"
         f"print(*[cfrkit.cli.main(argv) for argv in {list(argvs)!r}])\n"
-        f"print(*[name for name in {_SCIPY_MODULES!r} if name in sys.modules])\n"
+        f"print(*[name for name in {modules!r} if name in sys.modules])\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     done = subprocess.run(
@@ -1226,6 +1226,11 @@ def _fresh_cli_runs(*argvs):
 
 def test_import_loads_no_scipy():
     assert _fresh_cli_runs() == ([], [])
+
+
+def test_import_loads_no_thread_pool_or_calendar():
+    # The drawing pool and the ISO-date table import these on first use.
+    assert _fresh_cli_runs(modules=("concurrent.futures", "calendar")) == ([], [])
 
 
 def test_empirical_paths_load_no_scipy(tmp_path, linelist_file):

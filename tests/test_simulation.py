@@ -6,6 +6,7 @@ import concurrent.futures
 import csv
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -22,12 +23,15 @@ from cfrkit import (
     MAX_DAY,
     DailyRates,
     DelaySchedule,
+    EpidemicTable,
     EstimateSeries,
     EstimationError,
+    LineList,
     NegBinomial,
     Scenario,
     StepRates,
     SurvivalModel,
+    aggregate,
     build_curve,
     cfr_proposed,
     estimate_series,
@@ -243,6 +247,55 @@ def test_replicate_cases_equal_curve():
     sc = small_scenario()
     table = simulate_replicate(sc, 1)
     assert np.array_equal(table.cases, sc.curve)
+
+
+def test_replicates_share_the_scenarios_read_only_curve():
+    sc = small_scenario()
+    assert not sc.curve.flags.writeable
+    assert all(simulate_replicate(sc, i).cases is sc.curve for i in range(3))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: EpidemicTable([3, 2], [[1], [0]]),
+        lambda: EpidemicTable.from_sparse([3, 2], {0: {1: 1}}),
+        lambda: aggregate(LineList([0, 0, 1], [-1, 1, -1])),
+        lambda: simulate_replicate(small_scenario(), 0),
+    ],
+    ids=["dense", "sparse", "line-list", "replicate"],
+)
+def test_table_builds_its_running_totals_at_construction(build):
+    """A replicate's table is built on a drawing thread; the counter by
+    cohort stays lazy, as ``fit-survival`` never reads it."""
+    held = vars(build())
+    assert {"_cum_cases", "_cum_totals"} <= held.keys()
+    assert "_by_cohort" not in held
+
+
+@pytest.mark.parametrize(
+    "delay",
+    [NegBinomial(4.0, 1.0), DelaySchedule([NegBinomial(4.0, 1.0)] * 41)],
+    ids=["constant", "per-day"],
+)
+def test_replicate_reads_the_schedules_models_unchecked(monkeypatch, delay):
+    """The Scenario checked that the schedule covers days 0..horizon."""
+    sc = small_scenario(delay=delay)
+    calls = []
+    model_for = DelaySchedule.model_for
+    monkeypatch.setattr(
+        DelaySchedule, "model_for", lambda self, d: calls.append(d) or model_for(self, d)
+    )
+    simulate_replicate(sc, 0)
+    assert calls == []
+
+
+def test_per_day_schedule_of_one_model_draws_as_that_model():
+    nb = NegBinomial(4.0, 1.0)
+    constant, per_day = small_scenario(delay=nb), small_scenario(delay=DelaySchedule([nb] * 41))
+    for index in range(3):
+        a, b = simulate_replicate(constant, index), simulate_replicate(per_day, index)
+        assert np.array_equal(a._day, b._day) and np.array_equal(a._lag, b._lag)
 
 
 def test_replicate_death_total_near_mean():
@@ -502,6 +555,37 @@ def test_run_study_bad_argument_fails_before_any_replicate(monkeypatch, mode, kw
         run_study(small_scenario(seed=7), mode, **kwargs)
     assert str(raised.value) == message
     assert drawn == []
+
+
+@pytest.mark.parametrize(
+    "days", [[10.7, 12.2], [np.inf], [2**70]], ids=["fraction", "inf", "past-int64"]
+)
+@pytest.mark.parametrize(
+    "query, name",
+    [
+        (lambda sc, days: estimate_series(simulate_replicate(sc, 0), days, schedule=sc.schedule),
+         "days"),
+        (lambda sc, days: run_study(sc, "known", eval_days=days), "eval_days"),
+        (lambda sc, days: simulate_replicate(sc, 0).observed_deaths(days[0]), "t"),
+        (lambda sc, days: simulate_replicate(sc, 0).deaths_by(2, days[0]), "t"),
+    ],
+    ids=["estimate_series", "run_study", "observed_deaths", "deaths_by"],
+)
+def test_days_must_be_finite_whole_numbers(query, name, days):
+    """A day that is no whole number is refused, not truncated."""
+    message = f"^{name} must be finite whole numbers, got {re.escape(str(float(days[0])))}$"
+    with pytest.raises(ValueError, match=message):
+        query(small_scenario(), days)
+
+
+def test_whole_float_days_are_kept():
+    sc = small_scenario()
+    table = simulate_replicate(sc, 0)
+    series = estimate_series(table, [10.0, 12.0], schedule=sc.schedule)
+    assert series.t.tolist() == [10, 12]
+    assert run_study(sc, "known", eval_days=[10.0]).days.tolist() == [10]
+    assert table.observed_deaths(12.0).tolist() == table.observed_deaths(12).tolist()
+    assert table.deaths_by(2, 12.0) == table.deaths_by(2, 12)
 
 
 @pytest.mark.parametrize("mode", ["known", "estimated"])
