@@ -212,6 +212,10 @@ def _read_linelist(args: argparse.Namespace) -> tuple[EpidemicTable, np.ndarray]
     """The table and the lags, in row order, of the input line list, folded
     from its day pieces as they stream from the file: no column of every
     row is held."""
+    if args.input and args.input_flag:
+        raise argparse.ArgumentTypeError(
+            f"give one line list: both {args.input} and --input {args.input_flag} were given"
+        )
     path = args.input_flag or args.input
     if not path:
         raise argparse.ArgumentTypeError("an input line-list CSV is required")
@@ -437,7 +441,7 @@ def _add_io_options(sub: argparse.ArgumentParser) -> None:
         "--input",
         dest="input_flag",
         default=None,
-        help="line-list CSV; alternative to the positional argument",
+        help="line-list CSV, instead of the positional argument (both: exit 2)",
     )
     _add_common_options(sub)
     sub.add_argument(

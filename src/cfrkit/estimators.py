@@ -11,6 +11,10 @@ mass (A1); it is consistent as cumulative cases grow; and the standardized
 error (CFR(t) - cfr(t)) / sqrt(V) is asymptotically standard normal under
 A1-A3, passing |sample skewness| < 0.15 and |excess kurtosis| < 0.3 over
 2000 replicates of a large scenario at its final day.
+
+A day ``t`` or ``d``, a ``lookback`` and every other day, lag, count or
+index argument of cfrkit is one finite whole number >= 0, such as 6, 6.0 or
+``np.int64(6)``; any other value raises a ValueError naming the argument.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import AssumptionWarning, EstimationError
-from .linelist import MAX_DAY, EpidemicTable, _whole
+from .linelist import MAX_DAY, EpidemicTable, _index, _whole
 from .survival import _NO_RESOLVED_DEATHS, SurvivalModel, _clamp_floor, _empirical_cdfs
 
 __all__ = [
@@ -84,9 +88,8 @@ class DelaySchedule:
         return self._days == math.inf
 
     def model_for(self, d: int) -> SurvivalModel:
-        """Delay model of cases confirmed on day d."""
-        if d < 0:
-            raise ValueError("day must be non-negative")
+        """Delay model of cases confirmed on day d, a whole number >= 0."""
+        d = _index(d, "day")
         _check(*self._uncovered(np.array([d])))
         return self._models[min(d, len(self._models) - 1)]
 
@@ -244,16 +247,15 @@ def normal_quantile(q: float) -> float:
 # Shared helpers
 
 
-def _cases_by(table: EpidemicTable, t: int) -> tuple[int, int]:
-    """(upto, r_t) of day t: its last cohort, min(t, n_days - 1), and the
-    cases confirmed by t, which must be some."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
+def _cases_by(table: EpidemicTable, t: int) -> tuple[int, int, int]:
+    """(t, upto, r_t) of day t, read by `_index`: the day, its last cohort,
+    min(t, n_days - 1), and the cases confirmed by t, which must be some."""
+    t = _index(t, "t")
     upto = min(t, table.n_days - 1)
     r_t = int(table._cum_cases[upto]) if upto >= 0 else 0  # upto < 0: a table with no days
     if r_t == 0:
         raise EstimationError(f"no cases confirmed by day {t}")
-    return upto, r_t
+    return t, upto, r_t
 
 
 def _short_rates(rates: DailyRates, upto: int) -> ValueError:
@@ -372,8 +374,7 @@ class _Lookback:
     _reads_deaths = True
 
     def __post_init__(self) -> None:
-        if self.lookback < 0:
-            raise ValueError("lookback must be non-negative")
+        object.__setattr__(self, "lookback", _index(self.lookback, "lookback"))
 
     def _fit(self, table: EpidemicTable, c: _Cohorts, work: _Buffers | None = None) -> _Fit:
         """F of each day's own ``fit_empirical`` table, all days at once.
@@ -625,7 +626,7 @@ def _known_day(
 
 def cfr_true(table: EpidemicTable, rates: DailyRates, t: int) -> float:
     """Case-weighted mean of the true daily fatality probabilities by day t."""
-    upto, r_t = _cases_by(table, t)
+    _, upto, r_t = _cases_by(table, t)
     p = _rates_upto(rates, upto)
     return float((table.cases[: upto + 1] * p).sum() / r_t)
 
@@ -636,7 +637,7 @@ def cfr_naive(table: EpidemicTable, t: int) -> float:
     Underestimates while deaths still accrue; converges only once every
     cohort has resolved.
     """
-    _, r_t = _cases_by(table, t)
+    t, _, r_t = _cases_by(table, t)
     return float(table.observed_deaths(t).sum() / r_t)
 
 
@@ -646,7 +647,7 @@ def cfr_final(table: EpidemicTable, t: int) -> float:
     Uses each case's final outcome, so it is only computable in hindsight
     (or in simulations); real-time data cannot provide it.
     """
-    upto, r_t = _cases_by(table, t)
+    _, upto, r_t = _cases_by(table, t)
     return float(table.cumulative_final_deaths(upto) / r_t)
 
 
@@ -659,7 +660,7 @@ def cfr_proposed(table: EpidemicTable, schedule: DelaySchedule, t: int) -> float
     Unbiased at every t provided each F_d(0) > 0 (assumption A1). Can exceed
     1 in small samples; values are reported unclipped.
     """
-    _, r_t = _cases_by(table, t)
+    t, _, r_t = _cases_by(table, t)
     c, _, f = _known_day(table, schedule, t)
     w = _weights(c, f, _divisor(f))
     return float(w[0].sum() / r_t)
@@ -683,7 +684,7 @@ def cfr_garske_mod(table: EpidemicTable, schedule: DelaySchedule, t: int) -> flo
     own F_d; still biased toward a case-and-delay-weighted mean of the daily
     rates rather than the case-weighted mean when rates vary.
     """
-    _cases_by(table, t)
+    t, _, _ = _cases_by(table, t)
     c, raw, _ = _known_day(table, schedule, t)
     (denom,) = _garske_denominators(table.cases, raw, c.n)
     if denom <= 0.0:
@@ -705,6 +706,7 @@ def p_hat_daily(table: EpidemicTable, schedule: DelaySchedule, t: int) -> DailyR
     cases borrows the nearest computable window, earlier side on ties, and
     the day is listed in ``fallback_days``. Estimates are clipped to [0, 1].
     """
+    t = _index(t, "t", str(_rate_day_error()))
     if t < 6:
         raise _rate_day_error()
     _cases_by(table, t)
@@ -724,7 +726,7 @@ def variance_cfr(
     V = sum_d c_d p_d (1 - p_d F_d(t - d)) / F_d(t - d) / r_t**2. Days with
     c_d p_d = 0 contribute nothing and need no CDF mass.
     """
-    upto, r_t = _cases_by(table, t)
+    t, upto, r_t = _cases_by(table, t)
     p = _rates_upto(rates, upto)
     c, _, f = _known_day(table, schedule, t)
     terms, bad = _variance_terms(table.cases[: upto + 1], p, f, _divisor(f), c.n)
@@ -789,8 +791,7 @@ def validate_assumptions(
     rates: DailyRates, schedule: DelaySchedule, t: int
 ) -> AssumptionReport:
     """Evaluate assumptions A1-A3 over days 0..t."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    t = _index(t, "t")
     _rates_upto(rates, t)
     day = np.array([t])
     _check(*schedule._uncovered(day))

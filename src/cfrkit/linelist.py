@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from datetime import date
 from functools import cached_property, lru_cache
 from itertools import chain, islice, product
-from operator import itemgetter
+from operator import itemgetter, methodcaller
 from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -291,9 +291,14 @@ def _records(lines: Iterable[str], at: list[int], before: int = 0) -> Iterator[l
     """The cells of each CSV record of the lines that is neither blank nor a
     comment (a first cell starting with ``#`` after any blanks); while one is
     out, it starts on line ``before + at[0] + 1``. A quoted cell keeps its
-    blank and ``#`` lines. A ParseError names the line of a comment holding
-    a quoted line break, which would swallow the lines after it, of a record
-    the csv module rejects and of a line that is not UTF-8."""
+    blank and ``#`` lines. One byte-order mark at the start of the input
+    (``before`` 0), as Excel writes one, is dropped. A ParseError names the
+    line of a comment holding a quoted line break, which would swallow the
+    lines after it, of a record the csv module rejects and of a line that
+    is not UTF-8."""
+    lines = iter(lines)
+    if not before:  # first line lazily, so that a decode error is raised below
+        lines = chain(map(methodcaller("removeprefix", "\ufeff"), islice(lines, 1)), lines)
     reader = csv.reader(lines)
     at[0] = 0
     try:
@@ -455,12 +460,34 @@ def _whole(values, name: str) -> np.ndarray:
     """``values`` as a new int64 array. A ValueError names the first value
     that is not a finite whole number; integer input is only copied."""
     array = np.asarray(values)
-    if array.dtype.kind not in "biu":
+    if array.dtype.kind not in "biu" or array.dtype == np.uint64:  # a uint64 may pass 2**63
         real = array.astype(float)
         bad = ~(np.abs(real) < 2.0**63) | (real != np.trunc(real))
         if bad.any():
             raise ValueError(f"{name} must be finite whole numbers, got {real[bad][0]}")
     return np.array(array, dtype=np.int64)
+
+
+def _index(value, name: str, negative: str = "{name} must be non-negative") -> int:
+    """``value``, one finite whole number >= 0, as an int. Any other value
+    raises a ValueError naming ``name`` and the value: ``negative``, with
+    ``name`` and the number as ``value``, for a negative whole number."""
+    array = np.asarray(value)
+    if array.ndim or array.dtype.kind not in "biufO":
+        raise ValueError(f"{name} must be a single number, not a {type(value).__name__}")
+    index = int(_whole(array, name))
+    if index < 0:
+        raise ValueError(negative.format(name=name, value=index))
+    return index
+
+
+def _table_day(value, n_days: int, name: str) -> int:
+    """``value`` read by `_index` as a day 0..n_days - 1 of a table."""
+    outside = f"day {{value}} outside table (0..{n_days - 1})"
+    day = _index(value, name, outside)
+    if day >= n_days:
+        raise ValueError(outside.format(value=day))
+    return day
 
 
 def _day_counts(cases) -> np.ndarray:
@@ -602,17 +629,15 @@ class EpidemicTable:
 
         Raises:
             ValueError: a day outside 0..len(cases) - 1, a negative lag or
-                count, or a count that is no whole number.
+                count, or a day, lag or count that is no whole number, which
+                names the day, the lag or the deaths.
         """
         cases = _day_counts(cases)
         cells = []
         for d, row in lag_counts.items():
-            if not 0 <= d < cases.size:
-                raise ValueError(f"day {d} outside table (0..{cases.size - 1})")
+            d = _table_day(d, cases.size, "day")
             for k, count in row.items():
-                if k < 0:
-                    raise ValueError(f"negative lag {k} on day {d}")
-                cells.append((d, k, count))
+                cells.append((d, _index(k, "lag", f"negative lag {{value}} on day {d}"), count))
         day, lag, count = _whole(np.reshape(cells, (-1, 3)), "deaths").T
         if np.any(count < 0):
             raise ValueError("counts must be non-negative")
@@ -677,45 +702,41 @@ class EpidemicTable:
         return held[1].counts(t - lookback, np.empty((t.size, width), np.int64))
 
     def cumulative_cases(self, t: int) -> int:
-        """Total cases confirmed on days 0..t."""
-        if not 0 <= t < self.n_days:
-            raise ValueError(f"day {t} outside table (0..{self.n_days - 1})")
-        return int(self._cum_cases[t])
+        """Total cases confirmed on days 0..t, a day of the table."""
+        return int(self._cum_cases[_table_day(t, self.n_days, "t")])
 
     def deaths_by(self, d: int, t: int) -> int:
-        """Cases confirmed on day d that died on or before day t.
+        """Cases confirmed on day d that died on or before day t: d is a
+        day of the table and t a whole number >= d.
 
         Costs what ``observed_deaths(t)`` costs.
         """
-        t = _whole([t], "t")
-        if not 0 <= d < self.n_days:
-            raise ValueError(f"day {d} outside table (0..{self.n_days - 1})")
-        if d > t[0]:
-            raise ValueError(f"confirmation day {d} is after query day {t[0]}")
-        return int(self._observed(t)[0, d])
+        d = _table_day(d, self.n_days, "d")
+        after = f"confirmation day {d} is after query day {{value}}"
+        t = _index(t, "t", after)
+        if d > t:
+            raise ValueError(after.format(value=t))
+        return int(self._observed(np.array([t]))[0, d])
 
     def observed_deaths(self, t: int) -> np.ndarray:
-        """Vector of ``deaths_by(d, t)`` for d = 0..min(t, n_days - 1).
+        """Vector of ``deaths_by(d, t)`` for d = 0..min(t, n_days - 1), t a
+        whole number >= 0.
 
         A table's first query costs O(n_days + deaths), and the next one
         sorts the deaths, once. The counts then carry from one query to the
         next: a query no earlier than the previous one costs O(n_days) plus
         the deaths first seen since, an earlier one O(n_days + deaths).
         """
-        t = _whole([t], "t")
-        if t[0] < 0:
-            raise ValueError("t must be non-negative")
-        return self._observed(t)[0]
+        return self._observed(np.array([_index(t, "t")]))[0]
 
     def final_deaths(self) -> np.ndarray:
         """Per-day counts of cases with a recorded death at any lag."""
         return self._totals.copy()
 
     def cumulative_final_deaths(self, t: int) -> int:
-        """Cases confirmed on days 0..t with a recorded death at any lag."""
-        if not 0 <= t < self.n_days:
-            raise ValueError(f"day {t} outside table (0..{self.n_days - 1})")
-        return int(self._cum_totals[t])
+        """Cases confirmed on days 0..t, a day of the table, with a recorded
+        death at any lag."""
+        return int(self._cum_totals[_table_day(t, self.n_days, "t")])
 
 
 def aggregate(linelist: LineList) -> EpidemicTable:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CfrError, ParseError
 from .estimators import DailyRates, DelaySchedule, EstimateSeries, _series, _shared_terms
-from .linelist import MAX_CASES, MAX_DAY, EpidemicTable, _file_records, _whole
+from .linelist import MAX_CASES, MAX_DAY, EpidemicTable, _file_records, _index, _whole
 from .survival import SurvivalModel
 
 if TYPE_CHECKING:
@@ -56,19 +56,18 @@ def _integer(value, name: str) -> int:
 
 @dataclass(frozen=True)
 class StepRates:
-    """Daily fatality probability c1 through day d_star - 1, c2 from d_star on."""
+    """Daily fatality probability c1 through day d_star - 1, c2 from d_star
+    on; d_star is a whole number >= 0."""
 
     c1: float
     c2: float
     d_star: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "d_star", _integer(self.d_star, "d_star"))
+        object.__setattr__(self, "d_star", _index(self.d_star, "d_star"))
         for name, value in (("c1", self.c1), ("c2", self.c2)):
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie strictly in (0, 1), got {value}")
-        if self.d_star < 0:
-            raise ValueError("d_star must be non-negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,13 +163,11 @@ def simulate_replicate(scenario: Scenario, replicate_index: int) -> EpidemicTabl
     delay from the day's model. The stream is seeded with
     SeedSequence(entropy=seed, spawn_key=(replicate_index,)), so replicates
     are independent and reproducible in any order or in parallel. A study
-    runs this on its drawing threads.
+    runs this on its drawing threads. ``replicate_index`` is a whole
+    number >= 0.
     """
-    if replicate_index < 0:
-        raise ValueError("replicate_index must be non-negative")
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=scenario.seed, spawn_key=(int(replicate_index),))
-    )
+    index = _index(replicate_index, "replicate_index")
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=scenario.seed, spawn_key=(index,)))
     curve = scenario.curve
     n_die = rng.binomial(curve, scenario.daily_rates.p)
     models = scenario.schedule._models
@@ -266,7 +263,7 @@ def _first_eval_day(curve: np.ndarray, known: bool, lookback: int) -> int:
     """First day of the default evaluation grid: the first day with cases in
     known mode, else max(2 * lookback, 6), so that the empirical delay fit has
     matured and the window rate estimator has the six days it needs."""
-    return int(np.flatnonzero(curve)[0]) if known else max(2 * lookback, 6)
+    return int(np.flatnonzero(curve)[0]) if known else max(2 * _index(lookback, "lookback"), 6)
 
 
 def run_study(
@@ -442,11 +439,13 @@ def load_example_arm() -> np.ndarray:
 
 
 def illustrative_daily_rates(n_days: int) -> DailyRates:
-    """Smoothly declining daily fatality probabilities, 5% early to 2.2%.
+    """Smoothly declining daily fatality probabilities, 5% early to 2.2%,
+    over ``n_days``, a whole number >= 1.
 
     Companion to the bundled example curve for coverage studies where the
     true rate must vary over time.
     """
+    n_days = _index(n_days, "n_days", "n_days must be positive")
     if n_days < 1:
         raise ValueError("n_days must be positive")
     d = np.arange(n_days, dtype=float)

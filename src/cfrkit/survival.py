@@ -17,7 +17,7 @@ import numpy as np
 # negative binomial CDF and log-pmf, scipy.optimize for the MLE search only.
 
 from .errors import DegenerateSampleError, EstimationError
-from .linelist import EpidemicTable, LineList, _whole
+from .linelist import EpidemicTable, LineList, _index, _whole
 
 __all__ = [
     "SurvivalModel",
@@ -86,7 +86,8 @@ class Empirical(SurvivalModel):
     """Tabulated delay CDF: ``cdf_table[k]`` is P(delay <= k), ending at 1."""
 
     cdf_table: np.ndarray
-    #: Resolved deaths behind a fitted table; drives the clamp floor.
+    #: Resolved deaths behind a fitted table, a whole number >= 0 held as
+    #: an int; drives the clamp floor.
     n_obs: int | None = None
 
     def __post_init__(self) -> None:
@@ -101,8 +102,8 @@ class Empirical(SurvivalModel):
             raise ValueError("cdf_table must be non-decreasing")
         if table[-1] != 1.0:
             raise ValueError("cdf_table must end at exactly 1")
-        if self.n_obs is not None and self.n_obs < 0:
-            raise ValueError("n_obs must be non-negative")
+        if self.n_obs is not None:
+            object.__setattr__(self, "n_obs", _index(self.n_obs, "n_obs"))
         table.setflags(write=False)
         object.__setattr__(self, "cdf_table", table)
 
@@ -194,10 +195,8 @@ class Zinb(SurvivalModel):
 
 
 def point_mass(lag: int) -> Empirical:
-    """Delay that always equals ``lag`` days."""
-    if lag < 0:
-        raise ValueError("lag must be non-negative")
-    table = np.zeros(lag + 1)
+    """Delay that always equals ``lag`` days, a whole number >= 0."""
+    table = np.zeros(_index(lag, "lag") + 1)
     table[-1] = 1.0
     return Empirical(table)
 
@@ -404,13 +403,12 @@ def fit_empirical(table: EpidemicTable, t: int, lookback: int = 45) -> Empirical
     behind the clamp floor.
 
     Raises:
+        ValueError: ``t`` or ``lookback`` is no whole number >= 0; the
+            message names it.
         EstimationError: no eligible deaths ("insufficient resolved deaths
             for empirical fit").
     """
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    if lookback < 0:
-        raise ValueError("lookback must be non-negative")
+    t, lookback = _index(t, "t"), _index(lookback, "lookback")
     (cdf,), (total,) = _empirical_cdfs(table, np.array([t]), lookback)
     if total == 0:
         raise EstimationError(_NO_RESOLVED_DEATHS)

@@ -1241,16 +1241,25 @@ def test_empirical_paths_load_no_scipy(tmp_path, linelist_file):
 
 
 def test_nb_estimate_loads_scipy(tmp_path, linelist_file):
-    estimate = ["estimate", str(linelist_file), "--epoch", "2020-03-03", "--survival", "nb",
-                "-o", str(tmp_path / "e.csv")]
-    assert _fresh_cli_runs(estimate) == ([0], ["scipy.optimize", "scipy.special"])
+    # So do estimate --survival zinb and fit-survival, each in its own process.
+    common = [str(linelist_file), "--epoch", "2020-03-03", "-o", str(tmp_path / "e.csv")]
+    for argv in (["estimate", *common, "--survival", "nb"],
+                 ["estimate", *common, "--survival", "zinb"],
+                 ["fit-survival", *common]):
+        assert _fresh_cli_runs(argv) == ([0], ["scipy.optimize", "scipy.special"]), argv
 
 
-@pytest.mark.parametrize("command", ["coverage", "simulate"])
-def test_known_mode_study_loads_scipy_special_only(tmp_path, command):
-    # The default NB delay tabulates its CDF through scipy.special alone.
+@pytest.mark.parametrize("command", ["coverage", "simulate", "estimate"])
+def test_known_mode_study_loads_scipy_special_only(tmp_path, linelist_file, command):
+    # The default NB delay tabulates its CDF through scipy.special alone, as
+    # does estimate with a parameter file's NB.
     study = [command, "--mode", "known", "--replicates", "2", "--arm-days", "60",
              "--symmetric", "--dstar", "40", "--every", "10", "-o", str(tmp_path / "s.csv")]
+    if command == "estimate":
+        params = tmp_path / "fit.csv"
+        params.write_text("model,mu,r,pi,loglik,n\nnb,10.5,0.9,0,-80.5,25\n")
+        study = [command, str(linelist_file), "--epoch", "2020-03-03", "--survival", "file",
+                 "--survival-file", str(params), "-o", str(tmp_path / "e.csv")]
     assert _fresh_cli_runs(study) == ([0], ["scipy.special"])
 
 
@@ -1496,6 +1505,57 @@ def test_estimate_line_list_with_lines_before_its_header(tmp_path, linelist_file
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("reader", ["line list", "arm file", "rates file", "parameter file"])
+def test_a_byte_order_mark_changes_no_output(tmp_path, linelist_file, reader):
+    """Excel's "CSV UTF-8" export starts a file with a byte-order mark. A
+    copy with one, and a copy with one before a comment line, give the
+    plain file's outputs: the mark used to be read into the header's first
+    name, and a comment after it was no comment."""
+    plain = {
+        "line list": linelist_file.read_text(),
+        "arm file": "cases\n" + "".join(f"{n}\n" for n in load_example_arm()[:30]),
+        "rates file": "p\n" + "".join(f"{p!r}\n" for p in illustrative_daily_rates(81).p.tolist()),
+        "parameter file": "model,mu,r,pi,loglik,n\nnb,10.5,0.9,0,-80.5,25\n",
+    }[reader]
+    study = ["--replicates", "2", "--every", "10", "--symmetric"]
+    commands = {
+        "line list": [["estimate", "{file}", "--epoch", "2020-03-03"],
+                      ["fit-survival", "{file}", "--epoch", "2020-03-03"]],
+        "arm file": [["simulate", "--arm-file", "{file}", "--dstar", "20", *study]],
+        "rates file": [["coverage", "--rates-file", "{file}", "--mode", "known",
+                        "--arm-days", "30", "--horizon", "80", *study]],
+        "parameter file": [["estimate", str(linelist_file), "--epoch", "2020-03-03",
+                            "--survival", "file", "--survival-file", "{file}"]],
+    }[reader]
+    outputs = {}
+    for name, lead in (("plain", ""), ("bom", "\ufeff"), ("bom-comment", "\ufeff# exported\n")):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes((lead + plain).encode())
+        folder = tmp_path / name
+        folder.mkdir()
+        for i, argv in enumerate(commands):
+            args = [arg.format(file=path) for arg in argv]
+            assert main([*args, "-o", str(folder / f"{i}.csv")]) == 0
+        # past the meta line, which names the input file
+        outputs[name] = {out.name: out.read_bytes().split(b"\n", 1)[1] for out in folder.iterdir()}
+    assert outputs["bom"] == outputs["plain"]
+    assert outputs["bom-comment"] == outputs["plain"]
+
+
+@pytest.mark.parametrize("command", ["estimate", "fit-survival"])
+def test_input_given_twice_exits_2(tmp_path, linelist_file, capsys, command):
+    """Given both, the positional input was ignored, and the meta line named
+    both files."""
+    other = tmp_path / "other.csv"
+    other.write_bytes(linelist_file.read_bytes())
+    out = tmp_path / "out.csv"
+    argv = [command, str(linelist_file), "--input", str(other), "--epoch", "2020-03-03"]
+    assert main([*argv, "-o", str(out)]) == 2
+    message = f"cfrkit: give one line list: both {linelist_file} and --input {other} were given\n"
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
 _FUZZ_LINELIST = "confirm_date,death_date\n" + "".join(
     f"{day % 30},{day % 30 + 3}\n" for day in range(60)
 )
@@ -1536,13 +1596,14 @@ def _oracle_records(text: str) -> tuple[list[int], int | None]:
     return data, None
 
 
-@given(st.text(alphabet=',"\n\r#-019x ', max_size=60))
+@given(st.text(alphabet=',"\n\r#-019x ', max_size=60), st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_fuzzed_text_parses_the_same_in_all_four_readers(tmp_path_factory, body):
+def test_fuzzed_text_parses_the_same_in_all_four_readers(tmp_path_factory, body, bom):
     """Each text, under each reader's header, exits 0, 4 or 5. A parse error
     names the start line of a record that is neither blank nor a comment,
     or the first record no reader may take, which every reader then
-    reaches: so all four readers skip the same records."""
+    reaches: so all four readers skip the same records. A byte-order mark
+    at the start of the file changes none of this."""
     folder = tmp_path_factory.mktemp("fuzz")
     linelist = folder / "ll.csv"
     linelist.write_text(_FUZZ_LINELIST)
@@ -1550,7 +1611,7 @@ def test_fuzzed_text_parses_the_same_in_all_four_readers(tmp_path_factory, body)
         text = header + body
         data, broken = _oracle_records(text)
         path = folder / "input.csv"
-        path.write_bytes(text.encode())
+        path.write_bytes(("\ufeff" * bom + text).encode())
         args = [arg.format(file=path, linelist=linelist) for arg in argv]
         with contextlib.redirect_stderr(io.StringIO()) as err:
             code = main([*args, "-o", str(folder / "out.csv")])

@@ -103,7 +103,10 @@ def test_parse_skips_blank_and_comment_lines():
     assert len(parse_csv(text)) == 1
 
 
-@pytest.mark.parametrize("lead", ["# exported 2020-10-01\n\n", "\n  # note\n,,\n", "\r\n#\r\n"])
+# The last lead starts with a byte-order mark, as Excel's "CSV UTF-8" export writes one.
+@pytest.mark.parametrize(
+    "lead", ["# exported 2020-10-01\n\n", "\n  # note\n,,\n", "\r\n#\r\n", "\ufeff# exported\n"]
+)
 def test_parse_skips_blank_and_comment_lines_before_the_header(lead):
     rows = "1,\n2,5\n3,x\n"
     with pytest.raises(ParseError, match=f"line {lead.count(chr(10)) + 4}: invalid death_date"):

@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+from datetime import date
+from importlib import resources
+from pathlib import Path
+
+import pytest
+
 import cfrkit
 from cfrkit import errors, estimators, linelist, simulation, survival
 
@@ -33,3 +41,22 @@ def test_public_names_are_the_modules_lists():
     assert set(EARLIER_NAMES) <= set(names)
     assert {"MAX_DAY", "ESTIMATORS", "read_arm_csv"} <= set(names)
     assert "main" not in names
+
+
+
+@pytest.mark.filterwarnings("ignore::cfrkit.AssumptionWarning")
+def test_readme_library_tour_runs(tmp_path, monkeypatch):
+    """The tour's code block, on the bundled line list as ``linelist.csv``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    data = resources.files("cfrkit.data").joinpath("example_linelist.csv").read_bytes()
+    (tmp_path / "linelist.csv").write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    scope: dict = {}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(compile(tour, "README.md", "exec"), scope)
+    series = scope["series"]
+    assert out.getvalue() == f"{series.cfr[-1]} {series.ci_low[-1]} {series.ci_high[-1]}\n"
+    assert scope["linelist"].epoch == date(2020, 3, 3)
+    assert scope["sample"].lags.tolist() == scope["linelist"].lags.tolist()
+    assert scope["nb"].mu > 0
