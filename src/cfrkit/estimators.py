@@ -81,6 +81,7 @@ class DelaySchedule:
                 if not isinstance(model, SurvivalModel):
                     raise TypeError("schedule entries must be SurvivalModel instances")
         self._floor = np.array([model.floor for model in self._models])
+        self._zero_floor = not self._floor.any()  # floored F is raw F
         self._table = np.empty((len(self._models), 0))
 
     @property
@@ -113,6 +114,11 @@ class DelaySchedule:
         lags = np.arange(have, max(k_max + 1, 2 * have))
         new = np.array([np.asarray(model.cdf(lags), dtype=float) for model in self._models])
         self._table = np.concatenate([self._table, new], axis=1)
+        # Every floored F the kernel gathers is positive, padding too, when
+        # every floor is or every raw F in the table is. Not when only each
+        # model's floored F(0) is: a per-day schedule's padding reads one
+        # model's F under the next one's floor.
+        self._positive = bool(self._floor.min() > 0.0 or self._table.min() > 0.0)
 
     def _fit(self, table: EpidemicTable, c: _Cohorts, work: _Buffers | None = None) -> _Fit:
         """Raw F_d(t - d) from the table, each cohort's floor, each day's
@@ -124,7 +130,8 @@ class DelaySchedule:
         self.tabulate(int(c.t[-1]))
         cdf, floor = self._table, self._floor
         min_f0 = _at_days(self._f0_bounds(), c.t)[0]
-        # mode="clip" writes to ``raw`` unbuffered; the lags are in range.
+        # mode="clip" writes to ``raw`` unbuffered. Each lag is in range
+        # but a padding cell's, which reads lag 0 or the previous model.
         raw = _array(work, "raw", c.lag.shape)
         if self.is_constant:
             return np.take(cdf[0], c.lag, out=raw, mode="clip"), floor, min_f0, None
@@ -316,8 +323,9 @@ class _Buffers:
     They are one allocation instead, of ``size`` float64 per array, which
     raises that bound above them once the first call has freed it. Each
     array is a view that the next block overwrites, and none leaves
-    ``_series_block``. ``scratch`` never leaves the function that fills
-    it: the F gather's indices, the window prefix sums, ``_row_sums``.
+    ``_series_block``. The weights lie between two 0.0 columns, where
+    ``_row_sums`` sums them. ``scratch`` never leaves the function that
+    fills it: the F gather's indices, the window prefix sums.
     """
 
     _NAMES = ("lag", "deaths", "raw", "f", "weights", "windows", "daily", "scratch")
@@ -351,8 +359,9 @@ class _Cohorts:
 
     t: np.ndarray  # evaluation days, ascending
     n: np.ndarray  # cohorts of each day
-    lag: np.ndarray  # t - d, 0 in the padding
+    lag: np.ndarray  # t - d, negative in the padding
     deaths: np.ndarray  # deaths_by(d, t), 0 in the padding
+    dead: np.ndarray  # deaths observed by each day, the rows' totals
 
 
 def _cohorts(table: EpidemicTable, t: np.ndarray, work: _Buffers | None = None) -> _Cohorts:
@@ -360,8 +369,8 @@ def _cohorts(table: EpidemicTable, t: np.ndarray, work: _Buffers | None = None) 
     n = np.minimum(t, table.n_days - 1) + 1
     d = np.arange(int(n[-1]))
     lag = np.subtract(t[:, None], d, out=_array(work, "lag", (t.size, d.size), np.int64))
-    deaths = table._observed(t, _array(work, "deaths", lag.shape, np.int64))
-    return _Cohorts(t, n, np.maximum(lag, 0, out=lag), deaths)
+    deaths, dead = table._observed(t, _array(work, "deaths", lag.shape, np.int64))
+    return _Cohorts(t, n, lag, deaths, dead)
 
 
 @dataclass(frozen=True)
@@ -372,6 +381,8 @@ class _Lookback:
 
     lookback: int
     _reads_deaths = True
+    _zero_floor = False
+    _positive = True  # each row's floor, 1 / (n_obs + 1), is positive
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lookback", _index(self.lookback, "lookback"))
@@ -386,7 +397,8 @@ class _Lookback:
         """
         cdf, n_obs = _empirical_cdfs(table, c.t, self.lookback)
         floor = _clamp_floor(n_obs)
-        # Flat indices: a 1-D take is faster than a 2-D gather.
+        # Flat indices: a 1-D take is faster than a 2-D gather. A padding
+        # cell reads the previous row, or lag 0, under its own row's floor.
         at = np.minimum(c.lag, cdf.shape[1] - 1, out=_array(work, "scratch", c.lag.shape, np.int64))
         at += np.arange(0, cdf.size, cdf.shape[1])[:, None]
         raw = np.take(cdf, at, out=_array(work, "raw", at.shape), mode="clip")
@@ -406,14 +418,15 @@ def _divisor(f: np.ndarray) -> np.ndarray:
 
 
 def _weights(
-    c: _Cohorts, f: np.ndarray, divisor: np.ndarray, work: _Buffers | None = None, check=_check
+    c: _Cohorts, f: np.ndarray, divisor: np.ndarray, out: np.ndarray | None = None, check=_check
 ) -> np.ndarray:
-    """Predicted eventual deaths per cohort: deaths_by(d, t) / F_d(t - d).
+    """Predicted eventual deaths per cohort: deaths_by(d, t) / F_d(t - d),
+    written to ``out`` if given.
 
     Cohorts without observed deaths contribute exactly 0 whatever F is, as
     the divisor is positive; one with deaths but zero CDF mass is an A1
-    violation, which ``check`` is given. ``_divisor`` returns F itself only
-    when all of F is positive, and then there is nothing to check.
+    violation, which ``check`` is given. The divisor is F itself only when
+    all of F is positive, and then there is nothing to check.
     """
     if divisor is not f:
         bad = (c.deaths > 0) & (f <= 0.0)
@@ -424,7 +437,7 @@ def _weights(
                 f"confirmed on day {np.argmax(bad[i])}"
             ),
         )
-    return np.divide(c.deaths, divisor, out=_array(work, "weights", c.deaths.shape))
+    return np.divide(c.deaths, divisor, out=out)
 
 
 def _garske_denominators(cases: np.ndarray, raw: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -471,18 +484,30 @@ def _windows(cum_cases: np.ndarray, t: int) -> _Windows:
 
 
 def _window_rates(
-    windows: _Windows, c: _Cohorts, w: np.ndarray, check=_check, work: _Buffers | None = None
+    windows: _Windows, c: _Cohorts, w: np.ndarray, check=_check
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_window_estimates`` with the cells outside each day's windows
+    zeroed, the mask of those inside and the fallback mask."""
+    p = _window_estimates(windows, c, w, check)
+    size = p.shape[1]
+    inside = np.arange(size) < np.minimum(c.t - 5, size)[:, None]
+    return np.multiply(p, inside, out=p), inside, inside & (windows.den[:size] == 0)
+
+
+def _window_estimates(
+    windows: _Windows, c: _Cohorts, w: np.ndarray, check=_check, work: _Buffers | None = None
+) -> np.ndarray:
     """``p_hat_daily`` window estimates of every day of a block.
 
     Column j is the window centred on d* = j + 3, inside row i while
     d* <= t_i - 3. Windows from column n_i on hold no cases and copy the
     last computable one, so the columns stop at the block's largest n and
     the last column stands for every later window of its row. Returns the
-    estimates, clipped to [0, 1] and with the fallback windows filled, the
-    inside mask and the fallback mask. ``windows`` must cover the block's
-    last day. ``check`` gets the days with no computable window: of days
-    with cases, those with t < 6 alone, which have no window columns.
+    estimates, clipped to [0, 1] and with the fallback windows filled; a
+    cell outside its day's windows holds a rate that nothing reads.
+    ``windows`` must cover the block's last day. ``check`` gets the days
+    with no computable window: of days with cases, those with t < 6 alone,
+    which have no window columns.
     """
     size = _window_count(int(c.t[-1]), int(c.n[-1]))
     cut = np.minimum(c.t - 5, size)  # windows of row i: j < cut_i
@@ -490,7 +515,6 @@ def _window_rates(
         windows.right[0] >= cut,
         lambda i: EstimationError(f"no cases in any daily-rate window by day {c.t[i]}"),
     )
-    inside = np.arange(size) < cut[:, None]
     # Padding weights are exactly 0, so each row's prefix holds its total
     # from column n_i on, which is the value a window cut at n_i reads.
     rows, width = w.shape
@@ -509,21 +533,19 @@ def _window_rates(
     # day, the earlier one on ties, and ``left`` on the days whose windows
     # stop before ``right``. An empty window with no computable one before
     # it has cells only on days that ``check`` flagged, where ``right`` may
-    # lie past the block's columns. Cells outside a day's windows are
-    # zeroed after.
+    # lie past the block's columns.
     j = np.flatnonzero(empty)
     if j.size:
         left, right = windows.left[j], windows.right[j]
         near = np.minimum(np.where((left >= 0) & (j - left <= right - j), left, right), size - 1)
         p[:, j] = np.where((left >= 0) & (right >= cut[:, None]), p[:, left], p[:, near])
-    np.multiply(p, inside, out=p)
-    return p, inside, inside & empty
+    return p
 
 
 def _daily_p(p: np.ndarray, t: np.ndarray, width: int, work: _Buffers | None = None) -> np.ndarray:
-    """Rates of days 0..width - 1 from the window estimates: days before
-    the first window centre take its value, days after the last take the
-    last."""
+    """Rates of days 0..width - 1 from the window estimates, read inside
+    each day's windows: days before the first window centre take its
+    value, days after the last take the last."""
     rows, size = p.shape
     last = np.minimum(np.maximum(t - 6, 0), size - 1)
     daily = _array(work, "daily", (rows, width))
@@ -536,29 +558,25 @@ def _daily_p(p: np.ndarray, t: np.ndarray, width: int, work: _Buffers | None = N
 
 
 def _variance_terms(
-    cases: np.ndarray,
-    p: np.ndarray,
-    f: np.ndarray,
-    divisor: np.ndarray,
-    n: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Terms c_d p_d (1 - p_d F_d(t - d)) / F_d(t - d) of ``variance_cfr``,
-    and the cells that break A1: cohorts d < n with c_d p_d > 0 but no CDF
-    mass.
+    cases: np.ndarray, p: np.ndarray, f: np.ndarray, divisor: np.ndarray
+) -> np.ndarray:
+    """Terms c_d p_d (1 - p_d F_d(t - d)) / F_d(t - d) of ``variance_cfr``.
 
-    Cohorts with c_d p_d = 0 contribute nothing and need no CDF mass.
+    A cohort with c_d p_d = 0 adds a zero, +0.0 or -0.0, which no sum from
+    +0.0 tells apart, and needs no CDF mass; one with c_d p_d > 0 and none
+    breaks A1, which the caller checks.
     """
-    cp = cases * p
-    active = cp > 0
-    bad = active & (f <= 0.0)
-    if bad.any():  # rare, so the padding d >= n is masked only then
-        bad &= np.arange(f.shape[1]) < n[:, None]
-    return np.where(active, cp * (1.0 - p * f) / divisor, 0.0), bad
+    terms = p * f
+    np.subtract(1.0, terms, out=terms)
+    terms *= cases * p
+    terms /= divisor
+    return terms
 
 
-def _row_sums(x: np.ndarray, n: np.ndarray, work: _Buffers | None = None) -> np.ndarray:
+def _row_sums(x: np.ndarray, n: np.ndarray, edged: np.ndarray | None = None) -> np.ndarray:
     """x[i, :n[i]].sum() for every day i, each day's own pairwise sum; a
-    1-D x is one row shared by every day.
+    1-D x is one row shared by every day. An x built as edged[:, 1:-1],
+    with ``edged`` given, is summed where it lies; any other is copied.
 
     One ``np.add.reduceat`` over the rows laid out as 0.0, x[i], 0.0, with
     the segments [0.0, x[i, :n_i]] at the even indices. ``np.add.reduce``
@@ -567,16 +585,17 @@ def _row_sums(x: np.ndarray, n: np.ndarray, work: _Buffers | None = None) -> np.
     and adds the pairwise sum of the rest with the same inner loop. The
     leading 0.0 makes the two agree bit for bit; without it a segment would
     start from x[i, 0] and pair the other terms differently. The trailing
-    0.0 keeps the end index of a full row inside the buffer.
+    0.0 keeps the end index of a full row inside the array.
     """
-    rows, width = n.size, x.shape[-1]
-    buf = _array(work, "scratch", (rows, width + 2))
-    buf[:, 0] = buf[:, -1] = 0.0
-    buf[:, 1:-1] = x
+    if edged is None:
+        edged = np.empty((n.size, x.shape[-1] + 2))
+        edged[:, 1:-1] = x
+    rows, width = edged.shape
+    edged[:, 0] = edged[:, -1] = 0.0
     bounds = np.empty((rows, 2), dtype=np.intp)
-    bounds[:, 0] = np.arange(0, rows * (width + 2), width + 2)
+    bounds[:, 0] = np.arange(0, rows * width, width)
     bounds[:, 1] = bounds[:, 0] + n + 1
-    return np.add.reduceat(buf.ravel(), bounds.ravel())[::2]
+    return np.add.reduceat(edged.ravel(), bounds.ravel())[::2]
 
 
 def _window_bounds(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -729,10 +748,11 @@ def variance_cfr(
     t, upto, r_t = _cases_by(table, t)
     p = _rates_upto(rates, upto)
     c, _, f = _known_day(table, schedule, t)
-    terms, bad = _variance_terms(table.cases[: upto + 1], p, f, _divisor(f), c.n)
+    cases = table.cases[: upto + 1]
+    bad = (cases * p > 0) & (f <= 0.0)
     if bad.any():
         raise _a1_cases_error(t, np.argmax(bad[0]))
-    return float(terms[0].sum() / r_t**2)
+    return float(_variance_terms(cases, p, f, _divisor(f))[0].sum() / r_t**2)
 
 
 def confidence_interval(cfr: float, variance: float, alpha: float) -> tuple[float, float]:
@@ -1036,11 +1056,12 @@ def _series_block(
     if rates is None:
         check(t < 6, lambda i: _rate_day_error())
     check(*delay._uncovered(c.n - 1))
-    f = np.maximum(raw, floor, out=_array(work, "f", raw.shape))
-    divisor = _divisor(f)
-    w = _weights(c, f, divisor, work, check)
+    f = raw if delay._zero_floor else np.maximum(raw, floor, out=_array(work, "f", raw.shape))
+    divisor = f if delay._positive else _divisor(f)
+    weights = _array(work, "weights", (t.size, width + 2))
+    w = _weights(c, f, divisor, weights[:, 1:-1], check)
     if rates is None:
-        p_window = _window_rates(shared.windows, c, w, check, work)[0]
+        p_window = _window_estimates(shared.windows, c, w, check, work)
         min_p, max_p = _window_bounds(p_window, t)
     else:
         min_p, max_p = shared.min_p[rows], shared.max_p[rows]
@@ -1049,13 +1070,14 @@ def _series_block(
     if late is None:
         p = _daily_p(p_window, t, width, work) if rates is None else _rates_grid(rates, width)
         denom = _garske_denominators(table.cases, raw, c.n)
-        terms, bad = _variance_terms(table.cases[:width], p, f, divisor, c.n)
-        v = _row_sums(terms, c.n, work) / (r_t * r_t)
+        v = _row_sums(_variance_terms(table.cases[:width], p, f, divisor), c.n) / (r_t * r_t)
         check(denom <= 0.0, lambda i: _zero_denominator(t[i]))
         if rates is not None:
             check(t >= len(rates), lambda i: _short_rates(rates, int(t[i])))
         check(*delay._uncovered(t))
-        check(bad.any(axis=1), lambda i: _a1_cases_error(t[i], np.argmax(bad[i])))
+        if divisor is not f:  # some F is not positive: cohorts d < n with cases there break A1
+            bad = (table.cases[:width] * p > 0) & (f <= 0.0) & (np.arange(width) < c.n[:, None])
+            check(bad.any(axis=1), lambda i: _a1_cases_error(t[i], np.argmax(bad[i])))
         check(v < 0.0, lambda i: _negative_variance())
     else:
         denom, v = late
@@ -1067,15 +1089,14 @@ def _series_block(
         # Every table with these cases has the same terms.
         shared.late[rows.start, rows.stop] = denom, v
 
-    dead = c.deaths.sum(axis=1)
-    cfr = _row_sums(w, c.n, work) / r_t
+    cfr = _row_sums(w, c.n, weights) / r_t
     low, high = _interval(cfr, v, shared.z)
     return {
-        "cfr_naive": dead / r_t,
+        "cfr_naive": c.dead / r_t,
         "cfr": cfr,
         "ci_low": low,
         "ci_high": high,
-        "cfr_garske": dead / denom,
+        "cfr_garske": c.dead / denom,
         "cfr_final": table._cum_totals[c.n - 1] / r_t,
         "ok": (min_f0 > 0.0) & (min_p > 0.0) & (max_p < 1.0),
     }

@@ -503,7 +503,8 @@ def _day_counts(cases) -> np.ndarray:
 class _Running:
     """Counts of events per bin on each evaluation day, where an event counts
     on every day from its first day on: ``counts(t, out)[i, b]`` is the
-    number of events in bin b whose first day is at most t[i].
+    number of events in bin b whose first day is at most t[i], and the
+    second array it returns counts them all: the total of row i.
 
     A first query of one day, all a study's final-day replicate asks, is
     one ``bincount`` of the events counted by then, whose order it does not
@@ -526,20 +527,21 @@ class _Running:
         # event, the last day counted, and its counts
         self._state = False, first, bins, -1, np.zeros(0, np.int64)
 
-    def counts(self, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def counts(self, t: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The counts at the ascending non-empty days t, written to and
-        returned as ``out``, an int64 array of shape (t.size, width). Each
-        event counted by t[-1] has a bin below ``width``, which grows with
-        t[-1] from one query to the next."""
+        returned as ``out``, an int64 array of shape (t.size, width), and
+        each row's total. Each event counted by t[-1] has a bin below
+        ``width``, which grows with t[-1] from one query to the next."""
         ordered, first, bins, day, carried = self._state
         if not ordered:
             if t.size == 1 and day < 0:
                 # Sorting here too made a final-day study of about 20.8k
                 # deaths a replicate 15% slower: its calling thread spent
                 # 0.35-0.45 ms more CPU per replicate.
-                out[0] = np.bincount(bins[first <= t[0]], minlength=out.shape[1])
+                counted = bins[first <= t[0]]
+                out[0] = np.bincount(counted, minlength=out.shape[1])
                 self._state = False, first, bins, int(t[0]), out[0].copy()
-                return out
+                return out, np.array([counted.size])
             days = int(first.max()) + 1 if first.size else 0
             shift = int(bins.max(initial=0)).bit_length()
             if days << shift < 1 << 32:
@@ -566,7 +568,7 @@ class _Running:
             step = step.reshape(t.size, span)
             out[:, lo : lo + span] += np.cumsum(step, axis=0, out=step)
         self._state = True, first, bins, int(t[-1]), out[-1].copy()
-        return out
+        return out, ends[1:]
 
 
 class EpidemicTable:
@@ -675,11 +677,11 @@ class EpidemicTable:
         """Each death counted by cohort from its death day on."""
         return _Running(self._day + self._lag, self._day)
 
-    def _observed(self, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def _observed(self, t: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
         """``deaths_by(d, t_i)`` at each of the ascending days t (rows) of
         the cohorts d = 0..min(t[-1], n_days - 1) (columns), written to
-        ``out`` if given. A cohort after t_i has no death by t_i, so it
-        reads 0 in row i."""
+        ``out`` if given, and the deaths observed by each day t_i. A cohort
+        after t_i has no death by t_i, so it reads 0 in row i."""
         if out is None:
             out = np.empty((t.size, min(int(t[-1]), self.n_days - 1) + 1), np.int64)
         return self._by_cohort.counts(t, out)
@@ -699,7 +701,7 @@ class EpidemicTable:
             held = lookback, _Running(first, self._lag)
             vars(self)["_lag_events"] = held  # the last lookback's only
         width = self._width if width is None else width
-        return held[1].counts(t - lookback, np.empty((t.size, width), np.int64))
+        return held[1].counts(t - lookback, np.empty((t.size, width), np.int64))[0]
 
     def cumulative_cases(self, t: int) -> int:
         """Total cases confirmed on days 0..t, a day of the table."""
@@ -716,7 +718,7 @@ class EpidemicTable:
         t = _index(t, "t", after)
         if d > t:
             raise ValueError(after.format(value=t))
-        return int(self._observed(np.array([t]))[0, d])
+        return int(self._observed(np.array([t]))[0][0, d])
 
     def observed_deaths(self, t: int) -> np.ndarray:
         """Vector of ``deaths_by(d, t)`` for d = 0..min(t, n_days - 1), t a
@@ -727,7 +729,7 @@ class EpidemicTable:
         next: a query no earlier than the previous one costs O(n_days) plus
         the deaths first seen since, an earlier one O(n_days + deaths).
         """
-        return self._observed(np.array([_index(t, "t")]))[0]
+        return self._observed(np.array([_index(t, "t")]))[0][0]
 
     def final_deaths(self) -> np.ndarray:
         """Per-day counts of cases with a recorded death at any lag."""

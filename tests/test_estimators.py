@@ -1085,9 +1085,10 @@ def reference_series(
 
 
 def run_series(fn, *args, **kwargs):
-    """(result, warned, error) of one series call, warnings recorded."""
+    """(result, warned, error) of one series call, AssumptionWarnings
+    recorded; a RuntimeWarning stays an error."""
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+        warnings.simplefilter("always", AssumptionWarning)
         try:
             result = fn(*args, **kwargs)
         except (ValueError, EstimationError) as exc:
@@ -1126,7 +1127,7 @@ def series_cases(draw):
     known_f = draw(st.booleans())
     schedule = None
     if known_f:
-        kind = draw(st.sampled_from(["two_point", "nb", "fitted", "per_day"]))
+        kind = draw(st.sampled_from(["two_point", "nb", "fitted", "per_day", "per_day_floors"]))
         q = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
         if kind == "two_point":
             schedule = DelaySchedule(two_point(q, draw(st.integers(1, 6))))
@@ -1136,10 +1137,14 @@ def series_cases(draw):
             schedule = DelaySchedule(Empirical([0.0, 0.3, 1.0], n_obs=draw(st.integers(1, 9))))
         else:
             length = n_days + draw(st.sampled_from([11, 11, 0, -2]))
+            # Floors mixed: fitted point masses, whose F is 0 below their lag,
+            # among the two-point models.
+            fitted = 0.5 if kind == "per_day_floors" else 0.0
             schedule = DelaySchedule([
-                two_point(float(rng.choice([0.0, 0.2, 0.7, 1.0], p=[0.1, 0.3, 0.3, 0.3])),
-                          int(rng.integers(1, 6)))
-                for _ in range(max(length, 1))
+                Empirical(point_mass(lag).cdf_table, n_obs=int(rng.integers(0, 9)))
+                if rng.random() < fitted else
+                two_point(float(rng.choice([0.0, 0.2, 0.7, 1.0], p=[0.1, 0.3, 0.3, 0.3])), lag)
+                for lag in rng.integers(1, 6, size=max(length, 1)).tolist()
             ])
     rates = None
     if draw(st.booleans()):
@@ -1200,16 +1205,22 @@ class Overshoot(SurvivalModel):
         return np.full(np.shape(k), 2.0)
 
 
+def _gap_table() -> EpidemicTable:
+    """Cases on days 0-2 and 10-19, one death at lag 2 on each of those
+    days, two on day 2."""
+    cases = np.array([5, 5, 5, 0, 0, 0, 0, 0, 0, 0, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5])
+    deaths = np.zeros((20, 4), dtype=np.int64)
+    deaths[cases > 0, 2] = 1
+    deaths[2, 2] = 2
+    return EpidemicTable(cases, deaths)
+
+
 def test_series_kernel_oracle_reaches_every_branch():
     """The generated cases exercise successes in both modes, fallback
     windows, clamped fits and each error the loop can raise."""
     # Estimated mode with a clamped fit and an empty window centred on day
     # 6, whose computable neighbours 5 and 7 tie and differ.
-    cases = np.array([5, 5, 5, 0, 0, 0, 0, 0, 0, 0, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5])
-    deaths = np.zeros((20, 4), dtype=np.int64)
-    deaths[cases > 0, 2] = 1
-    deaths[2, 2] = 2
-    table = EpidemicTable(cases, deaths)
+    table = _gap_table()
     rates = p_hat_daily(table, DelaySchedule(fit_empirical(table, 19, 3)), 19)
     assert rates.fallback_days == (6,) and rates.p[6] == rates.p[5] != rates.p[7]
     assert fit_empirical(table, 19, 3).cdf(0) == 0.0
@@ -1243,6 +1254,54 @@ def test_series_kernel_oracle_reaches_every_branch():
         got = run_series(estimate_series, table, days, **kwargs)[2]
         assert want is not None, kwargs
         assert (type(got), str(got)) == (type(want), str(want))
+
+
+def _nb_then_zero_f0():
+    """Per-day NB models, then from day 10 models with F(0) = 0 and no floor."""
+    return DelaySchedule([NegBinomial(4.0, 1.5)] * 10 + [two_point(0.0, 2)] * 15)
+
+
+@pytest.mark.parametrize(
+    "make, days, shortcuts",
+    [
+        (lambda: dict(schedule=DelaySchedule(NegBinomial(4.0, 1.5))), range(25), (True, True)),
+        (lambda: dict(schedule=DelaySchedule(NegBinomial(4.0, 1.5)), rates=None), range(6, 25),
+         (True, True)),
+        # Raw F(0) is 0 under the floor 0.1.
+        (lambda: dict(schedule=DelaySchedule(Empirical([0.0, 0.3, 1.0], n_obs=9))), range(1, 25),
+         (False, True)),
+        # Cohorts from day 10 break A1 for the variance on day 10 ...
+        (lambda: dict(schedule=_nb_then_zero_f0()), range(25), (True, False)),
+        # ... and not where their rates are 0, which fails A2 only.
+        (lambda: dict(schedule=_nb_then_zero_f0(), rates=DailyRates([0.1] * 10 + [0.0] * 15)),
+         range(25), (True, False)),
+        # Floors of 0 and 0.1 mixed: day 0's padding cell of cohort 5 reads
+        # model 4's F(1) = 0 under model 5's floor, 0.
+        (lambda: dict(schedule=DelaySchedule(
+            [NegBinomial(4.0, 1.5)] * 4 + [Empirical([0.0, 0.0, 1.0], n_obs=9), NegBinomial(4.0, 1.5)]
+        )), [0, 5], (False, False)),
+        # Estimated: each day's fit has the floor 1 / (n_obs + 1).
+        (lambda: dict(schedule=None, rates=None, lookback=3), range(6, 25), (False, True)),
+    ],
+    ids=["nb", "nb-rates-estimated", "clamped-empirical", "later-f0-zero-a1",
+         "later-f0-zero", "mixed-floors", "estimated"],
+)
+def test_series_kernel_oracle_with_and_without_each_delay_shortcut(make, days, shortcuts):
+    """The kernel takes F as raw F where every floor is 0, and skips the
+    checks for zero CDF mass where every floored F it gathers is positive,
+    padding too; with or without either it equals the loop."""
+    kwargs = dict(rates=DailyRates(np.full(25, 0.1))) | make()
+    table = _gap_table()
+    want, _, want_error = run_series(reference_series, table, days, **kwargs)
+    got, got_warned, got_error = run_series(estimate_series, table, days, **kwargs)
+    delay = kwargs["schedule"] or est._Lookback(kwargs["lookback"])
+    assert (delay._zero_floor, delay._positive) == shortcuts
+    if want_error is not None:
+        assert (type(got_error), str(got_error)) == (type(want_error), str(want_error))
+        return
+    assert got_error is None, got_error
+    assert_same_series(got, want[0])
+    assert got_warned == want[1]
 
 
 def test_row_sums_match_numpy_reduce():

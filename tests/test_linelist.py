@@ -470,7 +470,8 @@ def _event_queries(draw):
 def test_event_queries_match_the_dense_table(case):
     """Every query the table answers from its death events equals its
     definition on the dense (day, lag) table, computed with np.cumsum, in
-    any order of blocks."""
+    any order of blocks, and so do the deaths observed by each day, the
+    row totals of the death-event counter."""
     table, deaths, max_lag, days, lookback, block = case
     assert table.max_lag == max_lag
     n, width = table.n_days, max_lag + 1
@@ -490,14 +491,23 @@ def test_event_queries_match_the_dense_table(case):
         last = np.minimum(np.minimum(t - lookback, n - 1)[:, None], t[:, None] - k)
         return np.where(last >= 0, cum_day[np.maximum(last, 0), k], 0)
 
+    # A first query of the last day, which the counter answers unsorted;
+    # then sorted: every day, from before the day it carries, the last day
+    # again, carried, and the first, before it.
+    for i, t in enumerate((days[-1:], days, days[-1:], days[:1])):
+        counts, totals = table._observed(t)
+        assert table._by_cohort._state[0] == (i > 0)
+        assert np.array_equal(counts, grid(t))
+        assert np.array_equal(totals, grid(t).sum(axis=1))
     # Blocks in order, again one day at a time, then in order once more; the
     # grids with new arrays, and in arrays that earlier blocks wrote.
     work = est._Buffers(12 * 9)  # at most 12 days by 9 cohorts
     for size in (block, 1, block):
         for i in range(0, days.size, size):
             t = days[i : i + size]
-            assert np.array_equal(est._cohorts(table, t).deaths, grid(t))
-            assert np.array_equal(est._cohorts(table, t, work).deaths, grid(t))
+            for c in (est._cohorts(table, t), est._cohorts(table, t, work)):
+                assert np.array_equal(c.deaths, grid(t))
+                assert np.array_equal(c.dead, grid(t).sum(axis=1))
             assert np.array_equal(table._eligible_lags(t, lookback), lag_counts(t))
     for t in days.tolist():
         assert np.array_equal(table.observed_deaths(t), grid(np.array([t]))[0])
@@ -552,15 +562,18 @@ _FAR = 1 << 35
 )
 @settings(max_examples=300, deadline=None)
 def test_running_counts_first_days_and_bins_past_2_35(case):
-    """The counts equal a brute-force count, block after block, in either
-    sorted layout. In the hand example keys packed as first << shift | bin
-    would pass 2**63 and wrap, and the counts would ask for 512 GiB."""
+    """The counts and each row's total equal a brute-force count, block
+    after block, in either sorted layout. In the hand example keys packed as
+    first << shift | bin would pass 2**63 and wrap, and the counts would ask
+    for 512 GiB."""
     first, bins, blocks = case
     running = linelist_module._Running(first, bins)
     for t, width in blocks:
         t = np.array(t, dtype=np.int64)
         want = [[np.sum((first <= day) & (bins == b)) for b in range(width)] for day in t]
-        assert running.counts(t, np.empty((t.size, width), np.int64)).tolist() == want
+        counts, totals = running.counts(t, np.empty((t.size, width), np.int64))
+        assert counts.tolist() == want
+        assert totals.tolist() == [np.sum(first <= day) for day in t]
 
 
 # ---------------------------------------------------------------------------
