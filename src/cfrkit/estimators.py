@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 _Fit = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]  # a delay source's _fit
+_Flags = tuple[np.ndarray, Callable[[int], Exception]]  # a check's days flagged, and its error
 
 
 class DelaySchedule:
@@ -80,7 +81,7 @@ class DelaySchedule:
             for model in self._models:
                 if not isinstance(model, SurvivalModel):
                     raise TypeError("schedule entries must be SurvivalModel instances")
-        self._floor = np.array([model.floor for model in self._models])
+        self._floor = _in_unit_interval(np.array([model.floor for model in self._models]), "floor")
         self._zero_floor = not self._floor.any()  # floored F is raw F
         self._table = np.empty((len(self._models), 0))
 
@@ -94,7 +95,7 @@ class DelaySchedule:
         _check(*self._uncovered(np.array([d])))
         return self._models[min(d, len(self._models) - 1)]
 
-    def _uncovered(self, days: np.ndarray) -> tuple[np.ndarray, Callable[[int], Exception]]:
+    def _uncovered(self, days: np.ndarray) -> _Flags:
         """(flags, error) of the check that the schedule covers each day."""
         return days >= self._days, lambda i: ValueError(
             f"schedule covers days 0..{self._days - 1}, got {int(days[i])}"
@@ -113,7 +114,7 @@ class DelaySchedule:
             return
         lags = np.arange(have, max(k_max + 1, 2 * have))
         new = np.array([np.asarray(model.cdf(lags), dtype=float) for model in self._models])
-        self._table = np.concatenate([self._table, new], axis=1)
+        self._table = np.concatenate([self._table, _in_unit_interval(new, "cdf")], axis=1)
         # Every floored F the kernel gathers is positive, padding too, when
         # every floor is or every raw F in the table is. Not when only each
         # model's floored F(0) is: a per-day schedule's padding reads one
@@ -149,6 +150,15 @@ class DelaySchedule:
             np.minimum.accumulate(np.maximum(raw0, floor)),
             np.logical_or.accumulate(raw0 < floor),
         )
+
+
+def _in_unit_interval(values: np.ndarray, name: str) -> np.ndarray:
+    """A schedule's ``floor`` or ``cdf`` values, each of which must lie in [0, 1],
+    as in ``DailyRates``: so no V(t) term is negative and no F is NaN."""
+    bad = ~((values >= 0.0) & (values <= 1.0))  # NaN too
+    if bad.any():
+        raise ValueError(f"delay model {name} values must lie in [0, 1], got {values[bad][0]}")
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,32 +275,24 @@ def _cases_by(table: EpidemicTable, t: int) -> tuple[int, int, int]:
     return t, upto, r_t
 
 
-def _short_rates(rates: DailyRates, upto: int) -> ValueError:
-    return ValueError(f"rates must cover days 0..{upto}, got {len(rates)} entries")
+def _short_rates(rates: DailyRates, upto: np.ndarray) -> _Flags:
+    """(flags, error) of the check that the rates cover days 0..upto[i]."""
+    return upto >= len(rates), lambda i: ValueError(
+        f"rates must cover days 0..{int(upto[i])}, got {len(rates)} entries"
+    )
 
 
 def _rates_upto(rates: DailyRates, upto: int) -> np.ndarray:
-    if len(rates) < upto + 1:
-        raise _short_rates(rates, upto)
+    _check(*_short_rates(rates, np.array([upto])))
     return rates.p[: upto + 1]
 
 
-def _rate_day_error() -> ValueError:
-    return ValueError("daily rate estimation needs t >= 6")
+_NO_WINDOW_DAYS = "daily rate estimation needs t >= 6"
 
 
-def _negative_variance() -> ValueError:
-    return ValueError("variance must be non-negative")
-
-
-def _zero_denominator(t) -> EstimationError:
-    return EstimationError(f"zero delay-weighted case total at day {t}")
-
-
-def _a1_cases_error(t, d) -> EstimationError:
-    return EstimationError(
-        f"assumption A1 violated: no delay CDF mass by day {t} for cases confirmed on day {d}"
-    )
+def _no_windows(t: np.ndarray) -> _Flags:
+    """(flags, error) of the check that each day t has a daily-rate window."""
+    return t < 6, lambda i: ValueError(_NO_WINDOW_DAYS)
 
 
 # ---------------------------------------------------------------------------
@@ -440,14 +442,22 @@ def _weights(
     return np.divide(c.deaths, divisor, out=out)
 
 
-def _garske_denominators(cases: np.ndarray, raw: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Cases discounted by raw F_d(t - d), one dot product per day.
+def _garske_denominators(
+    cases: np.ndarray, raw: np.ndarray, c: _Cohorts, check=_check
+) -> np.ndarray:
+    """Cases discounted by raw F_d(t - d), one dot product per day; ``check``
+    is given the days where it is not positive.
 
     The dot product is BLAS ``ddot``, whose summation order is not numpy's
     pairwise one, so ``_row_sums`` cannot stand in for it.
     """
     cases = cases[: raw.shape[1]].astype(float)  # what int64 @ float64 casts to
-    return np.array([np.dot(cases[:k], row[:k]) for row, k in zip(raw, n.tolist())])
+    denom = np.array([np.dot(cases[:k], row[:k]) for row, k in zip(raw, c.n.tolist())])
+    check(
+        denom <= 0.0,
+        lambda i: EstimationError(f"zero delay-weighted case total at day {c.t[i]}"),
+    )
+    return denom
 
 
 def _window_count(t: int, n: int) -> int:
@@ -483,17 +493,6 @@ def _windows(cum_cases: np.ndarray, t: int) -> _Windows:
     return _Windows(den, left, right)
 
 
-def _window_rates(
-    windows: _Windows, c: _Cohorts, w: np.ndarray, check=_check
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_window_estimates`` with the cells outside each day's windows
-    zeroed, the mask of those inside and the fallback mask."""
-    p = _window_estimates(windows, c, w, check)
-    size = p.shape[1]
-    inside = np.arange(size) < np.minimum(c.t - 5, size)[:, None]
-    return np.multiply(p, inside, out=p), inside, inside & (windows.den[:size] == 0)
-
-
 def _window_estimates(
     windows: _Windows, c: _Cohorts, w: np.ndarray, check=_check, work: _Buffers | None = None
 ) -> np.ndarray:
@@ -506,7 +505,7 @@ def _window_estimates(
     estimates, clipped to [0, 1] and with the fallback windows filled; a
     cell outside its day's windows holds a rate that nothing reads.
     ``windows`` must cover the block's last day. ``check`` gets the days
-    with no computable window: of days with cases, those with t < 6 alone,
+    with no computable window: of days with cases, those before day 6 alone,
     which have no window columns.
     """
     size = _window_count(int(c.t[-1]), int(c.n[-1]))
@@ -557,20 +556,31 @@ def _daily_p(p: np.ndarray, t: np.ndarray, width: int, work: _Buffers | None = N
     return daily
 
 
-def _variance_terms(
-    cases: np.ndarray, p: np.ndarray, f: np.ndarray, divisor: np.ndarray
+def _variance(
+    cases: np.ndarray, p: np.ndarray, f: np.ndarray, divisor: np.ndarray, c: _Cohorts, check=_check
 ) -> np.ndarray:
-    """Terms c_d p_d (1 - p_d F_d(t - d)) / F_d(t - d) of ``variance_cfr``.
+    """r_t**2 V(t) of each day: its sum of c_d p_d (1 - p_d F_d(t - d)) /
+    F_d(t - d), no term negative as p and F lie in [0, 1].
 
     A cohort with c_d p_d = 0 adds a zero, +0.0 or -0.0, which no sum from
-    +0.0 tells apart, and needs no CDF mass; one with c_d p_d > 0 and none
-    breaks A1, which the caller checks.
+    +0.0 tells apart, and needs no CDF mass; one d < n with c_d p_d > 0 and
+    none breaks A1, which ``check`` is given. The divisor is F itself only
+    when all of F is positive, and then there is nothing to check.
     """
+    if divisor is not f:
+        bad = (cases * p > 0) & (f <= 0.0) & (np.arange(cases.size) < c.n[:, None])
+        check(
+            bad.any(axis=1),
+            lambda i: EstimationError(
+                f"assumption A1 violated: no delay CDF mass by day {c.t[i]} for cases "
+                f"confirmed on day {np.argmax(bad[i])}"
+            ),
+        )
     terms = p * f
     np.subtract(1.0, terms, out=terms)
     terms *= cases * p
     terms /= divisor
-    return terms
+    return _row_sums(terms, c.n)
 
 
 def _row_sums(x: np.ndarray, n: np.ndarray, edged: np.ndarray | None = None) -> np.ndarray:
@@ -705,10 +715,7 @@ def cfr_garske_mod(table: EpidemicTable, schedule: DelaySchedule, t: int) -> flo
     """
     t, _, _ = _cases_by(table, t)
     c, raw, _ = _known_day(table, schedule, t)
-    (denom,) = _garske_denominators(table.cases, raw, c.n)
-    if denom <= 0.0:
-        raise _zero_denominator(t)
-    return float(c.deaths[0].sum() / denom)
+    return float(c.deaths[0].sum() / _garske_denominators(table.cases, raw, c)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -725,15 +732,15 @@ def p_hat_daily(table: EpidemicTable, schedule: DelaySchedule, t: int) -> DailyR
     cases borrows the nearest computable window, earlier side on ties, and
     the day is listed in ``fallback_days``. Estimates are clipped to [0, 1].
     """
-    t = _index(t, "t", str(_rate_day_error()))
-    if t < 6:
-        raise _rate_day_error()
+    t = _index(t, "t", _NO_WINDOW_DAYS)
+    _check(*_no_windows(np.array([t])))
     _cases_by(table, t)
     c, _, f = _known_day(table, schedule, t)
-    w = _weights(c, f, _divisor(f))
-    p, _, fallback = _window_rates(_windows(table._cum_cases, t), c, w)
-    # Window centres past the last column are fallbacks too.
-    centres = np.concatenate([np.nonzero(fallback[0])[0] + 3, np.arange(p.shape[1] + 3, t - 2)])
+    windows = _windows(table._cum_cases, t)
+    p = _window_estimates(windows, c, _weights(c, f, _divisor(f)))
+    # Every column is a window of day t >= 6; centres past the last are fallbacks too.
+    empty = np.flatnonzero(windows.den == 0)
+    centres = np.concatenate([empty + 3, np.arange(p.shape[1] + 3, t - 2)])
     return DailyRates(_daily_p(p, c.t, t + 1)[0], fallback_days=tuple(centres.tolist()))
 
 
@@ -748,11 +755,7 @@ def variance_cfr(
     t, upto, r_t = _cases_by(table, t)
     p = _rates_upto(rates, upto)
     c, _, f = _known_day(table, schedule, t)
-    cases = table.cases[: upto + 1]
-    bad = (cases * p > 0) & (f <= 0.0)
-    if bad.any():
-        raise _a1_cases_error(t, np.argmax(bad[0]))
-    return float(_variance_terms(cases, p, f, _divisor(f))[0].sum() / r_t**2)
+    return float(_variance(table.cases[: upto + 1], p, f, _divisor(f), c)[0] / r_t**2)
 
 
 def confidence_interval(cfr: float, variance: float, alpha: float) -> tuple[float, float]:
@@ -763,8 +766,8 @@ def confidence_interval(cfr: float, variance: float, alpha: float) -> tuple[floa
     the estimate itself rather than an inverted interval.
     """
     _check_alpha(alpha)
-    if variance < 0.0:
-        raise _negative_variance()
+    if not variance >= 0.0:  # NaN too
+        raise ValueError("variance must be non-negative")
     low, high = _interval(cfr, variance, normal_quantile(1.0 - alpha / 2.0))
     return float(low), float(high)
 
@@ -1054,7 +1057,7 @@ def _series_block(
     if n_obs is not None:
         check(n_obs == 0, lambda i: EstimationError(_NO_RESOLVED_DEATHS))
     if rates is None:
-        check(t < 6, lambda i: _rate_day_error())
+        check(*_no_windows(t))
     check(*delay._uncovered(c.n - 1))
     f = raw if delay._zero_floor else np.maximum(raw, floor, out=_array(work, "f", raw.shape))
     divisor = f if delay._positive else _divisor(f)
@@ -1068,21 +1071,17 @@ def _series_block(
     r_t = shared.r_t[rows]
     late = shared.late.get((rows.start, rows.stop))
     if late is None:
-        p = _daily_p(p_window, t, width, work) if rates is None else _rates_grid(rates, width)
-        denom = _garske_denominators(table.cases, raw, c.n)
-        v = _row_sums(_variance_terms(table.cases[:width], p, f, divisor), c.n) / (r_t * r_t)
-        check(denom <= 0.0, lambda i: _zero_denominator(t[i]))
+        denom = _garske_denominators(table.cases, raw, c, check)
         if rates is not None:
-            check(t >= len(rates), lambda i: _short_rates(rates, int(t[i])))
+            check(*_short_rates(rates, t))
         check(*delay._uncovered(t))
-        if divisor is not f:  # some F is not positive: cohorts d < n with cases there break A1
-            bad = (table.cases[:width] * p > 0) & (f <= 0.0) & (np.arange(width) < c.n[:, None])
-            check(bad.any(axis=1), lambda i: _a1_cases_error(t[i], np.argmax(bad[i])))
-        check(v < 0.0, lambda i: _negative_variance())
+        p = _daily_p(p_window, t, width, work) if rates is None else _rates_grid(rates, width)
+        # r_t squared as a float, as an int64 square wraps past 3.04e9 cases.
+        v = _variance(table.cases[:width], p, f, divisor, c, check) / np.square(r_t, dtype=float)
     else:
         denom, v = late
     if true_rates is not None:
-        check(c.n > len(true_rates), lambda i: _short_rates(true_rates, int(c.n[i]) - 1))
+        check(*_short_rates(true_rates, c.n - 1))
     if error is not None:
         raise error
     if late is None and rates is not None and not delay._reads_deaths:

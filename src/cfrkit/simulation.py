@@ -20,7 +20,9 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import CfrError, ParseError
-from .estimators import DailyRates, DelaySchedule, EstimateSeries, _series, _shared_terms
+from .estimators import (
+    DailyRates, DelaySchedule, EstimateSeries, _rates_upto, _series, _shared_terms
+)
 from .linelist import MAX_CASES, MAX_DAY, EpidemicTable, _file_records, _index, _whole
 from .survival import SurvivalModel
 
@@ -125,9 +127,7 @@ class Scenario:
             d = np.arange(self.horizon + 1)
             rates = DailyRates(np.where(d < step.d_star, step.c1, step.c2))
         elif isinstance(self.p_spec, DailyRates):
-            if len(self.p_spec) < self.horizon + 1:
-                raise ValueError("daily rates must cover days 0..horizon")
-            rates = DailyRates(self.p_spec.p[: self.horizon + 1])
+            rates = DailyRates(_rates_upto(self.p_spec, self.horizon))
         else:
             raise TypeError("p_spec must be DailyRates or StepRates")
         if isinstance(self.delay, DelaySchedule):

@@ -68,12 +68,12 @@ def _lag_array(k) -> np.ndarray:
 class SurvivalModel:
     """CDF of the confirmation-to-death delay, conditional on eventual death."""
 
-    #: Lower bound substituted when estimators divide by a zero CDF value;
-    #: stays 0 except for fitted empirical tables (see Empirical.floor).
+    #: Lower bound in [0, 1] substituted when estimators divide by a zero CDF
+    #: value; stays 0 except for fitted empirical tables (see Empirical.floor).
     floor: float = 0.0
 
     def cdf(self, k):
-        """P(delay <= k); scalar in, float out; array in, array out."""
+        """P(delay <= k), in [0, 1]; scalar in, float out; array in, array out."""
         raise NotImplementedError
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -299,6 +299,21 @@ def test_estimate_no_stray_temp_files(tmp_path, linelist_file):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["est.csv", "linelist.csv"]
 
 
+def test_failed_write_keeps_the_old_output_and_no_temp_file(tmp_path):
+    out = tmp_path / "est.csv"
+    out.write_bytes(b"# meta\nt,cfr\n1,0.5\n")
+    before = out.read_bytes()
+
+    def rows():
+        yield ["2", "0.25"]
+        raise RuntimeError("row 2 failed")
+
+    with pytest.raises(RuntimeError, match="^row 2 failed$"):
+        cli._write_csv(str(out), "# new meta", ["t", "cfr"], rows())
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["est.csv"]
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import math
+import re
 import statistics
 import tracemalloc
 import warnings
@@ -233,6 +234,48 @@ def test_schedule_refuses_a_day_past_max_day():
     assert schedule._table.shape[1] <= 2 * (MAX_DAY + 1)
     series = estimate_series(table, [MAX_DAY + 1], lookback=10)
     assert series.cfr.tolist() == [pytest.approx(100 / 300)]
+
+
+class ConstantCdf(SurvivalModel):
+    """A model whose CDF is ``value`` at every lag, under ``floor``."""
+
+    def __init__(self, value: float, floor: float = 0.0):
+        self.value, self.floor = value, floor
+
+    def cdf(self, k):
+        return np.full(np.shape(k), self.value)
+
+
+@pytest.mark.parametrize(
+    "models, message",
+    [
+        (ConstantCdf(np.nan), "cdf values must lie in [0, 1], got nan"),
+        (ConstantCdf(2.0), "cdf values must lie in [0, 1], got 2.0"),
+        ([NegBinomial(3.0, 2.0), ConstantCdf(-0.5)], "cdf values must lie in [0, 1], got -0.5"),
+        (ConstantCdf(0.5, floor=np.nan), "floor values must lie in [0, 1], got nan"),
+        ([point_mass(0), ConstantCdf(0.5, floor=1.5)], "floor values must lie in [0, 1], got 1.5"),
+    ],
+    ids=["cdf-nan", "cdf-past-1", "per-day-cdf-negative", "floor-nan", "per-day-floor-past-1"],
+)
+def test_schedule_refuses_f_outside_the_unit_interval(models, message):
+    """Unchecked, a NaN F read as 1 gave the naive ratio, 0.1 here, and an
+    F of 2.0 gave 0.05; neither raised."""
+    table = EpidemicTable.from_sparse([10, 10], {0: {0: 2}})
+    with pytest.raises(ValueError, match=f"^delay model {re.escape(message)}$"):
+        cfr_proposed(table, DelaySchedule(models), 1)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [NegBinomial(1e-3, 1e-3), NegBinomial(1e3, 1e3), NegBinomial(1e3, 1e-3),
+     Zinb(1.0 - 1e-6, 1e-3, 1e3), Zinb(1.0 - 1e-6, 1e3, 1e-3), Zinb(0.2, 4.0, 1.5)],
+    ids=["nb-low", "nb-high", "nb-high-mu", "zinb-low", "zinb-high", "zinb"],
+)
+def test_builtin_models_pass_the_unit_interval_check(model):
+    """The parameter box's corners, tabulated to the last day."""
+    schedule = DelaySchedule(model)
+    schedule.tabulate(MAX_DAY)
+    assert 0.0 <= schedule._table.min() and schedule._table.max() <= 1.0
 
 
 def test_series_tabulates_cdf_once(monkeypatch):
@@ -676,6 +719,12 @@ def test_confidence_interval_domain():
         confidence_interval(0.1, 0.1, 1.0)
 
 
+def test_confidence_interval_refuses_nan_variance():
+    # A NaN passes a test of variance < 0, and gave the interval (nan, nan).
+    with pytest.raises(ValueError, match="^variance must be non-negative$"):
+        confidence_interval(0.1, math.nan, 0.05)
+
+
 def test_alpha_without_a_quantile_is_an_argument_error():
     """At alpha <= 2**-53, 1 - alpha/2 rounds to 1, which has no normal
     quantile: such an alpha is refused by name, not by the quantile. The
@@ -787,6 +836,30 @@ def check_series_matches_single_day_ops(schedule):
         assert (series.ci_low[i], series.ci_high[i]) == (low, high)
         assert series.cfr_final[i] == cfr_final(table, t)
         assert series.cfr_true[i] == cfr_true(table, rates, t)
+    # Each known-delay error of the every-branch oracle: the single-day
+    # function that makes its check raises it on the day that fails first.
+    table = _gap_table()
+    for kwargs, days, single_day in known_mode_errors():
+        want = run_series(estimate_series, table, days, **kwargs)[2]
+        assert want is not None, kwargs
+        with pytest.raises((ValueError, EstimationError)) as got:
+            single_day(table, kwargs)
+        assert (type(got.value), str(got.value)) == (type(want), str(want))
+
+
+def test_series_variance_past_an_int64_square():
+    """r_t**2 of 5e9 cases passes 2**63: squared in int64 it wrapped and gave
+    a V 3.8 times too large, and at 3.5e9 one below 0."""
+    for n in (3_500_000_000, 5_000_000_000):
+        table = EpidemicTable.from_sparse([n, 10], {0: {0: 10}})
+        schedule, rates = DelaySchedule(NegBinomial(3.0, 2.0)), DailyRates([0.03, 0.03])
+        series = estimate_series(table, [1], schedule=schedule, rates=rates)
+        v = variance_cfr(table, rates, schedule, 1)
+        f1, f0 = schedule.model_for(0).cdf(1), schedule.model_for(1).cdf(0)
+        terms = n * 0.03 * (1 - 0.03 * f1) / f1 + 10 * 0.03 * (1 - 0.03 * f0) / f0
+        assert v == pytest.approx(terms / (n + 10) ** 2, rel=1e-12)
+        want = confidence_interval(cfr_proposed(table, schedule, 1), v, 0.05)
+        assert (series.ci_low[0], series.ci_high[0]) == want
 
 
 def test_series_skips_days_without_cases():
@@ -1198,13 +1271,6 @@ def test_series_kernel_matches_day_by_day_loop(case, block):
     assert got_warned == failed
 
 
-class Overshoot(SurvivalModel):
-    """A malformed model whose CDF exceeds 1, so variance terms go negative."""
-
-    def cdf(self, k):
-        return np.full(np.shape(k), 2.0)
-
-
 def _gap_table() -> EpidemicTable:
     """Cases on days 0-2 and 10-19, one death at lag 2 on each of those
     days, two on day 2."""
@@ -1213,6 +1279,39 @@ def _gap_table() -> EpidemicTable:
     deaths[cases > 0, 2] = 1
     deaths[2, 2] = 2
     return EpidemicTable(cases, deaths)
+
+
+def known_mode_errors():
+    """Each error of the loop with a known delay on ``_gap_table``: the
+    ``estimate_series`` arguments, the days, and a call of the single-day
+    function that makes the check, at the day that fails first."""
+    known = DailyRates(np.full(25, 0.1))
+    clamped = Empirical([0.0, 0.3, 1.0], n_obs=9)
+    return [
+        (dict(schedule=DelaySchedule(two_point(0.0, 5))), [9, 12],  # A1, deaths
+         lambda table, kw: cfr_proposed(table, kw["schedule"], 12)),
+        (dict(schedule=DelaySchedule(clamped), rates=known), [0, 5],  # Garske
+         lambda table, kw: cfr_garske_mod(table, kw["schedule"], 0)),
+        (dict(schedule=DelaySchedule(two_point(0.0, 2)), rates=known), [10],  # A1, cases
+         lambda table, kw: variance_cfr(table, kw["rates"], kw["schedule"], 10)),
+        (dict(schedule=DelaySchedule([point_mass(0)] * 15)), [12, 16],  # F coverage
+         lambda table, kw: cfr_proposed(table, kw["schedule"], 16)),
+        # Day 16 fails the earlier F-coverage check, day 0 the later Garske one.
+        (dict(schedule=DelaySchedule([clamped] * 15), rates=known), [0, 16],
+         lambda table, kw: cfr_garske_mod(table, kw["schedule"], 0)),
+        (dict(schedule=DelaySchedule([point_mass(0)] * 20), rates=known), [21],  # A1-A3 coverage
+         lambda table, kw: validate_assumptions(kw["rates"], kw["schedule"], 21)),
+        (dict(schedule=DelaySchedule(point_mass(0)), rates=DailyRates(np.full(12, 0.1))), [9, 13],
+         lambda table, kw: variance_cfr(table, kw["rates"], kw["schedule"], 13)),
+        (dict(schedule=DelaySchedule(point_mass(0)), rates=known,
+              true_rates=DailyRates(np.full(12, 0.1))), [9, 13],
+         lambda table, kw: cfr_true(table, kw["true_rates"], 13)),
+        # F past 1, refused as the schedule tabulates it, before any day.
+        (dict(schedule=DelaySchedule(ConstantCdf(2.0)), rates=DailyRates(np.full(25, 0.9))), [9],
+         lambda table, kw: cfr_proposed(table, kw["schedule"], 9)),
+        (dict(schedule=DelaySchedule([point_mass(0)] * 3)), [4],  # t >= 6 before coverage
+         lambda table, kw: p_hat_daily(table, kw["schedule"], 4)),
+    ]
 
 
 def test_series_kernel_oracle_reaches_every_branch():
@@ -1230,25 +1329,12 @@ def test_series_kernel_oracle_reaches_every_branch():
     assert_same_series(got, want[0])
     assert warned == want[1]
     # Each error of the loop, matched by the kernel on its first day.
-    known = DailyRates(np.full(25, 0.1))
-    clamped = Empirical([0.0, 0.3, 1.0], n_obs=9)
     for kwargs, days in [
         (dict(lookback=0), [2, 9]),  # t < 6
         (dict(lookback=30), [9]),  # no resolved deaths
-        (dict(schedule=DelaySchedule(two_point(0.0, 5))), [9, 12]),  # A1, deaths
-        (dict(schedule=DelaySchedule(clamped), rates=known), [0, 5]),  # Garske
-        (dict(schedule=DelaySchedule(two_point(0.0, 2)), rates=known), [10]),  # A1, cases
-        (dict(schedule=DelaySchedule([point_mass(0)] * 15)), [12, 16]),  # F coverage
-        # Day 16 fails the earlier F-coverage check, day 0 the later Garske one.
-        (dict(schedule=DelaySchedule([clamped] * 15), rates=known), [0, 16]),
-        (dict(schedule=DelaySchedule([point_mass(0)] * 20), rates=known), [21]),  # A1-A3 coverage
-        (dict(schedule=DelaySchedule(point_mass(0)), rates=DailyRates(np.full(12, 0.1))), [9, 13]),
-        (dict(schedule=DelaySchedule(point_mass(0)), rates=known,
-              true_rates=DailyRates(np.full(12, 0.1))), [9, 13]),
-        (dict(schedule=DelaySchedule(Overshoot()), rates=DailyRates(np.full(25, 0.9))), [9]),
         (dict(lookback=6), [2]),  # the fit's error comes before t >= 6
-        (dict(schedule=DelaySchedule([point_mass(0)] * 3)), [4]),  # t >= 6 before coverage
         (dict(lookback=-1), [9]),
+        *[(kwargs, days) for kwargs, days, _ in known_mode_errors()],
     ]:
         want = run_series(reference_series, table, days, **kwargs)[2]
         got = run_series(estimate_series, table, days, **kwargs)[2]
@@ -1383,15 +1469,17 @@ def test_window_rates_match_gather_oracle():
     )
     assert want_fallback[3:].any(axis=1).all() and not no_window.any()
     # Window arrays built for the block's last day, or for a later one as an
-    # estimate_series call with later blocks builds them.
+    # estimate_series call with later blocks builds them. Each day reads the
+    # windows j < t - 5; the oracle holds 0 in the others.
     for last in (40, 41, 500):
         windows = est._windows(table._cum_cases, last)
         with pytest.raises(EstimationError, match="no cases in any daily-rate window by day 6$"):
-            est._window_rates(windows, c, w)
-        p, inside, fallback = est._window_rates(windows, rest, w[1:])
-        assert np.array_equal(p, want_p)
+            est._window_estimates(windows, c, w)
+        p = est._window_estimates(windows, rest, w[1:])
+        inside = np.arange(p.shape[1]) < (rest.t - 5)[:, None]
         assert np.array_equal(inside, want_inside)
-        assert np.array_equal(fallback, want_fallback)
+        assert np.array_equal(np.where(inside, p, 0.0), want_p)
+        assert np.array_equal(inside & (windows.den[: p.shape[1]] == 0), want_fallback)
         assert np.array_equal(est._daily_p(p, t[1:], w.shape[1]), want_daily)
 
 

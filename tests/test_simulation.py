@@ -615,7 +615,7 @@ def test_run_study_known_builds_deaths_free_terms_once(monkeypatch, mode, lookba
     known mode, so a study builds them once per block, not per replicate.
     In estimated mode F and the rates read deaths, so each of the six
     replicates builds them in every block."""
-    calls = {"_garske_denominators": 0, "_variance_terms": 0}
+    calls = {"_garske_denominators": 0, "_variance": 0}
     for name in calls:
         original = getattr(est, name)
 
@@ -631,7 +631,7 @@ def test_run_study_known_builds_deaths_free_terms_once(monkeypatch, mode, lookba
     result = run_study(sc, mode, lookback=lookback)
     blocks = -(-result.days.size // est._BLOCK)
     assert blocks == 3
-    assert calls == {"_garske_denominators": blocks * builds, "_variance_terms": blocks * builds}
+    assert calls == {"_garske_denominators": blocks * builds, "_variance": blocks * builds}
 
 
 # ---------------------------------------------------------------------------
