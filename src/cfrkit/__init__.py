@@ -1,10 +1,10 @@
 """Delay-adjusted case fatality rate estimation from epidemic line lists.
 
-Workflow: parse a line list (`parse_csv`), aggregate it into daily counts
-(`aggregate`), fit or supply a confirmation-to-death delay distribution
-(`fit_empirical`, `fit_nb_mle`, `fit_zinb_mle`), then evaluate the
-estimators day by day (`estimate_series`) or study them on synthetic
-epidemics (`run_study`).
+Workflow: read a line list into daily case counts and death events as it
+streams (`parse_csv`, whose table `aggregate` returns), fit or supply a
+confirmation-to-death delay distribution (`fit_empirical`, `fit_nb_mle`,
+`fit_zinb_mle`), then evaluate the estimators day by day
+(`estimate_series`) or study them on synthetic epidemics (`run_study`).
 """
 
 from . import errors, estimators, linelist, simulation, survival

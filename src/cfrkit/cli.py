@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .errors import AssumptionWarning, CfrError, EstimationError, ParseError
 from .estimators import DelaySchedule, EstimateSeries, estimate_series
-from .linelist import MAX_DAY, EpidemicTable, _case_days, _file_records, _fold
+from .linelist import MAX_DAY, EpidemicTable, LineList, _file_records, aggregate, parse_csv
 from .simulation import (
     ESTIMATORS,
     Scenario,
@@ -208,10 +208,9 @@ def _series_columns(series: EstimateSeries) -> list[tuple[str, np.ndarray]]:
     return [(name, col) for name, col in columns if col is not None]
 
 
-def _read_linelist(args: argparse.Namespace) -> tuple[EpidemicTable, np.ndarray]:
-    """The table and the lags, in row order, of the input line list, folded
-    from its day pieces as they stream from the file: no column of every
-    row is held."""
+def _read_linelist(args: argparse.Namespace) -> tuple[EpidemicTable, LineList]:
+    """The table of the input line list and the line list, read by
+    `parse_csv` as the file streams: no column of every row is held."""
     if args.input and args.input_flag:
         raise argparse.ArgumentTypeError(
             f"give one line list: both {args.input} and --input {args.input_flag} were given"
@@ -219,13 +218,14 @@ def _read_linelist(args: argparse.Namespace) -> tuple[EpidemicTable, np.ndarray]
     path = args.input_flag or args.input
     if not path:
         raise argparse.ArgumentTypeError("an input line-list CSV is required")
-    # The bytes are read as parse_csv reads them, in blocks; a line ends at
-    # "\n" alone, so a bare "\r" is a parse error rather than a line break.
+    # The bytes are read in blocks; a line ends at "\n" alone, so a bare
+    # "\r" is a parse error rather than a line break.
     with open(path, "rb") as handle:
-        table, lags = _fold(_case_days(handle, args.epoch))
+        linelist = parse_csv(handle, args.epoch)
+    table = aggregate(linelist)
     if table.n_days == 0:
         raise EstimationError(f"{path}: the line list has no case rows")
-    return table, lags
+    return table, linelist
 
 
 def _day_range(args: argparse.Namespace, cases: np.ndarray, known: bool) -> range:
@@ -247,12 +247,12 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         raise argparse.ArgumentTypeError("--survival file needs --survival-file")
     if args.survival_file is not None and args.survival != "file":
         raise argparse.ArgumentTypeError("--survival-file needs --survival file")
-    table, lags = _read_linelist(args)
+    table, linelist = _read_linelist(args)
 
     schedule = None
     if args.survival in ("nb", "zinb"):
         fit = fit_nb_mle if args.survival == "nb" else fit_zinb_mle
-        schedule = DelaySchedule(fit(DelaySample(lags)))
+        schedule = DelaySchedule(fit(DelaySample.from_linelist(linelist)))
     elif args.survival == "file":
         schedule = DelaySchedule(_read_params_csv(args.survival_file))
     # args.survival == "empirical": leave None, estimate_series refits per day.
@@ -270,15 +270,15 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit_survival(args: argparse.Namespace) -> int:
-    table, lags = _read_linelist(args)
-    sample = DelaySample(lags)
+    table, linelist = _read_linelist(args)
+    sample = DelaySample.from_linelist(linelist)
 
     empirical = fit_empirical(table, table.n_days - 1, lookback=args.lookback)
 
     # Empirical log-likelihood over its own eligible support.
     emp_pmf = np.diff(np.concatenate([[0.0], empirical.cdf_table]))
     emp_ll = 0.0
-    eligible = lags[lags <= empirical.cdf_table.size - 1]
+    eligible = sample.lags[sample.lags <= empirical.cdf_table.size - 1]
     for k, count in zip(*np.unique(eligible, return_counts=True)):
         mass = emp_pmf[int(k)]
         if mass > 0:

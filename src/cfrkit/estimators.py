@@ -766,6 +766,8 @@ def confidence_interval(cfr: float, variance: float, alpha: float) -> tuple[floa
     the estimate itself rather than an inverted interval.
     """
     _check_alpha(alpha)
+    if math.isnan(cfr):
+        raise ValueError("cfr must be a number, got nan")
     if not variance >= 0.0:  # NaN too
         raise ValueError("variance must be non-negative")
     low, high = _interval(cfr, variance, normal_quantile(1.0 - alpha / 2.0))
@@ -1073,7 +1075,7 @@ def _series_block(
     if late is None:
         denom = _garske_denominators(table.cases, raw, c, check)
         if rates is not None:
-            check(*_short_rates(rates, t))
+            check(*_short_rates(rates, c.n - 1))
         check(*delay._uncovered(t))
         p = _daily_p(p_window, t, width, work) if rates is None else _rates_grid(rates, width)
         # r_t squared as a float, as an int64 square wraps past 3.04e9 cases.

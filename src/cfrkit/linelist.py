@@ -16,7 +16,6 @@ import numpy as np
 from .errors import ParseError
 
 __all__ = [
-    "CaseRecord",
     "LineList",
     "EpidemicTable",
     "MAX_DAY",
@@ -26,87 +25,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CaseRecord:
-    """One confirmed case: its confirmation day and, if it died, its death day.
-
-    Day indices count from day 0 of the epidemic; ``death_day`` is None while
-    the outcome is unresolved (alive or still at risk).
-    """
-
-    confirm_day: int
-    death_day: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.confirm_day < 0:
-            raise ValueError(f"confirm_day must be non-negative, got {self.confirm_day}")
-        if self.death_day is not None and self.death_day < self.confirm_day:
-            raise ValueError(
-                f"death_day {self.death_day} precedes confirm_day {self.confirm_day}"
-            )
-
-    @property
-    def lag(self) -> int | None:
-        """Days from confirmation to death; None while unresolved."""
-        if self.death_day is None:
-            return None
-        return self.death_day - self.confirm_day
-
-
 @dataclass(frozen=True, eq=False)
 class LineList:
-    """The cases of one epidemic as two day columns; day 0 maps to ``epoch``
-    when known.
+    """A line list as `parse_csv` reads it: its `EpidemicTable` of daily
+    case counts and death events, and the calendar date of day 0, when
+    known. ``len()`` counts its case rows."""
 
-    ``confirm[i]`` is the confirmation day of row i and ``death[i]`` its death
-    day, or -1 while the outcome is unresolved. The arrays are int64, copied
-    on construction and frozen; iteration yields ``CaseRecord``s in row order.
-    This is the Python API's view of every row; the CLI folds a file into
-    its `EpidemicTable` and lags without one, in O(deaths + days).
-    """
-
-    confirm: np.ndarray
-    death: np.ndarray
+    table: EpidemicTable
     epoch: date | None = None
 
-    def __post_init__(self) -> None:
-        confirm = _whole(self.confirm, "confirmation days")
-        death = _whole(self.death, "death days")
-        if confirm.ndim != 1 or death.shape != confirm.shape:
-            raise ValueError("confirm and death must be one-dimensional and equally long")
-        if np.any(confirm < 0):
-            raise ValueError("confirmation days must be non-negative")
-        if np.any((death != -1) & (death < confirm)):
-            raise ValueError("death days must be -1 or on or after the confirmation day")
-        confirm.setflags(write=False)
-        death.setflags(write=False)
-        object.__setattr__(self, "confirm", confirm)
-        object.__setattr__(self, "death", death)
-
-    @classmethod
-    def from_records(
-        cls, records: Iterable[CaseRecord], epoch: date | None = None
-    ) -> "LineList":
-        """Build a line list from case records, keeping their order."""
-        records = tuple(records)
-        return cls(
-            [rec.confirm_day for rec in records],
-            [-1 if rec.death_day is None else rec.death_day for rec in records],
-            epoch,
-        )
-
     def __len__(self) -> int:
-        return int(self.confirm.size)
-
-    def __iter__(self) -> Iterator[CaseRecord]:
-        for confirm, death in zip(self.confirm.tolist(), self.death.tolist()):
-            yield CaseRecord(confirm, None if death < 0 else death)
+        return self.table.total_cases
 
     @property
     def lags(self) -> np.ndarray:
-        """Confirmation-to-death lag of every row with a death, in row order."""
-        died = self.death >= 0
-        return self.death[died] - self.confirm[died]
+        """Confirmation-to-death lag of every row with a death, in row
+        order: the table's own read-only array, not a copy."""
+        return self.table._lag
 
 
 MAX_DAY = 3652
@@ -334,10 +269,10 @@ def _file_records(handle: BinaryIO, path: object) -> Iterator[tuple[int, list[st
 
 
 def parse_csv(text: str | bytes | BinaryIO | Iterable[str], epoch: date | None = None) -> LineList:
-    """Parse a line-list CSV into confirmation and death day columns, the
-    Python API's view of every row. The CLI folds the same day pieces
-    straight into an `EpidemicTable` and the lags, and so holds
-    O(deaths + days), not O(rows).
+    """Read a line-list CSV into its `EpidemicTable`: the day pieces of the
+    rows are folded into daily case counts and the deaths' (confirmation
+    day, lag) events as they are read, so the reader holds O(deaths + days
+    + one piece), not a column of every row. The CLI reads a file this way.
 
     The header must name ``confirm_date`` and ``death_date`` columns. Values
     are ISO-8601 dates (converted against ``epoch`` as day 0) or bare
@@ -363,7 +298,8 @@ def parse_csv(text: str | bytes | BinaryIO | Iterable[str], epoch: date | None =
         epoch: calendar date of day 0; required when any field is a date.
 
     Returns:
-        LineList with one row per data row, in file order.
+        LineList of the table, whose cases sum to the number of data rows
+        and whose death events, and so ``lags``, are in file order.
 
     Raises:
         ParseError: missing header columns, an unparseable, negative or
@@ -373,8 +309,7 @@ def parse_csv(text: str | bytes | BinaryIO | Iterable[str], epoch: date | None =
             bare carriage return); messages name the line the offending
             record starts on.
     """
-    days = np.concatenate([np.empty((2, 0), np.intc), *_case_days(text, epoch)], axis=1)
-    return LineList(days[0], days[1], epoch)
+    return LineList(_fold(_case_days(text, epoch)), epoch)
 
 
 def _case_days(
@@ -603,9 +538,9 @@ class EpidemicTable:
         cls, cases: np.ndarray, day: np.ndarray, lag: np.ndarray, width: int | None = None
     ) -> "EpidemicTable":
         """A table from inputs the caller checked: non-negative int64 daily
-        ``cases``, kept and frozen, and one confirmation day and one lag per
-        death; days index ``cases`` and lags are non-negative. ``max_lag``
-        is ``width - 1``, by default the largest lag."""
+        ``cases`` and one confirmation day and one lag per death, all kept
+        and frozen; days index ``cases`` and lags are non-negative.
+        ``max_lag`` is ``width - 1``, by default the largest lag."""
         table = cls.__new__(cls)
         table._set(cases, day, lag, width)
         return table
@@ -616,7 +551,7 @@ class EpidemicTable:
             raise ValueError("more deaths than confirmed cases on some day")
         width = int(lag.max(initial=0)) + 1 if width is None else width
         derived = dict(_totals=totals, _cum_cases=np.cumsum(cases), _cum_totals=np.cumsum(totals))
-        for array in (cases, *derived.values()):
+        for array in (cases, day, lag, *derived.values()):
             array.setflags(write=False)
         vars(self).update(derived, cases=cases, _day=day, _lag=lag, _width=max(width, 1))
 
@@ -742,20 +677,16 @@ class EpidemicTable:
 
 
 def aggregate(linelist: LineList) -> EpidemicTable:
-    """Count confirmations per day and hold each death as its confirmation
-    day and lag.
-
-    The table spans days 0..max confirmation day, so the total over ``cases``
-    equals the number of rows. It is `_fold` over the line list as one
-    piece, the fold that the CLI runs over a file's pieces.
-    """
-    return _fold([(linelist.confirm, linelist.death)])[0]
+    """The daily case counts and death events of a line list: its table,
+    which spans days 0..max confirmation day, so the total over ``cases``
+    equals the number of rows."""
+    return linelist.table
 
 
-def _fold(pieces: Iterable[Sequence[np.ndarray]]) -> tuple[EpidemicTable, np.ndarray]:
-    """The table of the (confirm, death) day pieces of a line list, and the
-    int64 lag of each death in row order, holding O(deaths + days + one
-    piece): confirmations are counted per day as each piece comes."""
+def _fold(pieces: Iterable[Sequence[np.ndarray]]) -> EpidemicTable:
+    """The table of the (confirm, death) day pieces of a line list, its
+    death events in row order, holding O(deaths + days + one piece):
+    confirmations are counted per day as each piece comes."""
     cases, days, lags = np.zeros(0, np.int64), [], []
     for confirm, death in pieces:
         counts = np.bincount(confirm, minlength=cases.size)
@@ -766,4 +697,4 @@ def _fold(pieces: Iterable[Sequence[np.ndarray]]) -> tuple[EpidemicTable, np.nda
         lags.append(death[died] - days[-1])
     day = np.concatenate([np.zeros(0, np.int64), *days])
     lag = np.concatenate([np.zeros(0, np.int64), *lags])
-    return EpidemicTable._from_events(cases, day, lag), lag
+    return EpidemicTable._from_events(cases, day, lag)

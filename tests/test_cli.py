@@ -1301,19 +1301,21 @@ def _child(script: str, timeout: float = 60) -> subprocess.CompletedProcess:
     )
 
 
-def _peak_over_import(argv: list[str]) -> tuple[str, int, int, int]:
-    """Run ``cfrkit.cli.main(argv)`` in a ``_child``; return its stderr, the
-    command's exit code, and the child's peak resident memory in KiB after
-    the import and after the command. The peak is VmHWM, not ru_maxrss:
-    Linux carries a process's peak ru_maxrss over exec into its child, so
-    under pytest a child's ru_maxrss starts at the pytest process's peak."""
+def _peak_over_import(argv: list[str], call: str | None = None) -> tuple[str, int, int, int]:
+    """Run ``cfrkit.cli.main(argv)``, or ``call``, a Python expression that
+    gives an exit code, in a ``_child``; return its stderr, the command's
+    exit code, and the child's peak resident memory in KiB after the import
+    and after the command. The peak is VmHWM, not ru_maxrss: Linux carries
+    a process's peak ru_maxrss over exec into its child, so under pytest a
+    child's ru_maxrss starts at the pytest process's peak."""
     done = _child(
         "def peak():\n"
         "    with open('/proc/self/status') as f:\n"
         "        return next(int(line.split()[1]) for line in f if line.startswith('VmHWM:'))\n"
-        "import cfrkit.cli\n"
+        "import cfrkit.cli, datetime\n"
+        "from cfrkit import aggregate, parse_csv\n"
         "base = peak()\n"
-        f"code = cfrkit.cli.main({argv!r})\n"
+        f"code = {call or f'cfrkit.cli.main({argv!r})'}\n"
         "print(code, base, peak())\n"
     )
     code, base, peak = map(int, done.stdout.split())
@@ -1393,13 +1395,18 @@ def test_long_parameter_file_is_read_a_record_at_a_time(tmp_path, linelist_file)
 
 
 @_LINUX_ONLY
-@pytest.mark.parametrize("quoted", [False, True], ids=["plain-lf", "quoted-crlf"])
-def test_estimate_memory_does_not_grow_with_rows(tmp_path, quoted):
+@pytest.mark.parametrize(
+    "quoted, library", [(False, False), (True, False), (False, True)],
+    ids=["plain-lf", "quoted-crlf", "library"],
+)
+def test_estimate_memory_does_not_grow_with_rows(tmp_path, quoted, library):
     """`cfrkit estimate` folds a line list's day pieces into the table as
     they are read, so it holds O(deaths + days + one block), not a column
     of every row: 600,000 rows over 200 days peak within 4 MB of 6,000. The
     quoted CRLF copy takes the record loop, which flushes every
-    ``_CHUNK_LINES`` records."""
+    ``_CHUNK_LINES`` records. The library's ``aggregate(parse_csv(...))``
+    is the same fold; it held two int64 columns of every row, and their
+    C-int concatenation, when ``parse_csv`` built a row per case."""
     line = '"{}","{}","{}"\r\n' if quoted else "{},{},{}\n"
     epoch = date(2020, 3, 3)
     dates = [str(epoch + timedelta(days)) for days in range(213)]
@@ -1414,7 +1421,9 @@ def test_estimate_memory_does_not_grow_with_rows(tmp_path, quoted):
                 for i in range(rows)
             )
         argv = ["estimate", str(path), "--epoch", str(epoch), "-o", str(tmp_path / f"{rows}.csv")]
-        _, code, base, peak = _peak_over_import(argv)
+        # The table counts every row, so the expression is 0.
+        read = f"aggregate(parse_csv(open({str(path)!r}, 'rb'), {epoch!r})).total_cases - {rows}"
+        _, code, base, peak = _peak_over_import(argv, read if library else None)
         assert code == 0
         grown.append(peak - base)
     assert grown[1] < grown[0] + 4 * 1024, f"grew {grown[1]} KiB at 600k rows, {grown[0]} at 6k"

@@ -725,6 +725,12 @@ def test_confidence_interval_refuses_nan_variance():
         confidence_interval(0.1, math.nan, 0.05)
 
 
+def test_confidence_interval_refuses_nan_cfr():
+    # The variance's check let a NaN estimate through to (nan, nan).
+    with pytest.raises(ValueError, match="^cfr must be a number, got nan$"):
+        confidence_interval(math.nan, 0.01, 0.05)
+
+
 def test_alpha_without_a_quantile_is_an_argument_error():
     """At alpha <= 2**-53, 1 - alpha/2 rounds to 1, which has no normal
     quantile: such an alpha is refused by name, not by the quantile. The
@@ -860,6 +866,18 @@ def test_series_variance_past_an_int64_square():
         assert v == pytest.approx(terms / (n + 10) ** 2, rel=1e-12)
         want = confidence_interval(cfr_proposed(table, schedule, 1), v, 0.05)
         assert (series.ci_low[0], series.ci_high[0]) == want
+
+
+def test_series_reads_known_rates_only_over_the_tables_days():
+    """A day past the table's last needs rates for its cohorts only, as
+    ``variance_cfr`` does; the series once asked for rates up to the day."""
+    table = EpidemicTable.from_sparse([10] * 12, {0: {0: 2}})
+    schedule, rates = DelaySchedule(NegBinomial(3.0, 2.0)), DailyRates([0.05] * 12)
+    series = estimate_series(table, [20], schedule=schedule, rates=rates)
+    cfr = cfr_proposed(table, schedule, 20)
+    assert series.cfr[0] == cfr == 0.016670104164437583
+    want = confidence_interval(cfr, variance_cfr(table, rates, schedule, 20), 0.05)
+    assert (series.ci_low[0], series.ci_high[0]) == want == (0.0, 0.05581135349168344)
 
 
 def test_series_skips_days_without_cases():
@@ -1092,10 +1110,12 @@ def _ref_interval(cfr, variance, z):
     return min(max(0.0, cfr - half), cfr), max(cfr, min(1.0, cfr + half))
 
 
-def _ref_all_ok(rates, schedule, t):
+def _ref_all_ok(rates, schedule, t, upto):
     if t < 0:
         raise ValueError("t must be non-negative")
-    p = _ref_rates_upto(rates, t)
+    # The rates must cover the cohorts 0..upto; A2-A3 read those up to t.
+    _ref_rates_upto(rates, upto)
+    p = rates.p[: t + 1]
     min_f0 = min(max(model.cdf(0), model.floor) for model in _ref_models(schedule, t))
     return min_f0 > 0.0 and float(p.min()) > 0.0 and float(p.max()) < 1.0
 
@@ -1134,7 +1154,7 @@ def reference_series(
         naive = float(dead / r_t)
         adjusted = float(w.sum() / r_t)
         garske = _ref_garske(dead, cases, raw, t)
-        if not _ref_all_ok(rates_t, sched_t, t):
+        if not _ref_all_ok(rates_t, sched_t, t, upto):
             assumption_failed = True
         v = _ref_variance(cases, _ref_rates_upto(rates_t, upto), f, t, r_t)
         low, high = _ref_interval(adjusted, v, z)

@@ -13,66 +13,55 @@ from hypothesis import strategies as st
 
 import cfrkit.estimators as est
 import cfrkit.linelist as linelist_module
-from cfrkit import (
-    CaseRecord,
-    DelaySample,
-    EpidemicTable,
-    LineList,
-    ParseError,
-    aggregate,
-    parse_csv,
-)
+from cfrkit import DelaySample, EpidemicTable, ParseError, aggregate, parse_csv
 
 EPOCH = date(2020, 3, 3)
 
 
+def _days(text, epoch=None) -> np.ndarray:
+    """The (2, n) confirm and death days (-1 for none) of the case rows of a
+    line list, in file order: the C-int day pieces that `parse_csv` folds,
+    concatenated."""
+    pieces = list(linelist_module._case_days(text, epoch))
+    assert all(piece.dtype == np.intc and piece.shape[0] == 2 for piece in pieces)
+    return np.concatenate([np.empty((2, 0), np.intc), *pieces], axis=1)
+
+
+def _rows(text, epoch=None) -> list[tuple[int, int | None]]:
+    """The (confirm day, death day or None) of each case row, in file order."""
+    confirm, death = _days(text, epoch).tolist()
+    return [(c, None if d < 0 else d) for c, d in zip(confirm, death)]
+
+
+def _csv(rows) -> str:
+    """A line list of (confirm day, death day or None) rows."""
+    lines = (f"{c},{'' if d is None else d}\n" for c, d in rows)
+    return "confirm_date,death_date\n" + "".join(lines)
+
+
 # ---------------------------------------------------------------------------
-# CaseRecord / LineList
+# LineList
 
 
-def test_record_lag():
-    assert CaseRecord(3, 7).lag == 4
-    assert CaseRecord(3).lag is None
-    assert CaseRecord(3, 3).lag == 0
-
-
-def test_record_rejects_negative_day():
-    with pytest.raises(ValueError):
-        CaseRecord(-1)
-
-
-def test_record_rejects_death_before_confirmation():
-    with pytest.raises(ValueError):
-        CaseRecord(5, 4)
-
-
-def test_linelist_iteration():
-    ll = LineList.from_records((CaseRecord(0), CaseRecord(1, 2)))
-    assert len(ll) == 2
-    assert [r.confirm_day for r in ll] == [0, 1]
-
-
-def test_linelist_columns_round_trip_records():
-    records = (CaseRecord(4, 9), CaseRecord(0), CaseRecord(2, 2))
-    ll = LineList.from_records(records, epoch=EPOCH)
-    assert ll.confirm.tolist() == [4, 0, 2]
-    assert ll.death.tolist() == [9, -1, 2]
+def test_linelist_len_counts_rows_and_lags_keep_row_order():
+    ll = parse_csv(_csv([(4, 9), (0, None), (2, 2)]), epoch=EPOCH)
+    assert len(ll) == 3
     assert ll.lags.tolist() == [5, 0]
-    assert tuple(ll) == records
     assert ll.epoch == EPOCH
-    with pytest.raises(ValueError):
-        ll.confirm[0] = 1
+    assert aggregate(ll) is ll.table
 
 
-def test_linelist_validation():
-    with pytest.raises(ValueError, match="equally long"):
-        LineList([0, 1], [-1])
-    with pytest.raises(ValueError, match="non-negative"):
-        LineList([-1], [-1])
-    with pytest.raises(ValueError, match="on or after"):
-        LineList([5], [4])
-    with pytest.raises(ValueError, match="on or after"):
-        LineList([0], [-2])
+def test_death_events_are_frozen():
+    """A line list's lags are its table's lag events, not a copy: written
+    to, they changed the lags that the table's delay fit counts."""
+    ll = parse_csv("confirm_date,death_date\n0,2\n1,\n1,4\n")
+    with pytest.raises(ValueError, match="read-only"):
+        ll.lags[:] = 9
+    assert ll.table._eligible_lags(np.array([4]), 0).tolist() == [[0, 0, 1, 1]]
+    table = EpidemicTable.from_sparse([2, 2], {0: {1: 1}, 1: {0: 2}})
+    for events in (table._day, table._lag):
+        with pytest.raises(ValueError, match="read-only"):
+            events[:] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -81,20 +70,17 @@ def test_linelist_validation():
 
 def test_parse_iso_dates():
     text = "confirm_date,death_date\n2020-03-03,2020-03-10\n2020-03-05,\n"
-    ll = parse_csv(text, epoch=EPOCH)
-    assert ll.epoch == EPOCH
-    assert [(r.confirm_day, r.death_day) for r in ll] == [(0, 7), (2, None)]
+    assert parse_csv(text, epoch=EPOCH).epoch == EPOCH
+    assert _rows(text, EPOCH) == [(0, 7), (2, None)]
 
 
 def test_parse_bare_day_indices_need_no_epoch():
-    ll = parse_csv("confirm_date,death_date\n0,4\n2,\n")
-    assert [(r.confirm_day, r.death_day) for r in ll] == [(0, 4), (2, None)]
+    assert _rows("confirm_date,death_date\n0,4\n2,\n") == [(0, 4), (2, None)]
 
 
 def test_parse_extra_columns_and_any_order():
     text = "id,death_date,confirm_date\na,,3\nb,6,4\n"
-    ll = parse_csv(text)
-    assert [(r.confirm_day, r.death_day) for r in ll] == [(3, None), (4, 6)]
+    assert _rows(text) == [(3, None), (4, 6)]
 
 
 def test_parse_skips_blank_and_comment_lines():
@@ -111,8 +97,7 @@ def test_parse_skips_blank_and_comment_lines_before_the_header(lead):
     rows = "1,\n2,5\n3,x\n"
     with pytest.raises(ParseError, match=f"line {lead.count(chr(10)) + 4}: invalid death_date"):
         parse_csv(lead + "confirm_date,death_date\n" + rows)
-    ll = parse_csv(lead + "confirm_date,death_date\n" + rows[:-4])
-    assert [(r.confirm_day, r.death_day) for r in ll] == [(1, None), (2, 5)]
+    assert _rows(lead + "confirm_date,death_date\n" + rows[:-4]) == [(1, None), (2, 5)]
 
 
 def test_parse_names_the_header_line_after_comments():
@@ -163,7 +148,7 @@ def test_parse_reads_blocks_after_a_quoted_header(monkeypatch):
 
 def test_parse_crlf():
     text = "confirm_date,death_date\r\n1,2\r\n"
-    assert [(r.confirm_day, r.death_day) for r in parse_csv(text)] == [(1, 2)]
+    assert _rows(text) == [(1, 2)]
 
 
 def test_parse_accepts_iterable_of_lines():
@@ -229,8 +214,7 @@ def test_parse_errors_after_cached_cells(text, message):
 
 def test_parse_skips_comment_rows_whose_cells_were_seen():
     text = "note,confirm_date,death_date\na,1,2\n# b,1,2\n  #c,1,2\n,,\na#d,1,\n"
-    ll = parse_csv(text)
-    assert [(r.confirm_day, r.death_day) for r in ll] == [(1, 2), (1, None)]
+    assert _rows(text) == [(1, 2), (1, None)]
 
 
 @pytest.mark.parametrize(
@@ -410,8 +394,6 @@ def test_from_sparse_rejects_days_and_lags_outside_the_table(lag_counts, message
         (lambda: EpidemicTable([3, 2], np.array([[np.nan], [0.0]])), "deaths", "nan"),
         (lambda: EpidemicTable([np.inf], [[0]]), "cases", "inf"),
         (lambda: EpidemicTable.from_sparse([3, 2], {0: {1: 0.5}}), "deaths", "0.5"),
-        (lambda: LineList([0.5, 2.9], [-1, 3.2]), "confirmation days", "0.5"),
-        (lambda: LineList([0, 2], [-1, 3.2]), "death days", "3.2"),
     ],
 )
 def test_counts_and_days_must_be_finite_whole_numbers(build, name, value):
@@ -422,7 +404,6 @@ def test_counts_and_days_must_be_finite_whole_numbers(build, name, value):
 def test_whole_floats_are_kept():
     table = EpidemicTable(np.array([3.0, 2.0]), np.array([[1.0], [0.0]]))
     assert table.cases.tolist() == [3, 2] and table.deaths.tolist() == [[1], [0]]
-    assert LineList([0.0, 2.0], [-1.0, 3.0]).death.tolist() == [-1, 3]
 
 
 @st.composite
@@ -442,7 +423,7 @@ def _event_queries(draw):
     for d, count in enumerate(cases):  # rows may be empty
         for k in draw(st.lists(lags, max_size=count)):
             deaths[d, k] += 1
-    build = draw(st.sampled_from(["dense", "sparse", "aggregate"]))
+    build = draw(st.sampled_from(["dense", "sparse", "line list"]))
     # max_lag: the dense table's last column, else the largest lag of a death.
     died_at = np.flatnonzero(deaths.any(axis=0))
     max_lag = width - 1 if build == "dense" else int(died_at.max(initial=0))
@@ -452,10 +433,12 @@ def _event_queries(draw):
         cells = [{k: int(row[k]) for k in np.flatnonzero(row).tolist()} for row in deaths]
         table = EpidemicTable.from_sparse(cases, dict(enumerate(cells)))
     else:
+        # parse_csv's fold of one (confirm, death) day piece, whose far
+        # lags would pass the days a line list may hold.
         lags = [np.repeat(np.arange(width), row).tolist() for row in deaths]
-        records = [CaseRecord(d, d + k) for d in range(n_days) for k in lags[d]]
-        records += [CaseRecord(d) for d in range(n_days) for _ in range(cases[d] - len(lags[d]))]
-        table = aggregate(LineList.from_records(records or [CaseRecord(0)]))
+        rows = [(d, d + k) for d in range(n_days) for k in lags[d]]
+        rows += [(d, -1) for d in range(n_days) for _ in range(cases[d] - len(lags[d]))]
+        table = linelist_module._fold([np.array(rows or [(0, -1)]).T])
     day = st.integers(0, n_days + 16)
     if far is not None:  # and days that count the far lags
         day |= st.integers(far, far + n_days + 16)
@@ -581,16 +564,7 @@ def test_running_counts_first_days_and_bins_past_2_35(case):
 
 
 def test_aggregate_hand_example():
-    ll = LineList.from_records(
-        (
-            CaseRecord(0),
-            CaseRecord(0, 2),
-            CaseRecord(2, 2),
-            CaseRecord(2),
-            CaseRecord(4, 9),
-        )
-    )
-    table = aggregate(ll)
+    table = aggregate(parse_csv(_csv([(0, None), (0, 2), (2, 2), (2, None), (4, 9)])))
     assert table.cases.tolist() == [2, 0, 2, 0, 1]
     assert table.deaths[0].tolist() == [0, 0, 1, 0, 0, 0]
     assert table.deaths[2].tolist() == [1, 0, 0, 0, 0, 0]
@@ -598,7 +572,7 @@ def test_aggregate_hand_example():
 
 
 def test_aggregate_empty():
-    table = aggregate(LineList.from_records(()))
+    table = aggregate(parse_csv(_csv([])))
     assert table.n_days == 0
     assert table.total_cases == 0
 
@@ -609,16 +583,16 @@ def test_aggregate_conserves_record_count():
     for _ in range(10_000):
         confirm = int(rng.integers(0, 120))
         if rng.random() < 0.03:
-            records.append(CaseRecord(confirm, confirm + int(rng.integers(0, 40))))
+            records.append((confirm, confirm + int(rng.integers(0, 40))))
         else:
-            records.append(CaseRecord(confirm))
-    table = aggregate(LineList.from_records(records))
+            records.append((confirm, None))
+    table = aggregate(parse_csv(_csv(records)))
     assert table.total_cases == 10_000
-    assert table.total_deaths == sum(1 for r in records if r.death_day is not None)
+    assert table.total_deaths == sum(1 for _, death in records if death is not None)
 
 
 record_strategy = st.builds(
-    lambda c, lag: CaseRecord(c, c + lag if lag is not None else None),
+    lambda c, lag: (c, c + lag if lag is not None else None),
     st.integers(0, 30),
     st.one_of(st.none(), st.integers(0, 10)),
 )
@@ -628,27 +602,23 @@ record_strategy = st.builds(
 @settings(max_examples=100)
 def test_aggregate_recount_oracle(records):
     """deaths_by and cumulative_cases agree with direct scans of the records."""
-    table = aggregate(LineList.from_records(records))
+    table = aggregate(parse_csv(_csv(records)))
     assert table.total_cases == len(records)
     t_checks = [0, 5, 17, 30, 45]
     for t in t_checks:
         for d in range(0, min(t, table.n_days - 1) + 1):
             direct = sum(
-                1
-                for r in records
-                if r.confirm_day == d and r.death_day is not None and r.death_day <= t
+                1 for confirm, death in records if confirm == d and death is not None and death <= t
             )
             assert table.deaths_by(d, t) == direct
         if t < table.n_days:
-            assert table.cumulative_cases(t) == sum(
-                1 for r in records if r.confirm_day <= t
-            )
+            assert table.cumulative_cases(t) == sum(1 for confirm, _ in records if confirm <= t)
 
 
 @given(st.lists(record_strategy, min_size=1, max_size=40))
 @settings(max_examples=60)
 def test_observed_deaths_sum_is_monotone_in_t(records):
-    table = aggregate(LineList.from_records(records))
+    table = aggregate(parse_csv(_csv(records)))
     totals = [int(table.observed_deaths(t).sum()) for t in range(table.n_days + 12)]
     assert all(a <= b for a, b in zip(totals, totals[1:]))
     assert totals[-1] == table.total_deaths
@@ -657,7 +627,7 @@ def test_observed_deaths_sum_is_monotone_in_t(records):
 @given(st.lists(record_strategy, min_size=1, max_size=60), st.randoms(use_true_random=False))
 @settings(max_examples=60)
 def test_aggregate_ignores_row_order(records, rnd):
-    rows = [f"{r.confirm_day},{'' if r.death_day is None else r.death_day}" for r in records]
+    rows = [f"{c},{'' if d is None else d}" for c, d in records]
     shuffled = list(rows)
     rnd.shuffle(shuffled)
     table = aggregate(parse_csv("\n".join(["confirm_date,death_date", *rows])))
@@ -758,8 +728,8 @@ def test_columnar_parse_matches_record_oracle(lead, header, lines, quoting, newl
     text = buffer.getvalue()
 
     expected = _oracle_parse(text, EPOCH)
+    assert _rows(text, EPOCH) == expected
     ll = parse_csv(text, epoch=EPOCH)
-    assert [(r.confirm_day, r.death_day) for r in ll] == expected
     assert DelaySample.from_linelist(ll).lags.tolist() == [
         d - c for c, d in expected if d is not None
     ]
@@ -773,10 +743,10 @@ def test_columnar_parse_matches_record_oracle(lead, header, lines, quoting, newl
 # Block parse against the record-by-record loop
 
 
-def _record_loop_parse(text, epoch=None) -> LineList:
-    """``parse_csv`` as one loop over CSV records with no caching and no
-    block path: the oracle for the block parse. A record starts on the
-    line after the reader's line count before it is fetched."""
+def _record_loop_parse(text, epoch=None) -> np.ndarray:
+    """The (2, n) days of ``_days`` as one loop over CSV records with no
+    caching and no block path: the oracle for the block parse. A record
+    starts on the line after the reader's line count before it is fetched."""
     stream = io.StringIO(text) if isinstance(text, str) else iter(text)
     reader = csv.reader(stream)
 
@@ -831,26 +801,20 @@ def _record_loop_parse(text, epoch=None) -> LineList:
             raise ParseError(f"death precedes confirmation at line {line}")
         confirms.append(confirm)
         deaths.append(death)
-    return LineList(confirms, deaths, epoch)
+    return np.array([confirms, deaths], np.int64)
 
 
 def _outcome(parse, data, epoch=EPOCH):
     """The day columns a parse returns, or the message of its ParseError."""
     try:
-        ll = parse(data, epoch=epoch)
+        return parse(data, epoch).tolist()
     except ParseError as exc:
         return str(exc)
-    return ll.confirm.tolist(), ll.death.tolist()
 
 
 def _assert_parse_matches_record_loop(data, epoch=EPOCH):
     text = data.decode() if isinstance(data, bytes) else data
-    expected = _outcome(_record_loop_parse, text, epoch)
-    got = _outcome(parse_csv, data, epoch)
-    assert got == expected
-    if not isinstance(got, str):
-        ll = parse_csv(data, epoch=epoch)
-        assert ll.confirm.dtype == ll.death.dtype == np.int64
+    assert _outcome(_days, data, epoch) == _outcome(_record_loop_parse, text, epoch)
 
 
 # "{nl}" stands for the input's line ending.
@@ -935,24 +899,33 @@ def _line_lists(draw):
     return text, epoch, chunk, block, limit
 
 
-def _fold_outcome(fold, data, epoch):
-    """The cases, dense deaths and lags of a fold of ``data``, or the
+def _table_outcome(data, epoch):
+    """The cases, dense deaths and lags of ``parse_csv(data)``, or the
     message of its ParseError."""
     try:
-        table, lags = fold(data, epoch)
+        linelist = parse_csv(data, epoch=epoch)
     except ParseError as exc:
         return str(exc)
-    assert lags.dtype == np.int64
-    return table.cases.tolist(), table.deaths.tolist(), lags.tolist()
+    assert linelist.lags.dtype == np.int64
+    table = aggregate(linelist)
+    return table.cases.tolist(), table.deaths.tolist(), linelist.lags.tolist()
 
 
-def _stream_fold(data, epoch):
-    return linelist_module._fold(linelist_module._case_days(data, epoch))
-
-
-def _list_fold(data, epoch):
-    linelist = parse_csv(data, epoch=epoch)
-    return aggregate(linelist), linelist.lags
+def _oracle_fold(data, epoch):
+    """``_table_outcome`` folded from the record loop's rows apart from
+    `parse_csv`: a bincount of the confirm days, each death added at its
+    (day, lag), and the lags in row order."""
+    text = data.decode() if isinstance(data, bytes) else data
+    try:
+        confirm, death = _record_loop_parse(text, epoch)
+    except ParseError as exc:
+        return str(exc)
+    died = death >= 0
+    lags = death[died] - confirm[died]
+    cases = np.bincount(confirm)
+    deaths = np.zeros((cases.size, lags.max(initial=0) + 1), np.int64)
+    np.add.at(deaths, (confirm[died], lags), 1)
+    return cases.tolist(), deaths.tolist(), lags.tolist()
 
 
 @given(_line_lists())
@@ -960,9 +933,9 @@ def _list_fold(data, epoch):
 def test_chunked_parse_matches_record_loop(case):
     """The days, or the error message, equal those of the record loop, for
     every block and chunk size, so each path and each switch between them
-    agree. Folding the day pieces as they stream, as the CLI does, gives
-    the table and the lags, in row order, of ``aggregate(parse_csv(...))``,
-    or its error, with pieces and record-loop flushes crossed anywhere."""
+    agree. ``parse_csv``, which folds the day pieces as they stream, gives
+    the table and the lags, in row order, of the record loop's rows, or its
+    error, with pieces and record-loop flushes crossed anywhere."""
     data, epoch, chunk, block, limit = case
     old_limit = csv.field_size_limit(limit) if limit else None
     try:
@@ -970,7 +943,7 @@ def test_chunked_parse_matches_record_loop(case):
             mp.setattr(linelist_module, "_CHUNK_LINES", chunk)
             mp.setattr(linelist_module, "_BLOCK_BYTES", block)
             _assert_parse_matches_record_loop(data, epoch)
-            assert _fold_outcome(_stream_fold, data, epoch) == _fold_outcome(_list_fold, data, epoch)
+            assert _table_outcome(data, epoch) == _oracle_fold(data, epoch)
     finally:
         if old_limit is not None:
             csv.field_size_limit(old_limit)
@@ -979,8 +952,8 @@ def test_chunked_parse_matches_record_loop(case):
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
 def test_streamed_fold_crosses_record_loop_flushes(chunk, monkeypatch):
     """A quoted file goes to the record loop from its header on, which
-    yields a piece every ``chunk`` records; the fold of those pieces keeps
-    the lags in row order and counts each day once."""
+    yields a piece every ``chunk`` records; ``parse_csv``'s fold of those
+    pieces keeps the lags in row order and counts each day once."""
     monkeypatch.setattr(linelist_module, "_CHUNK_LINES", chunk)
     rows = [(d % 9, d % 9 + d % 4 if d % 3 else None) for d in range(40)]
     text = '"confirm_date","death_date"\r\n' + "".join(
@@ -988,9 +961,9 @@ def test_streamed_fold_crosses_record_loop_flushes(chunk, monkeypatch):
     )
     pieces = list(linelist_module._case_days(text, None))
     assert [piece.shape[1] for piece in pieces] == [chunk] * (40 // chunk) + [40 % chunk]
-    table, lags = linelist_module._fold(pieces)
-    assert table.cases.tolist() == np.bincount([c for c, _ in rows]).tolist()
-    assert lags.tolist() == [d - c for c, d in rows if d is not None]
+    linelist = parse_csv(text)
+    assert linelist.table.cases.tolist() == np.bincount([c for c, _ in rows]).tolist()
+    assert linelist.lags.tolist() == [d - c for c, d in rows if d is not None]
 
 
 @pytest.mark.parametrize(

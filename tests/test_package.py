@@ -15,7 +15,7 @@ from cfrkit import errors, estimators, linelist, simulation, survival
 
 # Every name the package exported before it gathered the modules' own lists.
 EARLIER_NAMES = [
-    "AssumptionReport", "AssumptionWarning", "CaseRecord", "CfrError",
+    "AssumptionReport", "AssumptionWarning", "CfrError",
     "CoverageSummary", "DailyRates", "DegenerateSampleError", "DelaySample",
     "DelaySchedule", "Empirical", "EpidemicTable", "EstimateSeries",
     "EstimationError", "LineList", "NegBinomial", "ParseError",
@@ -37,7 +37,7 @@ def test_public_names_are_the_modules_lists():
         getattr(cfrkit, name)
     modules = (errors, estimators, linelist, simulation, survival)
     assert set(names) == {n for m in modules for n in m.__all__} | {"__version__"}
-    assert len(EARLIER_NAMES) == 48
+    assert len(EARLIER_NAMES) == 47
     assert set(EARLIER_NAMES) <= set(names)
     assert {"MAX_DAY", "ESTIMATORS", "read_arm_csv"} <= set(names)
     assert "main" not in names

@@ -26,7 +26,6 @@ from cfrkit import (
     EpidemicTable,
     EstimateSeries,
     EstimationError,
-    LineList,
     NegBinomial,
     Scenario,
     StepRates,
@@ -37,6 +36,7 @@ from cfrkit import (
     estimate_series,
     illustrative_daily_rates,
     load_example_arm,
+    parse_csv,
     point_mass,
     run_study,
     simulate_replicate,
@@ -260,7 +260,7 @@ def test_replicates_share_the_scenarios_read_only_curve():
     [
         lambda: EpidemicTable([3, 2], [[1], [0]]),
         lambda: EpidemicTable.from_sparse([3, 2], {0: {1: 1}}),
-        lambda: aggregate(LineList([0, 0, 1], [-1, 1, -1])),
+        lambda: aggregate(parse_csv("confirm_date,death_date\n0,\n0,1\n1,\n")),
         lambda: simulate_replicate(small_scenario(), 0),
     ],
     ids=["dense", "sparse", "line-list", "replicate"],
